@@ -69,7 +69,7 @@ from repro.robustness import FaultyWeb, get_profile, profile_names
 from repro.search.engine import SearchEngine
 
 STORE_FILE = "store.jsonl"
-INDEX_FILE = "index.json"
+INDEX_FILE = "index.npz"
 MODELS_DIR = "models"
 
 
@@ -106,14 +106,14 @@ def _load_etap(
         from repro.search.index import InvertedIndex
 
         engine = SearchEngine(
-            index=InvertedIndex.load_json(index_path), tracer=tracer
+            index=InvertedIndex.load(index_path), tracer=tracer
         )
     else:
         engine = SearchEngine(tracer=tracer)
-        for document in store:
-            engine.add_document(
-                document.doc_id, document.text, document.title
-            )
+        engine.add_documents(
+            (document.doc_id, document.text, document.title)
+            for document in store
+        )
     return Etap(
         store=store,
         engine=engine,
@@ -205,7 +205,7 @@ def cmd_gather(args: argparse.Namespace) -> int:
     )
     report = etap.gather()
     etap.store.save_jsonl(workspace / STORE_FILE)
-    etap.engine.index.save_json(workspace / INDEX_FILE)
+    etap.engine.index.save(workspace / INDEX_FILE)
     print(f"gathered {report.documents_stored} documents "
           f"({report.pages_fetched} pages) -> "
           f"{workspace / STORE_FILE}"

@@ -74,7 +74,8 @@ def counts_from_token_ids(
 
     ``token_ids`` is one contiguous array of vocabulary ids for a whole
     shard and ``doc_ptr`` its per-document slice boundaries (the same
-    flat layout :class:`repro.search.index.FlatPostings` consumes), so
+    layout :meth:`repro.search.index.InvertedIndex.from_token_stream`
+    consumes), so
     a shard worker vectorizes its documents without ever materializing
     per-document token lists.  Numerically identical to
     :func:`batch_transform` over the equivalent string tokens.

@@ -7,8 +7,8 @@ worker owns its shard end-to-end — decode texts from a flat buffer,
 tokenize (sentence-cached, see :mod:`repro.text.engine`), vectorize
 (:func:`repro.features.batch.counts_from_token_ids`) and build its
 postings slice as numpy arrays — and the parent merges the slices into
-one :class:`~repro.search.index.FlatPostings` the inverted index adopts
-wholesale.
+one token stream that becomes the
+:class:`~repro.search.index.InvertedIndex` directly.
 
 Determinism contract (pinned by the golden snapshot and the
 workers-equivalence suites):
@@ -47,7 +47,7 @@ from scipy import sparse
 from repro.features.batch import counts_from_token_ids
 from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
 from repro.obs.tracer import NULL_TRACER, AnyTracer
-from repro.search.index import FlatPostings
+from repro.search.index import InvertedIndex
 from repro.text.engine import AnnotationEngine, terms_compose
 from repro.text.sentences import split_sentences
 from repro.text.tokenizer import tokenize_words
@@ -90,7 +90,7 @@ class ShardResult:
 class IngestResult:
     """The merged output of one sharded ingestion."""
 
-    flat: FlatPostings
+    index: InvertedIndex
     matrix: sparse.csr_matrix
     vocabulary: dict[str, int]
     shard_docs: list[int]
@@ -398,7 +398,7 @@ class ShardedIngester:
             shape=(n_docs, len(vocab)),
             dtype=np.float64,
         )
-        flat = FlatPostings(
+        index = InvertedIndex.from_token_stream(
             vocab=vocab,
             doc_keys=[doc.doc_id for doc in accepted],
             titles=[doc.title for doc in accepted],
@@ -406,7 +406,7 @@ class ShardedIngester:
             doc_ptr=doc_ptr,
         )
         return IngestResult(
-            flat=flat,
+            index=index,
             matrix=matrix,
             vocabulary=term_ids,
             shard_docs=[len(docs) for docs in shards],

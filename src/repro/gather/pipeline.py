@@ -93,8 +93,8 @@ class DataGatherer:
         #: vectorize, build its postings slice — before a deterministic
         #: merge (see :mod:`repro.gather.ingest`); output is
         #: bit-identical to ``workers=1``.  Incremental re-gathers
-        #: (e.g. alert polling) fall back to the serial per-document
-        #: path with threaded cache warming.
+        #: (e.g. alert polling) warm the annotation cache on threads
+        #: and index their new documents in one batched write.
         self.workers = max(1, workers)
         #: Multiprocessing start method for shard workers (``fork``,
         #: ``spawn``, ``forkserver``; ``None`` = platform default).
@@ -194,9 +194,9 @@ class DataGatherer:
         with self.tracer.span("gather") as gather_span:
             crawl = self._crawler.crawl()
             # The initial gather of a fresh store takes the sharded
-            # flat-buffer path; incremental re-gathers (alert polling
-            # over an already-built index) use the serial per-document
-            # path, whose deltas are small by construction.
+            # path; incremental re-gathers (alert polling over an
+            # already-built index) index their delta, small by
+            # construction, as one write batch.
             sharded = len(self.store) == 0
             if not sharded:
                 self._warm_annotation_cache(
@@ -215,6 +215,7 @@ class DataGatherer:
             near_skipped = 0
             degraded_skipped = 0
             accepted: list[AcceptedDoc] = []
+            delta: list[tuple[str, str, str]] = []
             with self.tracer.span("gather.store_index") as index_span:
                 for page in crawl.pages:
                     if page.document is None:
@@ -262,10 +263,8 @@ class DataGatherer:
                                 )
                             )
                         else:
-                            self.engine.add_document(
-                                document.doc_id,
-                                document.text,
-                                document.title,
+                            delta.append(
+                                (document.doc_id, document.text, document.title)
                             )
                         self.event_log.emit(
                             "doc_indexed",
@@ -287,6 +286,7 @@ class DataGatherer:
                             url=document.url,
                             reason="exact",
                         )
+                self.engine.add_documents(delta)
                 if sharded and accepted:
                     ingester = ShardedIngester(
                         self.workers,
@@ -296,7 +296,7 @@ class DataGatherer:
                         mp_start_method=self.mp_start_method,
                     )
                     result = ingester.ingest(self.store, accepted)
-                    self.engine.index.adopt_flat(result.flat)
+                    self.engine.index = result.index
                     self.doc_term_matrix = result.matrix
                     self.vocabulary = result.vocabulary
                     self.tracer.count(

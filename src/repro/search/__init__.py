@@ -13,23 +13,21 @@ from repro.search.engine import (
     build_engine_from_pairs,
     parse_query,
 )
-from repro.search.index import InvertedIndex, Posting, normalize_term
-from repro.search.scoring import Bm25, TfIdf
+from repro.search.index import InvertedIndex, normalize_term
+from repro.search.scoring import bm25
 from repro.search.snippeting import ResultSnippet, best_snippet
 
 __all__ = [
     "BUSINESS_KEYWORDS",
-    "Bm25",
     "CrawlResult",
     "FocusedCrawler",
     "InvertedIndex",
     "ParsedQuery",
-    "Posting",
     "ResultSnippet",
     "SearchEngine",
     "SearchResult",
-    "TfIdf",
     "best_snippet",
+    "bm25",
     "build_engine_from_pairs",
     "business_relevance",
     "normalize_term",

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
 from repro.obs.tracer import NULL_TRACER, AnyTracer
-from repro.search.index import InvertedIndex, normalize_term
-from repro.search.scoring import Bm25, RankingFunction
+from repro.search.index import InvertedIndex, doc_runs, normalize_term
+from repro.search.scoring import PHRASE_BOOST, bm25
 from repro.text.engine import AnnotationEngine
 from repro.text.tokenizer import tokenize_words
 
@@ -74,15 +77,11 @@ class SearchEngine:
     def __init__(
         self,
         index: InvertedIndex | None = None,
-        ranking: RankingFunction | None = None,
-        phrase_boost: float = 2.0,
         tracer: AnyTracer | None = None,
         event_log: AnyEventLog | None = None,
         text_engine: AnnotationEngine | None = None,
     ) -> None:
         self.index = index or InvertedIndex()
-        self.ranking = ranking or Bm25()
-        self.phrase_boost = phrase_boost
         self.tracer = tracer or NULL_TRACER
         self.event_log = event_log or NULL_EVENT_LOG
         #: Shared annotate-once engine: index terms come from its
@@ -90,26 +89,34 @@ class SearchEngine:
         #: pipeline is never re-tokenized when it reaches the index.
         self.text_engine = text_engine
 
-    def add_document(self, doc_key: str, text: str, title: str = "") -> None:
-        terms = (
-            self.text_engine.index_terms(text)
-            if self.text_engine is not None
-            else None
+    def add_documents(
+        self, documents: Iterable[tuple[str, str, str]]
+    ) -> int:
+        """Index ``(doc_key, text, title)`` triples as one write batch."""
+        n_added = self.index.add_documents(
+            documents,
+            terms_of=(
+                self.text_engine.index_terms
+                if self.text_engine is not None
+                else None
+            ),
         )
-        self.index.add_document(doc_key, text, title, terms=terms)
-        self.tracer.count("engine.documents_indexed")
+        if n_added:
+            self.tracer.count("engine.documents_indexed", n_added)
+        return n_added
+
+    def add_document(self, doc_key: str, text: str, title: str = "") -> None:
+        self.add_documents([(doc_key, text, title)])
 
     def clone(self) -> "SearchEngine":
         """A search engine over a :meth:`InvertedIndex.clone` of the index.
 
-        Ranking, boosts and the shared text engine carry over; the
-        clone's index can be extended or pruned without touching this
-        engine (the serve layer builds delta generations this way).
+        The shared text engine carries over; the clone's index can be
+        written without touching this engine (the serve layer builds
+        delta generations this way).
         """
         return SearchEngine(
             index=self.index.clone(),
-            ranking=self.ranking,
-            phrase_boost=self.phrase_boost,
             tracer=self.tracer,
             event_log=self.event_log,
             text_engine=self.text_engine,
@@ -137,55 +144,68 @@ class SearchEngine:
         return results
 
     def _search(self, query: str, top_k: int) -> list[SearchResult]:
+        """Score every document over numpy arrays indexed by ordinal.
+
+        Each document's score adds its terms' BM25 contributions in
+        query-term order and then its phrase bonus, so floating-point
+        results do not depend on how the index was built.
+        """
         parsed = parse_query(query)
         if not parsed.all_terms:
             return []
-
-        candidates: set[str] | None = None
-        phrase_hits: dict[str, float] = {}
+        index = self.index
+        n_docs = index.n_docs
+        candidates = None
+        bonus = np.zeros(n_docs)
         for phrase in parsed.phrases:
-            matches = self.index.phrase_docs(list(phrase))
-            if candidates is None:
-                candidates = set(matches)
-            else:
-                candidates &= set(matches)
-            for doc_key, count in matches.items():
-                phrase_hits[doc_key] = (
-                    phrase_hits.get(doc_key, 0.0)
-                    + self.phrase_boost * count
-                )
-        if parsed.phrases and not candidates:
+            docs, counts = index.phrase_matches(phrase)
+            matched = np.zeros(n_docs, dtype=bool)
+            matched[docs] = True
+            if candidates is not None:
+                matched &= candidates
+            candidates = matched
+            bonus[docs] += PHRASE_BOOST * counts
+        if candidates is not None and not candidates.any():
             return []
 
-        scores: dict[str, float] = {}
+        scores = np.zeros(n_docs)
+        scored = np.zeros(n_docs, dtype=bool)
+        avg_length = index.average_doc_length or 1.0
         for term in parsed.all_terms:
-            for doc_key, posting in self.index.postings(term).items():
-                if candidates is not None and doc_key not in candidates:
-                    continue
-                scores[doc_key] = scores.get(doc_key, 0.0) + (
-                    self.ranking.score_term(
-                        self.index, term, doc_key, posting.term_frequency
-                    )
-                )
-        for doc_key, bonus in phrase_hits.items():
-            if candidates is None or doc_key in candidates:
-                scores[doc_key] = scores.get(doc_key, 0.0) + bonus
+            docs, tf = doc_runs(index.postings(term)[0])
+            if candidates is not None:
+                keep = candidates[docs]
+                docs, tf = docs[keep], tf[keep]
+            scores[docs] += bm25(
+                tf,
+                index.lengths[docs],
+                index.document_frequency(term),
+                n_docs,
+                avg_length,
+            )
+            scored[docs] = True
 
+        hits = np.flatnonzero(scored)
+        final = scores[hits] + bonus[hits]
+        if len(hits) > top_k:
+            # Every hit tied with the k-th best survives the cut, so the
+            # (-score, doc_key) order below decides the boundary.
+            cut = len(hits) - top_k
+            keep = final >= np.partition(final, cut)[cut]
+            hits, final = hits[keep], final[keep]
+        keys, titles = index.keys, index.titles
         ranked = sorted(
-            scores.items(), key=lambda item: (-item[1], item[0])
+            zip((-final).tolist(), hits.tolist()),
+            key=lambda item: (item[0], keys[item[1]]),
         )
         return [
-            SearchResult(doc_key, score, self.index.title(doc_key))
-            for doc_key, score in ranked[:top_k]
+            SearchResult(keys[doc], -negated, titles[doc])
+            for negated, doc in ranked[:top_k]
         ]
 
 
-def build_engine_from_pairs(
-    pairs: list[tuple[str, str]],
-    ranking: RankingFunction | None = None,
-) -> SearchEngine:
+def build_engine_from_pairs(pairs: list[tuple[str, str]]) -> SearchEngine:
     """Build an engine from ``(doc_key, text)`` pairs."""
-    engine = SearchEngine(ranking=ranking)
-    for doc_key, text in pairs:
-        engine.add_document(doc_key, text)
+    engine = SearchEngine()
+    engine.add_documents((doc_key, text, "") for doc_key, text in pairs)
     return engine

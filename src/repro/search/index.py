@@ -1,37 +1,36 @@
 """Inverted index over the synthetic web.
 
-The index stores, per term, a postings list of ``(doc_key, positions)``
-so the engine can answer both ranked bag-of-words queries and exact
-phrase queries (the paper's *smart queries* such as ``"new ceo"`` and
-``"IBM Daksh"`` are phrase queries).
+The index answers both ranked bag-of-words queries and exact phrase
+queries (the paper's *smart queries* such as ``"new ceo"`` and
+``"IBM Daksh"`` are phrase queries) from one flat numpy layout:
 
-Ingestion-path design (the continuous-monitoring hot loop):
+* ``term_ids`` — term -> id, in first-appearance order;
+* ``keys``/``titles``/``lengths`` — per document ordinal, in ingest
+  order, with the total length cached so the average is O(1);
+* ``sorted_doc``/``sorted_pos``/``term_starts``/``df`` — every token,
+  term-major: one term's postings are one contiguous slice, sorted by
+  document ordinal and then position.
 
-* **array-backed postings** — token positions live in compact
-  ``array('I')`` buffers, not lists of boxed ints;
-* **delta document addition** — the index keeps a per-document term
-  registry, so removing or replacing one document touches only that
-  document's terms instead of scanning the whole vocabulary;
-* **batched rebuild** — :meth:`add_documents` /
-  :meth:`from_documents` ingest ``(doc_key, text, title)`` triples in
-  one pass, and :meth:`clone` makes a cheap copy-on-write-style
-  duplicate (shared immutable postings) so the serve layer can build
-  the next index generation from the previous one plus a delta rather
-  than re-tokenizing the corpus (see
-  :class:`repro.serve.shards.ShardedIndex`).
+The arrays are never written in place.  A write batch
+(:meth:`InvertedIndex.add_documents`) builds the next set with one
+stable sort of the old term-major arrays concatenated with the batch's
+tokens; a re-added key replaces its document (the old tokens are masked
+out and the document moves to the end of the ingest order, as if it
+were removed and added again).  :meth:`InvertedIndex.clone` therefore
+shares the arrays, so the serve layer builds "previous generation +
+delta" indexes at the cost of the merge, with no re-tokenization.
+Sharded ingestion hands over its merged token stream directly
+(:meth:`InvertedIndex.from_token_stream`).
 
 Tokenization can be delegated to a shared
-:class:`~repro.text.engine.AnnotationEngine` by passing precomputed
-``terms`` to :meth:`add_document`; the engine guarantees each document
-is tokenized at most once across gather, serve and rebuild.
+:class:`~repro.text.engine.AnnotationEngine` by passing its
+``index_terms`` as ``terms_of``; the engine guarantees each document is
+tokenized at most once across gather, serve and rebuild.
 """
 
 from __future__ import annotations
 
-import json
-from array import array
-from collections import defaultdict
-from dataclasses import dataclass, field
+import copy
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -45,160 +44,73 @@ def normalize_term(term: str) -> str:
     return term.lower()
 
 
-def _positions_array() -> "array[int]":
-    return array("I")
+def doc_runs(docs: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
+    """Distinct values of a sorted array and how often each occurs."""
+    starts = np.flatnonzero(np.diff(docs, prepend=-1))
+    return docs[starts], np.diff(starts, append=len(docs))
 
 
-@dataclass
-class Posting:
-    """Occurrences of one term in one document.
-
-    ``positions`` is an unsigned-int array; it is append-only while the
-    owning document is being indexed and immutable afterwards (clones
-    share it).
-    """
-
-    doc_key: str
-    positions: "array[int]" = field(default_factory=_positions_array)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.positions, array):
-            self.positions = array("I", self.positions)
-
-    @property
-    def term_frequency(self) -> int:
-        return len(self.positions)
-
-
-class FlatPostings:
-    """Immutable flat-buffer postings over a whole corpus.
-
-    The entire token stream lives in four numpy arrays — term ids
-    sorted by ``(term, global doc order)``, the matching doc ordinals
-    and in-doc positions, and per-term segment starts — plus the raw
-    doc-major stream for per-document term lookups.  One stable
-    ``lexsort`` over the merged shard streams replaces the per-token
-    Python dict loop of :meth:`InvertedIndex.add_document`, and the
-    arrays pickle as flat buffers between ingestion processes.
-
-    An :class:`InvertedIndex` adopts a ``FlatPostings`` wholesale
-    (:meth:`InvertedIndex.adopt_flat`) and materializes classic
-    per-term ``{doc_key: Posting}`` dicts lazily on first access, so
-    query-visible behaviour is exactly the classic index's.
-    """
-
-    __slots__ = (
-        "vocab",
-        "term_ids",
-        "doc_keys",
-        "doc_ordinals",
-        "titles",
-        "token_terms",
-        "doc_ptr",
-        "sorted_doc",
-        "sorted_pos",
-        "term_starts",
-        "df",
+def _token_coords(
+    lengths: "np.ndarray", first_doc: int = 0
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """Doc ordinal and in-document position of each token of a
+    doc-major stream whose documents have ``lengths`` tokens."""
+    docs = np.repeat(
+        np.arange(first_doc, first_doc + len(lengths), dtype=np.int32),
+        lengths,
     )
-
-    def __init__(
-        self,
-        vocab: list[str],
-        doc_keys: list[str],
-        titles: list[str],
-        token_terms: "np.ndarray",
-        doc_ptr: "np.ndarray",
-    ) -> None:
-        self.vocab = vocab
-        self.term_ids = {term: tid for tid, term in enumerate(vocab)}
-        self.doc_keys = doc_keys
-        self.doc_ordinals = {key: i for i, key in enumerate(doc_keys)}
-        self.titles = titles
-        self.token_terms = token_terms
-        self.doc_ptr = doc_ptr
-        lengths = np.diff(doc_ptr)
-        token_doc = np.repeat(
-            np.arange(len(doc_keys), dtype=np.int32), lengths
-        )
-        token_pos = np.arange(len(token_terms), dtype=np.int64)
-        token_pos -= np.repeat(doc_ptr[:-1], lengths)
-        # Stable sort by term: within a term, tokens keep global stream
-        # order, i.e. ascending doc ordinal then ascending position —
-        # exactly the order the serial per-document loop would have
-        # appended them.  This is the merge-determinism contract.
-        order = np.argsort(token_terms, kind="stable")
-        sorted_terms = token_terms[order]
-        self.sorted_doc = token_doc[order]
-        self.sorted_pos = token_pos[order].astype(np.uint32)
-        self.term_starts = np.searchsorted(
-            sorted_terms, np.arange(len(vocab) + 1)
-        )
-        if len(sorted_terms):
-            change = np.empty(len(sorted_terms), dtype=bool)
-            change[0] = True
-            change[1:] = (sorted_terms[1:] != sorted_terms[:-1]) | (
-                self.sorted_doc[1:] != self.sorted_doc[:-1]
-            )
-            self.df = np.add.reduceat(change, self.term_starts[:-1])
-        else:
-            self.df = np.zeros(len(vocab), dtype=np.int64)
-
-    @property
-    def n_docs(self) -> int:
-        return len(self.doc_keys)
-
-    def doc_length(self, ordinal: int) -> int:
-        return int(self.doc_ptr[ordinal + 1] - self.doc_ptr[ordinal])
-
-    def document_frequency(self, term: str) -> int:
-        tid = self.term_ids.get(term)
-        return int(self.df[tid]) if tid is not None else 0
-
-    def doc_term_ids(self, ordinal: int) -> "np.ndarray":
-        """Distinct term ids of one document (sorted by id)."""
-        return np.unique(
-            self.token_terms[self.doc_ptr[ordinal]:self.doc_ptr[ordinal + 1]]
-        )
-
-    def materialize(self, term: str) -> dict[str, Posting]:
-        """Classic ``{doc_key: Posting}`` postings for one term.
-
-        Documents appear in global ingest order and positions ascend,
-        matching the serial index bit for bit.
-        """
-        tid = self.term_ids.get(term)
-        if tid is None:
-            return {}
-        start, end = self.term_starts[tid], self.term_starts[tid + 1]
-        seg_doc = self.sorted_doc[start:end]
-        seg_pos = self.sorted_pos[start:end]
-        bounds = np.flatnonzero(seg_doc[1:] != seg_doc[:-1]) + 1
-        starts = (0, *bounds.tolist(), len(seg_doc))
-        per_doc: dict[str, Posting] = {}
-        for i in range(len(starts) - 1):
-            lo, hi = starts[i], starts[i + 1]
-            positions = array("I")
-            positions.frombytes(seg_pos[lo:hi].tobytes())
-            doc_key = self.doc_keys[seg_doc[lo]]
-            per_doc[doc_key] = Posting(doc_key, positions)
-        return per_doc
+    pos = np.arange(len(docs), dtype=np.int64)
+    pos -= np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return docs, pos.astype(np.uint32)
 
 
 class InvertedIndex:
-    """Positional inverted index with incremental document addition."""
+    """Positional inverted index with batched, replacing writes."""
 
     def __init__(self) -> None:
-        self._postings: dict[str, dict[str, Posting]] = defaultdict(dict)
-        self._doc_lengths: dict[str, int] = {}
-        self._titles: dict[str, str] = {}
-        #: Distinct terms per document — the delta-removal registry:
-        #: dropping a document touches exactly these postings rather
-        #: than every term in the vocabulary.
-        self._doc_terms: dict[str, tuple[str, ...]] = {}
-        #: Flat-buffer backing adopted from sharded ingestion; terms
-        #: still in ``_flat_pending`` materialize on first access.
-        self._flat: FlatPostings | None = None
-        self._flat_pending: set[str] = set()
+        self._build(
+            {},
+            [],
+            [],
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.int32),
+            *_token_coords(np.zeros(0, dtype=np.int64)),
+        )
+
+    def _build(self, term_ids, keys, titles, lengths, terms, docs, pos):
+        """Install the arrays for ``terms``/``docs``/``pos`` tokens.
+
+        Within one term the stable sort keeps the tokens' given order,
+        which callers pass as ascending (doc ordinal, position).
+        """
+        order = np.argsort(terms, kind="stable")
+        terms = terms[order]
+        self.sorted_doc = docs[order]
+        self.sorted_pos = pos[order]
+        self.term_starts = np.searchsorted(
+            terms, np.arange(len(term_ids) + 1)
+        )
+        first = np.ones(len(terms), dtype=bool)
+        first[1:] = (terms[1:] != terms[:-1]) | (
+            self.sorted_doc[1:] != self.sorted_doc[:-1]
+        )
+        runs = np.concatenate(([0], np.cumsum(first)))
+        self.df = runs[self.term_starts[1:]] - runs[self.term_starts[:-1]]
+        self.term_ids: dict[str, int] = term_ids
+        self.keys: list[str] = keys
+        self._ordinals = dict(zip(keys, range(len(keys))))
+        self.titles: list[str] = titles
+        self.lengths = lengths
+        self.total_terms = int(lengths.sum())
+        # Clones share these arrays, and postings() hands out views.
+        for array in (self.sorted_doc, self.sorted_pos, self.lengths):
+            array.flags.writeable = False
+
+    def _sorted_terms(self) -> "np.ndarray":
+        return np.repeat(
+            np.arange(len(self.term_ids), dtype=np.int32),
+            np.diff(self.term_starts),
+        )
 
     # -- construction --------------------------------------------------------
 
@@ -209,55 +121,79 @@ class InvertedIndex:
         title: str = "",
         terms: Sequence[str] | None = None,
     ) -> None:
-        """Index one document; re-adding a key replaces it.
-
-        ``terms`` are pre-normalized index terms (e.g. from the shared
-        annotation engine); when omitted the text is tokenized here.
-        """
-        if doc_key in self._doc_lengths:
-            self.remove_document(doc_key)
-        if terms is None:
-            terms = [word.lower() for word in tokenize_words(text)]
-        self._doc_lengths[doc_key] = len(terms)
-        self._titles[doc_key] = title
-        pending = self._flat_pending
-        postings = self._postings
-        doc_postings: dict[str, Posting] = {}
-        for position, term in enumerate(terms):
-            posting = doc_postings.get(term)
-            if posting is None:
-                if term in pending:
-                    # Flat-backed term: materialize the existing docs
-                    # first so this document appends after them, same
-                    # as it would have in a fully serial build.
-                    self._materialize_term(term)
-                posting = Posting(doc_key)
-                doc_postings[term] = posting
-                postings[term][doc_key] = posting
-            posting.positions.append(position)
-        self._doc_terms[doc_key] = tuple(doc_postings)
+        """Index one document; re-adding a key replaces it."""
+        self.add_documents(
+            [(doc_key, text, title)],
+            terms_of=None if terms is None else lambda _: terms,
+        )
 
     def add_documents(
         self,
         documents: Iterable[tuple[str, str, str]],
         terms_of=None,
     ) -> int:
-        """Batch-ingest ``(doc_key, text, title)`` triples.
+        """Batch-ingest ``(doc_key, text, title)`` triples in one merge.
 
         ``terms_of`` is an optional ``text -> terms`` callable (the
-        annotation engine's ``index_terms``) applied per document.
-        Returns the number of documents added.
+        annotation engine's ``index_terms``) returning pre-normalized
+        index terms; without it the text is tokenized here.  A key
+        already indexed, or repeated in the batch, ends up holding its
+        last text, at the end of the ingest order.  Returns the number
+        of documents read.
         """
-        n_added = 0
+        batch: dict[str, tuple[str, Sequence[str]]] = {}
+        n_read = 0
         for doc_key, text, title in documents:
-            self.add_document(
-                doc_key,
-                text,
-                title,
-                terms=terms_of(text) if terms_of is not None else None,
+            terms = (
+                terms_of(text)
+                if terms_of is not None
+                else [word.lower() for word in tokenize_words(text)]
             )
-            n_added += 1
-        return n_added
+            batch.pop(doc_key, None)
+            batch[doc_key] = (title, terms)
+            n_read += 1
+        if not batch:
+            return 0
+        term_ids = dict(self.term_ids)
+        new_terms = np.fromiter(
+            (
+                term_ids.setdefault(term, len(term_ids))
+                for _, terms in batch.values()
+                for term in terms
+            ),
+            dtype=np.int32,
+        )
+        keys, titles, lengths = self.keys, self.titles, self.lengths
+        old_terms = self._sorted_terms()
+        old_docs, old_pos = self.sorted_doc, self.sorted_pos
+        replaced = [self._ordinals[k] for k in batch if k in self._ordinals]
+        if replaced:
+            live = np.ones(len(keys), dtype=bool)
+            live[replaced] = False
+            keep = live[old_docs]
+            renumber = (np.cumsum(live) - 1).astype(np.int32)
+            old_terms, old_pos = old_terms[keep], old_pos[keep]
+            old_docs = renumber[old_docs[keep]]
+            alive = live.tolist()
+            keys = [key for key, ok in zip(keys, alive) if ok]
+            titles = [title for title, ok in zip(titles, alive) if ok]
+            lengths = lengths[live]
+        new_lengths = np.fromiter(
+            (len(terms) for _, terms in batch.values()),
+            dtype=np.int64,
+            count=len(batch),
+        )
+        new_docs, new_pos = _token_coords(new_lengths, len(keys))
+        self._build(
+            term_ids,
+            keys + list(batch),
+            titles + [title for title, _ in batch.values()],
+            np.concatenate((lengths, new_lengths)),
+            np.concatenate((old_terms, new_terms)),
+            np.concatenate((old_docs, new_docs)),
+            np.concatenate((old_pos, new_pos)),
+        )
+        return n_read
 
     @classmethod
     def from_documents(
@@ -270,209 +206,150 @@ class InvertedIndex:
         index.add_documents(documents, terms_of=terms_of)
         return index
 
-    def adopt_flat(self, flat: FlatPostings) -> None:
-        """Back an empty index with flat-buffer postings.
+    @classmethod
+    def from_token_stream(
+        cls,
+        vocab: list[str],
+        doc_keys: list[str],
+        titles: list[str],
+        token_terms: "np.ndarray",
+        doc_ptr: "np.ndarray",
+    ) -> "InvertedIndex":
+        """An index over a doc-major stream of term ids.
 
-        Document lengths and titles install immediately (in the flat
-        corpus's ingest order); per-term postings dicts materialize
-        lazily on first access via :meth:`postings` — queries touching
-        a handful of terms never pay for the whole vocabulary.
+        Document ``i`` holds ``token_terms[doc_ptr[i]:doc_ptr[i + 1]]``,
+        ids into ``vocab``; this is sharded ingestion's merged output.
         """
-        if self._doc_lengths:
-            raise ValueError("adopt_flat requires an empty index")
-        self._flat = flat
-        self._flat_pending = set(flat.vocab)
-        for ordinal, doc_key in enumerate(flat.doc_keys):
-            self._doc_lengths[doc_key] = flat.doc_length(ordinal)
-            self._titles[doc_key] = flat.titles[ordinal]
-
-    def _materialize_term(self, term: str) -> dict[str, Posting]:
-        """Materialize one flat-backed term into ``_postings``."""
-        self._flat_pending.discard(term)
-        per_doc = self._flat.materialize(term)  # type: ignore[union-attr]
-        if per_doc:
-            self._postings[term] = per_doc
-        return per_doc
-
-    def _flat_doc_terms(self, doc_key: str) -> tuple[str, ...]:
-        flat = self._flat
-        ordinal = flat.doc_ordinals.get(doc_key) if flat else None
-        if ordinal is None:
-            return ()
-        return tuple(
-            flat.vocab[tid] for tid in flat.doc_term_ids(ordinal)
+        index = cls()
+        lengths = np.diff(doc_ptr)
+        index._build(
+            {term: tid for tid, term in enumerate(vocab)},
+            list(doc_keys),
+            list(titles),
+            lengths,
+            token_terms,
+            *_token_coords(lengths),
         )
-
-    def remove_document(self, doc_key: str) -> None:
-        """Drop one document from the index (no-op if absent).
-
-        Cost is proportional to the document's own vocabulary, not the
-        index's — the per-document term registry remembers exactly
-        which postings to touch.
-        """
-        if doc_key not in self._doc_lengths:
-            return
-        del self._doc_lengths[doc_key]
-        self._titles.pop(doc_key, None)
-        postings = self._postings
-        doc_terms = self._doc_terms.pop(doc_key, None)
-        if doc_terms is None:
-            # Flat-backed document: materialize every term it appears
-            # in before popping, so a later lazy materialization can
-            # never resurrect the removed document.
-            doc_terms = self._flat_doc_terms(doc_key)
-            for term in doc_terms:
-                if term in self._flat_pending:
-                    self._materialize_term(term)
-        for term in doc_terms:
-            per_doc = postings.get(term)
-            if per_doc is None:
-                continue
-            per_doc.pop(doc_key, None)
-            if not per_doc:
-                del postings[term]
+        return index
 
     def clone(self) -> "InvertedIndex":
-        """A structurally independent copy sharing immutable postings.
+        """An independent index sharing this one's (immutable) arrays.
 
-        The two-level postings mapping is copied (so adds/removes on
-        either index never affect the other) while the per-(term, doc)
-        :class:`Posting` objects — immutable once their document is
-        indexed — are shared.  This makes "previous generation + delta"
-        index builds cheap: no re-tokenization, no position copying.
+        Writes build new arrays, so neither index ever observes the
+        other's later writes.
         """
-        twin = InvertedIndex()
-        twin._postings = defaultdict(
-            dict,
-            {
-                term: dict(per_doc)
-                for term, per_doc in self._postings.items()
-            },
-        )
-        twin._doc_lengths = dict(self._doc_lengths)
-        twin._titles = dict(self._titles)
-        twin._doc_terms = dict(self._doc_terms)
-        # The flat backing is immutable, so clones share it; each clone
-        # tracks its own not-yet-materialized term set.
-        twin._flat = self._flat
-        twin._flat_pending = set(self._flat_pending)
-        return twin
+        return copy.copy(self)
 
     # -- statistics ------------------------------------------------------------
 
     @property
     def n_docs(self) -> int:
-        return len(self._doc_lengths)
-
-    @property
-    def total_terms(self) -> int:
-        return sum(self._doc_lengths.values())
+        return len(self.keys)
 
     @property
     def average_doc_length(self) -> float:
-        if not self._doc_lengths:
+        if not self.keys:
             return 0.0
         return self.total_terms / self.n_docs
 
+    @property
+    def vocab(self) -> list[str]:
+        """Every term ever indexed, by id (a replaced document's terms
+        may remain with a document frequency of 0)."""
+        return list(self.term_ids)
+
     def document_frequency(self, term: str) -> int:
-        term = normalize_term(term)
-        if term in self._flat_pending:
-            return self._flat.document_frequency(term)  # type: ignore[union-attr]
-        return len(self._postings.get(term, {}))
+        tid = self.term_ids.get(normalize_term(term))
+        return 0 if tid is None else int(self.df[tid])
 
     def doc_length(self, doc_key: str) -> int:
-        return self._doc_lengths.get(doc_key, 0)
+        ordinal = self._ordinals.get(doc_key)
+        return 0 if ordinal is None else int(self.lengths[ordinal])
 
     def title(self, doc_key: str) -> str:
-        return self._titles.get(doc_key, "")
+        ordinal = self._ordinals.get(doc_key)
+        return "" if ordinal is None else self.titles[ordinal]
 
     def doc_keys(self) -> list[str]:
-        return list(self._doc_lengths)
+        return list(self.keys)
 
     def __contains__(self, doc_key: str) -> bool:
-        return doc_key in self._doc_lengths
+        return doc_key in self._ordinals
 
     # -- lookups ------------------------------------------------------------
 
-    def postings(self, term: str) -> dict[str, Posting]:
-        """All postings for a term (empty dict if unseen)."""
-        term = normalize_term(term)
-        if term in self._flat_pending:
-            return self._materialize_term(term)
-        return self._postings.get(term, {})
+    def postings(self, term: str) -> tuple["np.ndarray", "np.ndarray"]:
+        """A term's postings: doc ordinals and in-document positions.
 
-    def _materialize_all(self) -> None:
-        if not self._flat_pending:
-            return
-        for term in self._flat.vocab:  # type: ignore[union-attr]
-            if term in self._flat_pending:
-                self._materialize_term(term)
+        Both arrays are sorted by (ordinal, position); an ordinal
+        indexes :meth:`doc_keys`.  An unseen term has empty arrays.
+        """
+        tid = self.term_ids.get(normalize_term(term))
+        if tid is None:
+            return self.sorted_doc[:0], self.sorted_pos[:0]
+        start, end = self.term_starts[tid], self.term_starts[tid + 1]
+        return self.sorted_doc[start:end], self.sorted_pos[start:end]
 
-    # -- persistence ----------------------------------------------------------
+    def phrase_matches(
+        self, phrase: Sequence[str]
+    ) -> tuple["np.ndarray", "np.ndarray"]:
+        """Ordinals of the documents holding ``phrase`` as consecutive
+        terms, and the phrase's occurrence count in each.
 
-    def save_json(self, path: str | Path) -> None:
-        """Write the full index (postings, lengths, titles) to JSON."""
-        self._materialize_all()
-        record = {
-            "doc_lengths": self._doc_lengths,
-            "titles": self._titles,
-            "postings": {
-                term: {
-                    doc_key: list(posting.positions)
-                    for doc_key, posting in per_doc.items()
-                }
-                for term, per_doc in self._postings.items()
-            },
-        }
-        Path(path).write_text(json.dumps(record), encoding="utf-8")
-
-    @classmethod
-    def load_json(cls, path: str | Path) -> "InvertedIndex":
-        """Load an index written by :meth:`save_json`."""
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
-        index = cls()
-        index._doc_lengths = dict(record["doc_lengths"])
-        index._titles = dict(record["titles"])
-        doc_terms: dict[str, list[str]] = defaultdict(list)
-        for term, per_doc in record["postings"].items():
-            index._postings[term] = {
-                doc_key: Posting(doc_key, array("I", positions))
-                for doc_key, positions in per_doc.items()
-            }
-            for doc_key in per_doc:
-                doc_terms[doc_key].append(term)
-        index._doc_terms = {
-            doc_key: tuple(terms) for doc_key, terms in doc_terms.items()
-        }
-        return index
+        Intersects the ``(doc, position)`` keys of the terms' postings,
+        shifting the n-th term's positions back by n.
+        """
+        docs, pos = self.postings(phrase[0])
+        starts = docs.astype(np.int64) << 32 | pos
+        for offset, term in enumerate(phrase[1:], 1):
+            docs, pos = self.postings(term)
+            follows = docs.astype(np.int64) << 32 | pos
+            starts = starts[np.isin(starts + offset, follows)]
+        return doc_runs(starts >> 32)
 
     def phrase_docs(self, phrase: list[str]) -> dict[str, int]:
         """Documents containing ``phrase`` as consecutive terms.
 
-        Returns ``doc_key -> occurrence count``.  Implemented by
-        intersecting positional postings.
+        Returns ``doc_key -> occurrence count``.
         """
         if not phrase:
             return {}
-        terms = [normalize_term(term) for term in phrase]
-        first = self.postings(terms[0])
-        if len(terms) == 1:
-            return {key: p.term_frequency for key, p in first.items()}
-        result: dict[str, int] = {}
-        rest = [self.postings(term) for term in terms[1:]]
-        for doc_key, posting in first.items():
-            if any(doc_key not in per_doc for per_doc in rest):
-                continue
-            count = 0
-            follower_positions = [
-                set(per_doc[doc_key].positions) for per_doc in rest
-            ]
-            for position in posting.positions:
-                if all(
-                    position + offset + 1 in positions
-                    for offset, positions in enumerate(follower_positions)
-                ):
-                    count += 1
-            if count:
-                result[doc_key] = count
-        return result
+        docs, counts = self.phrase_matches(phrase)
+        keys = self.keys
+        return {
+            keys[doc]: count
+            for doc, count in zip(docs.tolist(), counts.tolist())
+        }
+
+    # -- persistence ----------------------------------------------------------
+
+    def save(self, path: str | Path) -> None:
+        """Write the index arrays to ``path`` as one ``.npz`` archive."""
+        with open(path, "wb") as handle:
+            np.savez(
+                handle,
+                vocab=np.array(self.vocab, dtype=str),
+                keys=np.array(self.keys, dtype=str),
+                titles=np.array(self.titles, dtype=str),
+                lengths=self.lengths,
+                terms=self._sorted_terms(),
+                docs=self.sorted_doc,
+                pos=self.sorted_pos,
+            )
+
+    @classmethod
+    def load(cls, path: str | Path) -> "InvertedIndex":
+        """Load an index written by :meth:`save`."""
+        index = cls()
+        with np.load(path, allow_pickle=False) as arrays:
+            vocab = arrays["vocab"].tolist()
+            index._build(
+                {term: tid for tid, term in enumerate(vocab)},
+                arrays["keys"].tolist(),
+                arrays["titles"].tolist(),
+                arrays["lengths"],
+                arrays["terms"],
+                arrays["docs"],
+                arrays["pos"],
+            )
+        return index

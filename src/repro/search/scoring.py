@@ -1,64 +1,36 @@
-"""Ranking functions for the search engine: TF-IDF and Okapi BM25.
+"""Okapi BM25, the search engine's ranking function.
 
 ETAP's smart-query step only needs "a large number of highly ranked
 documents, most of them relevant" (section 3.3.1); BM25 over the
-synthetic corpus provides exactly that, with TF-IDF kept as a simpler
-alternative for comparison in the ablation benches.
+synthetic corpus provides exactly that.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Protocol
 
-from repro.search.index import InvertedIndex
+import numpy as np
 
-
-class RankingFunction(Protocol):
-    """Scores one document for one query term."""
-
-    def score_term(
-        self, index: InvertedIndex, term: str, doc_key: str, tf: int
-    ) -> float:
-        """Contribution of ``term`` (with frequency ``tf``) to the score."""
+#: The conventional BM25 parameters.
+K1 = 1.2
+B = 0.75
+#: Score added per occurrence of a quoted phrase in a matching document.
+PHRASE_BOOST = 2.0
 
 
-class TfIdf:
-    """Classic lnc.ltc-style TF-IDF term scoring."""
+def bm25(
+    tf: "np.ndarray",
+    lengths: "np.ndarray",
+    df: int,
+    n_docs: int,
+    avg_length: float,
+) -> "np.ndarray":
+    """One term's BM25 contribution to each document that holds it.
 
-    def score_term(
-        self, index: InvertedIndex, term: str, doc_key: str, tf: int
-    ) -> float:
-        df = index.document_frequency(term)
-        if df == 0 or tf == 0:
-            return 0.0
-        idf = math.log((1 + index.n_docs) / (1 + df)) + 1.0
-        length = max(index.doc_length(doc_key), 1)
-        return (1 + math.log(tf)) * idf / math.sqrt(length)
-
-
-class Bm25:
-    """Okapi BM25 with the conventional k1/b defaults."""
-
-    def __init__(self, k1: float = 1.2, b: float = 0.75) -> None:
-        if k1 < 0:
-            raise ValueError("k1 must be non-negative")
-        if not 0 <= b <= 1:
-            raise ValueError("b must be in [0, 1]")
-        self.k1 = k1
-        self.b = b
-
-    def score_term(
-        self, index: InvertedIndex, term: str, doc_key: str, tf: int
-    ) -> float:
-        df = index.document_frequency(term)
-        if df == 0 or tf == 0:
-            return 0.0
-        n = index.n_docs
-        idf = math.log(1 + (n - df + 0.5) / (df + 0.5))
-        length = index.doc_length(doc_key)
-        avg_length = index.average_doc_length or 1.0
-        denom = tf + self.k1 * (
-            1 - self.b + self.b * length / avg_length
-        )
-        return idf * tf * (self.k1 + 1) / denom
+    ``tf`` and ``lengths`` are the term's frequency in, and the length
+    of, each of those documents; ``df`` > 0 is the term's document
+    frequency among ``n_docs`` documents of mean length ``avg_length``.
+    """
+    idf = math.log(1 + (n_docs - df + 0.5) / (df + 0.5))
+    norm = 1 - B + B * lengths / avg_length
+    return idf * tf * (K1 + 1) / (tf + K1 * norm)

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
 from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.search.engine import SearchEngine, SearchResult
-from repro.search.scoring import RankingFunction
 from repro.text.engine import AnnotationEngine
 
 
@@ -88,15 +88,14 @@ def _empty_snapshot() -> IndexSnapshot:
 class ShardedIndex:
     """N hash-partitioned engines behind an atomic snapshot pointer.
 
-    ``rebuild`` is the only writer; it may run concurrently with any
-    number of readers.  Concurrent rebuilds are serialized by a lock so
-    generations advance monotonically.
+    ``rebuild``, ``extend`` and ``restore`` are the writers; each may run
+    concurrently with any number of readers.  Writers are serialized by
+    a lock so generations advance monotonically.
     """
 
     def __init__(
         self,
         n_shards: int = 4,
-        ranking_factory=None,
         tracer: AnyTracer | None = None,
         event_log: AnyEventLog | None = None,
         text_engine: AnnotationEngine | None = None,
@@ -104,10 +103,6 @@ class ShardedIndex:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.n_shards = n_shards
-        #: Called once per shard per rebuild, so shards never share
-        #: mutable ranking state (a RankingFunction is stateless today,
-        #: but the snapshot contract should not depend on that).
-        self.ranking_factory = ranking_factory
         self.tracer = tracer or NULL_TRACER
         self.event_log = event_log or NULL_EVENT_LOG
         #: Shared annotate-once engine: every rebuild re-tokenizes the
@@ -134,38 +129,56 @@ class ShardedIndex:
 
     # -- writes ----------------------------------------------------------------
 
-    def _ranking(self) -> RankingFunction | None:
-        return self.ranking_factory() if self.ranking_factory else None
+    def _swap_in(
+        self,
+        documents: Iterable[tuple[str, str, str]],
+        generation: int,
+        base: tuple[SearchEngine, ...] = (),
+    ) -> tuple[IndexSnapshot, int]:
+        """Build a generation of ``base`` plus ``documents``; swap it in.
+
+        Documents are partitioned by :func:`shard_of` and each touched
+        shard takes one batched write, on a clone of its ``base`` engine
+        — or on a fresh engine when ``base`` does not hold ``n_shards``
+        engines (a rebuild, or extending generation 0).  Untouched base
+        shards carry over as they are.  The engines are complete before
+        the snapshot pointer moves, so readers see either the old
+        generation or the whole new one, never a mix.  Returns the
+        snapshot and the number of documents written.  Call with the
+        rebuild lock held.
+        """
+        by_shard: dict[int, list[tuple[str, str, str]]] = defaultdict(list)
+        for document in documents:
+            by_shard[shard_of(document[0], self.n_shards)].append(document)
+        fresh = len(base) != self.n_shards
+        engines = (
+            [
+                SearchEngine(text_engine=self.text_engine)
+                for _ in range(self.n_shards)
+            ]
+            if fresh
+            else list(base)
+        )
+        for shard, delta in by_shard.items():
+            if not fresh:
+                engines[shard] = engines[shard].clone()
+            engines[shard].add_documents(delta)
+        snapshot = IndexSnapshot(
+            generation=generation,
+            engines=tuple(engines),
+            n_docs=sum(engine.index.n_docs for engine in engines),
+        )
+        self._snapshot = snapshot  # the atomic swap
+        return snapshot, sum(len(delta) for delta in by_shard.values())
 
     def rebuild(
         self, documents: Iterable[tuple[str, str, str]]
     ) -> IndexSnapshot:
-        """Index ``(doc_key, text, title)`` triples into a new generation.
-
-        The new shard engines are fully built before the snapshot
-        pointer moves, so readers see either the old generation or the
-        complete new one — never a mix.
-        """
-        with self._rebuild_lock:
-            with self.tracer.timed("serve.rebuild_seconds"):
-                engines = tuple(
-                    SearchEngine(
-                        ranking=self._ranking(),
-                        text_engine=self.text_engine,
-                    )
-                    for _ in range(self.n_shards)
-                )
-                n_docs = 0
-                for doc_key, text, title in documents:
-                    shard = shard_of(doc_key, self.n_shards)
-                    engines[shard].add_document(doc_key, text, title)
-                    n_docs += 1
-                snapshot = IndexSnapshot(
-                    generation=self._snapshot.generation + 1,
-                    engines=engines,
-                    n_docs=n_docs,
-                )
-            self._snapshot = snapshot  # the atomic swap
+        """Index ``(doc_key, text, title)`` triples into a new generation."""
+        with self._rebuild_lock, self.tracer.timed("serve.rebuild_seconds"):
+            snapshot, _ = self._swap_in(
+                documents, self._snapshot.generation + 1
+            )
         self._announce_swap(snapshot)
         return snapshot
 
@@ -174,53 +187,20 @@ class ShardedIndex:
     ) -> IndexSnapshot:
         """Delta-build the next generation: previous snapshot + new docs.
 
-        Only the shards that receive documents are cloned (via
-        :meth:`~repro.search.index.InvertedIndex.clone`, which shares
-        the immutable postings of untouched documents); shards with no
-        new documents carry over to the new generation as-is.  Readers
-        get the same tear-free swap as :meth:`rebuild` at a cost
-        proportional to the delta, not the corpus — the batched-rebuild
-        path for continuous monitoring, where each revisit adds a few
-        pages to a large standing index.
+        Only the shards that receive documents are cloned (a
+        :meth:`~repro.search.index.InvertedIndex.clone` shares the
+        arrays, and the write merges the delta into them); shards with
+        no new documents carry over to the new generation as-is.  Readers
+        get the same tear-free swap as :meth:`rebuild` without
+        re-tokenizing the corpus — the path for continuous monitoring,
+        where each revisit adds a few pages to a large standing index.
         """
-        with self._rebuild_lock:
-            with self.tracer.timed("serve.extend_seconds"):
-                current = self._snapshot
-                by_shard: dict[int, list[tuple[str, str, str]]] = {}
-                for doc_key, text, title in documents:
-                    shard = shard_of(doc_key, self.n_shards)
-                    by_shard.setdefault(shard, []).append(
-                        (doc_key, text, title)
-                    )
-                if current.n_shards == self.n_shards:
-                    engines = list(current.engines)
-                else:
-                    # Shard-count mismatch (e.g. extending the empty
-                    # generation 0): start from fresh empty shards.
-                    engines = [
-                        SearchEngine(
-                            ranking=self._ranking(),
-                            text_engine=self.text_engine,
-                        )
-                        for _ in range(self.n_shards)
-                    ]
-                for shard, delta in by_shard.items():
-                    engine = engines[shard].clone()
-                    for doc_key, text, title in delta:
-                        engine.add_document(doc_key, text, title)
-                    engines[shard] = engine
-                snapshot = IndexSnapshot(
-                    generation=current.generation + 1,
-                    engines=tuple(engines),
-                    n_docs=sum(
-                        engine.index.n_docs for engine in engines
-                    ),
-                )
-            self._snapshot = snapshot  # the atomic swap
-        self.tracer.count(
-            "serve.docs_delta_indexed",
-            sum(len(delta) for delta in by_shard.values()),
-        )
+        with self._rebuild_lock, self.tracer.timed("serve.extend_seconds"):
+            current = self._snapshot
+            snapshot, n_delta = self._swap_in(
+                documents, current.generation + 1, current.engines
+            )
+        self.tracer.count("serve.docs_delta_indexed", n_delta)
         self._announce_swap(snapshot)
         return snapshot
 
@@ -240,24 +220,7 @@ class ShardedIndex:
         if generation < 0:
             raise ValueError("generation must be >= 0")
         with self._rebuild_lock:
-            engines = tuple(
-                SearchEngine(
-                    ranking=self._ranking(),
-                    text_engine=self.text_engine,
-                )
-                for _ in range(self.n_shards)
-            )
-            n_docs = 0
-            for doc_key, text, title in documents:
-                shard = shard_of(doc_key, self.n_shards)
-                engines[shard].add_document(doc_key, text, title)
-                n_docs += 1
-            snapshot = IndexSnapshot(
-                generation=generation,
-                engines=engines,
-                n_docs=n_docs,
-            )
-            self._snapshot = snapshot  # the atomic swap
+            snapshot, _ = self._swap_in(documents, generation)
         self._announce_swap(snapshot)
         return snapshot
 

@@ -385,17 +385,13 @@ class StreamProcessor:
                 continue  # content/url duplicate of an earlier page
             self._processed.add(document.doc_id)
             self.streamed_docs.append(document.doc_id)
-            # Incremental inverted index: the flat engine stays in sync
-            # with the store for search/snippeting...
-            self.etap.engine.add_document(
-                document.doc_id, document.text, document.title
-            )
             fresh.append(document)
-        # ...and the sharded serving index advances one delta
-        # generation per batch (only touched shards are cloned).
-        self.index.extend(
-            (doc.doc_id, doc.text, doc.title) for doc in fresh
-        )
+        # One write batch keeps the pipeline's engine in sync with the
+        # store for search/snippeting, and the sharded serving index
+        # advances one delta generation (only touched shards are cloned).
+        delta = [(doc.doc_id, doc.text, doc.title) for doc in fresh]
+        self.etap.engine.add_documents(delta)
+        self.index.extend(delta)
         return fresh
 
     def _mint_alerts(
@@ -652,6 +648,7 @@ class StreamProcessor:
             LateArrival.from_dict(record)
             for record in state["late_arrivals"]
         ]
+        restored = []
         for record in state["documents"]:
             stored = StoredDocument(
                 doc_id=record["doc_id"],
@@ -661,11 +658,10 @@ class StreamProcessor:
                 metadata=dict(record["metadata"]),
             )
             if self.etap.store.add(stored):
-                self.etap.engine.add_document(
-                    stored.doc_id, stored.text, stored.title
-                )
+                restored.append((stored.doc_id, stored.text, stored.title))
             self._processed.add(stored.doc_id)
             self.streamed_docs.append(stored.doc_id)
+        self.etap.engine.add_documents(restored)
         self.index.restore(
             (
                 (doc.doc_id, doc.text, doc.title)

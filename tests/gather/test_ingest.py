@@ -1,13 +1,13 @@
 """Sharded-ingestion tests: routing, worker tokenization, merge, events.
 
 The determinism contract under test: for any worker count, the merged
-flat postings are bit-identical to a classic serial
-``InvertedIndex.add_document`` build over the same documents in the
-same order.
+index is bit-identical to a serial ``InvertedIndex.add_document``
+build over the same documents in the same order.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.gather.store as store_module
@@ -22,6 +22,7 @@ from repro.obs.events import EventLog
 from repro.obs.tracer import Tracer
 from repro.search.index import InvertedIndex
 from repro.text.engine import AnnotationEngine
+from tests.search.helpers import postings_snapshot
 
 TEXTS = [
     "Acme Corp. acquired Widgets Inc. The deal closed quickly.",
@@ -59,16 +60,6 @@ def classic_index(store):
     for document in store:
         index.add_document(document.doc_id, document.text, document.title)
     return index
-
-
-def postings_snapshot(index, vocab):
-    return {
-        term: {
-            doc_key: list(posting.positions)
-            for doc_key, posting in index.postings(term).items()
-        }
-        for term in vocab
-    }
 
 
 class TestShardOf:
@@ -115,14 +106,14 @@ class TestMergeDeterminism:
     def test_flat_merge_matches_classic_serial_build(self, workers):
         store, accepted = build_store()
         result = ShardedIngester(workers).ingest(store, accepted)
-        flat_index = InvertedIndex()
-        flat_index.adopt_flat(result.flat)
+        flat_index = result.index
         reference = classic_index(store)
         assert flat_index.doc_keys() == reference.doc_keys()
+        assert flat_index.vocab == reference.vocab
         assert postings_snapshot(
-            flat_index, result.flat.vocab
-        ) == postings_snapshot(reference, result.flat.vocab)
-        for term in result.flat.vocab:
+            flat_index, flat_index.vocab
+        ) == postings_snapshot(reference, flat_index.vocab)
+        for term in flat_index.vocab:
             assert flat_index.document_frequency(
                 term
             ) == reference.document_frequency(term)
@@ -135,7 +126,7 @@ class TestMergeDeterminism:
     def test_vocab_identical_across_worker_counts(self):
         store, accepted = build_store()
         vocabs = [
-            ShardedIngester(w).ingest(store, accepted).flat.vocab
+            ShardedIngester(w).ingest(store, accepted).index.vocab
             for w in (1, 2, 4)
         ]
         assert vocabs[0] == vocabs[1] == vocabs[2]
@@ -151,13 +142,11 @@ class TestMergeDeterminism:
 
     def test_corpus_smaller_than_worker_count(self):
         store, accepted = build_store(["Just one document here."])
-        result = ShardedIngester(4).ingest(store, accepted)
-        index = InvertedIndex()
-        index.adopt_flat(result.flat)
+        index = ShardedIngester(4).ingest(store, accepted).index
         reference = classic_index(store)
-        assert postings_snapshot(
-            index, result.flat.vocab
-        ) == postings_snapshot(reference, result.flat.vocab)
+        assert postings_snapshot(index, index.vocab) == postings_snapshot(
+            reference, index.vocab
+        )
 
     def test_spawn_start_method_matches_fork(self):
         """Workers must never silently depend on fork: the payloads and
@@ -169,14 +158,11 @@ class TestMergeDeterminism:
         spawned = ShardedIngester(2, mp_start_method="spawn").ingest(
             store, accepted
         )
-        assert forked.flat.vocab == spawned.flat.vocab
-        assert (
-            forked.flat.token_terms.tolist()
-            == spawned.flat.token_terms.tolist()
-        )
-        assert (
-            forked.flat.doc_ptr.tolist() == spawned.flat.doc_ptr.tolist()
-        )
+        assert forked.index.vocab == spawned.index.vocab
+        for name in ("sorted_doc", "sorted_pos", "term_starts", "lengths"):
+            assert np.array_equal(
+                getattr(forked.index, name), getattr(spawned.index, name)
+            )
 
 
 class TestObservability:

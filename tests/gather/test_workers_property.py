@@ -24,6 +24,7 @@ from repro.corpus.web import build_web
 from repro.gather.ingest import AcceptedDoc, ShardedIngester
 from repro.gather.store import DocumentStore, StoredDocument
 from repro.search.index import InvertedIndex
+from tests.search.helpers import postings_snapshot
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -88,13 +89,8 @@ def ingest_all(texts):
 def full_snapshot(index, vocab):
     return {
         "doc_keys": index.doc_keys(),
-        "postings": {
-            term: {
-                doc_key: list(posting.positions)
-                for doc_key, posting in index.postings(term).items()
-            }
-            for term in vocab
-        },
+        "vocab": index.vocab,
+        "postings": postings_snapshot(index, vocab),
         "df": {term: index.document_frequency(term) for term in vocab},
         "lengths": {
             doc_key: index.doc_length(doc_key)
@@ -124,24 +120,24 @@ def test_every_worker_count_matches_serial_build(texts):
     baseline = None
     for workers in WORKER_COUNTS:
         result = ShardedIngester(workers).ingest(store, accepted)
+        index = result.index
         # Store order is fixed by the serial parent loop — sharding
         # must reflect it back untouched.
-        assert result.flat.doc_keys == serial_order
-        index = InvertedIndex()
-        index.adopt_flat(result.flat)
-        assert full_snapshot(index, result.flat.vocab) == full_snapshot(
-            reference, result.flat.vocab
+        assert index.doc_keys() == serial_order
+        assert full_snapshot(index, index.vocab) == full_snapshot(
+            reference, index.vocab
         )
         current = (
-            result.flat.vocab,
-            result.flat.token_terms.tolist(),
+            index.vocab,
+            index.sorted_doc.tolist(),
+            index.sorted_pos.tolist(),
             result.matrix.toarray().tolist(),
         )
         if baseline is None:
             baseline = current
         else:
             assert current == baseline, (
-                f"workers={workers} produced a different flat stream"
+                f"workers={workers} produced a different index"
             )
 
 

@@ -1,11 +1,12 @@
-"""Flat-buffer postings: lazy materialization and classic-index parity."""
+"""An index built from a token stream (sharded ingestion's output)
+equals one built by per-document writes, and stays writable."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.search.index import FlatPostings, InvertedIndex
+from repro.search.index import InvertedIndex
+from tests.search.helpers import postings_snapshot
 
 DOCS = [
     ("d0", "the quick brown fox jumps over the lazy dog", "t0"),
@@ -17,7 +18,8 @@ DOCS = [
 
 
 def build_flat(docs=DOCS):
-    """Flat postings over ``docs`` with vocab in first-appearance order."""
+    """An index over ``docs`` built from one doc-major term-id stream,
+    vocab in first-appearance order — the ingester's hand-over."""
     vocab_ids: dict[str, int] = {}
     streams = []
     doc_ptr = [0]
@@ -28,7 +30,7 @@ def build_flat(docs=DOCS):
         ]
         streams.extend(ids)
         doc_ptr.append(len(streams))
-    return FlatPostings(
+    return InvertedIndex.from_token_stream(
         vocab=list(vocab_ids),
         doc_keys=[key for key, _, _ in docs],
         titles=[title for _, _, title in docs],
@@ -44,44 +46,24 @@ def classic(docs=DOCS):
     return index
 
 
-def adopted(docs=DOCS):
-    index = InvertedIndex()
-    index.adopt_flat(build_flat(docs))
-    return index
-
-
-def snapshot(index, terms):
-    return {
-        term: {
-            key: list(p.positions)
-            for key, p in index.postings(term).items()
-        }
-        for term in terms
-    }
-
-
 ALL_TERMS = sorted({t for _, text, _ in DOCS for t in text.split()})
 
 
 class TestParity:
     def test_postings_match_classic_build(self):
-        assert snapshot(adopted(), ALL_TERMS) == snapshot(
-            classic(), ALL_TERMS
+        flat, reference = build_flat(), classic()
+        assert postings_snapshot(flat, ALL_TERMS) == postings_snapshot(
+            reference, ALL_TERMS
         )
-
-    def test_document_frequency_before_materialization(self):
-        index = adopted()
-        reference = classic()
         for term in ALL_TERMS:
-            assert index.document_frequency(
+            assert flat.document_frequency(
                 term
             ) == reference.document_frequency(term)
-        # df answers came from the flat arrays, not materialization.
-        assert index._flat_pending == set(build_flat().vocab)
 
     def test_lengths_titles_and_keys(self):
-        index, reference = adopted(), classic()
+        index, reference = build_flat(), classic()
         assert index.doc_keys() == reference.doc_keys()
+        assert index.vocab == reference.vocab
         for key, _, _ in DOCS:
             assert index.doc_length(key) == reference.doc_length(key)
             assert index.title(key) == reference.title(key)
@@ -89,81 +71,53 @@ class TestParity:
         assert index.total_terms == reference.total_terms
 
     def test_phrase_docs(self):
-        assert adopted().phrase_docs(["quick", "fox"]) == classic(
+        assert build_flat().phrase_docs(["quick", "fox"]) == classic(
         ).phrase_docs(["quick", "fox"])
 
 
-class TestLaziness:
-    def test_postings_access_materializes_one_term(self):
-        index = adopted()
-        pending_before = len(index._flat_pending)
-        index.postings("the")
-        assert len(index._flat_pending) == pending_before - 1
-        assert "the" in index._postings
-
-    def test_unknown_term_is_empty(self):
-        assert adopted().postings("zebra") == {}
-
-
 class TestMutation:
-    def test_adopt_requires_empty_index(self):
-        index = classic()
-        with pytest.raises(ValueError):
-            index.adopt_flat(build_flat())
-
-    def test_remove_flat_document(self):
-        index = adopted()
-        index.remove_document("d1")
-        reference = classic()
-        reference.remove_document("d1")
-        assert snapshot(index, ALL_TERMS) == snapshot(
-            reference, ALL_TERMS
-        )
-        assert "d1" not in index
-
-    def test_removed_doc_never_resurrects(self):
-        index = adopted()
-        index.remove_document("d0")
-        # Materialize *after* the removal: d0 must not reappear.
-        for term in ALL_TERMS:
-            assert "d0" not in index.postings(term)
-
     def test_add_document_after_adoption_appends_in_order(self):
-        index = adopted()
+        index = build_flat()
         index.add_document("d5", "", terms=["the", "new", "dog"])
         reference = classic()
         reference.add_document("d5", "", terms=["the", "new", "dog"])
         terms = ALL_TERMS + ["new"]
-        assert snapshot(index, terms) == snapshot(reference, terms)
-        # Ordering matters: existing flat docs come first in the dict.
-        assert list(index.postings("the")) == list(
-            reference.postings("the")
+        assert postings_snapshot(index, terms) == postings_snapshot(
+            reference, terms
         )
+        # Ordering matters: the stream's docs come first.
+        assert list(postings_snapshot(index, ["the"])["the"]) == [
+            "d0", "d1", "d4", "d5"
+        ]
 
     def test_replace_flat_document(self):
-        index = adopted()
+        index = build_flat()
         index.add_document("d2", "", terms=["fresh", "terms"])
         reference = classic()
         reference.add_document("d2", "", terms=["fresh", "terms"])
         terms = ALL_TERMS + ["fresh", "terms"]
-        assert snapshot(index, terms) == snapshot(reference, terms)
+        assert postings_snapshot(index, terms) == postings_snapshot(
+            reference, terms
+        )
+        assert index.doc_keys() == ["d0", "d1", "d3", "d4", "d2"]
 
 
 class TestCloneAndPersistence:
     def test_clone_shares_flat_backing(self):
-        index = adopted()
+        index = build_flat()
         twin = index.clone()
-        assert twin._flat is index._flat
-        twin.remove_document("d0")
+        assert twin.sorted_doc is index.sorted_doc
+        twin.add_document("d0", "", terms=["replaced"])
         # The original is untouched.
-        assert "d0" in index
-        assert "d0" in index.postings("the")
+        assert index.doc_length("d0") == 9
+        assert "d0" in postings_snapshot(index, ["the"])["the"]
+        assert "d0" not in postings_snapshot(twin, ["the"])["the"]
 
     def test_save_load_roundtrip(self, tmp_path):
-        index = adopted()
-        path = tmp_path / "index.json"
-        index.save_json(path)
-        loaded = InvertedIndex.load_json(path)
-        assert snapshot(loaded, ALL_TERMS) == snapshot(
+        path = tmp_path / "index.npz"
+        build_flat().save(path)
+        loaded = InvertedIndex.load(path)
+        assert postings_snapshot(loaded, ALL_TERMS) == postings_snapshot(
             classic(), ALL_TERMS
         )
+        assert loaded.doc_keys() == classic().doc_keys()

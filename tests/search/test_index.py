@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.search.index import InvertedIndex
+from tests.search.helpers import by_doc
 
 
 @pytest.fixture
@@ -20,20 +21,20 @@ def index():
 
 class TestPostings:
     def test_term_lookup(self, index):
-        assert set(index.postings("acme")) == {"d1", "d3"}
+        assert set(by_doc(index, "acme")) == {"d1", "d3"}
 
     def test_case_insensitive(self, index):
-        assert set(index.postings("ACME")) == {"d1", "d3"}
+        assert set(by_doc(index, "ACME")) == {"d1", "d3"}
 
     def test_unknown_term_empty(self, index):
-        assert index.postings("zork") == {}
+        docs, positions = index.postings("zork")
+        assert len(docs) == len(positions) == 0
 
     def test_term_frequency(self, index):
-        assert index.postings("new")["d3"].term_frequency == 2
+        assert len(by_doc(index, "new")["d3"]) == 2
 
     def test_positions_recorded(self, index):
-        posting = index.postings("acquired")["d1"]
-        assert list(posting.positions) == [1]
+        assert by_doc(index, "acquired")["d1"] == [1]
 
 
 class TestStats:
@@ -89,21 +90,31 @@ class TestPhrases:
 class TestMutation:
     def test_re_add_replaces(self, index):
         index.add_document("d1", "completely different now")
-        assert "d1" not in index.postings("acme")
-        assert "d1" in index.postings("different")
-
-    def test_remove_document(self, index):
-        index.remove_document("d2")
-        assert index.n_docs == 2
-        assert "d2" not in index.postings("revenue")
-
-    def test_remove_missing_is_noop(self, index):
-        index.remove_document("missing")
+        assert "d1" not in by_doc(index, "acme")
+        assert "d1" in by_doc(index, "different")
         assert index.n_docs == 3
+        assert index.doc_keys() == ["d2", "d3", "d1"]
 
-    def test_remove_cleans_empty_terms(self, index):
-        index.remove_document("d2")
+    def test_replaced_terms_drop_out_of_document_frequency(self, index):
+        index.add_document("d2", "globex only")
         assert index.document_frequency("revenue") == 0
+        assert index.document_frequency("globex") == 2
+        assert index.total_terms == 3 + 9 + 2
+
+    def test_batch_repeats_keep_the_last_text(self, index):
+        assert index.add_documents([
+            ("d4", "first draft", "t"),
+            ("d5", "other", ""),
+            ("d4", "final text", "t2"),
+        ]) == 3
+        assert index.doc_keys() == ["d1", "d2", "d3", "d5", "d4"]
+        assert by_doc(index, "final") == {"d4": [0]}
+        assert by_doc(index, "draft") == {}
+        assert index.title("d4") == "t2"
+
+    def test_empty_batch_is_a_no_op(self, index):
+        assert index.add_documents([]) == 0
+        assert index.n_docs == 3
 
 
 @given(st.lists(
@@ -117,7 +128,7 @@ def test_phrase_docs_subset_of_single_term_postings(words):
         for start in range(len(words) - length + 1):
             phrase = words[start : start + length]
             hits = idx.phrase_docs(phrase)
-            assert set(hits) <= set(idx.postings(phrase[0]))
+            assert set(hits) <= set(by_doc(idx, phrase[0]))
             assert hits  # the phrase genuinely occurs
 
 
@@ -133,28 +144,37 @@ def test_doc_length_equals_token_count(words):
 
 class TestPersistence:
     def test_roundtrip_preserves_search_behaviour(self, index, tmp_path):
-        path = tmp_path / "index.json"
-        index.save_json(path)
-        from repro.search.index import InvertedIndex as II
-
-        loaded = II.load_json(path)
+        path = tmp_path / "index.npz"
+        index.save(path)
+        loaded = InvertedIndex.load(path)
         assert loaded.n_docs == index.n_docs
+        assert loaded.doc_keys() == index.doc_keys()
+        assert loaded.vocab == index.vocab
         assert loaded.doc_length("d1") == index.doc_length("d1")
         assert loaded.title("d1") == index.title("d1")
         assert loaded.phrase_docs(["new", "ceo"]) == (
             index.phrase_docs(["new", "ceo"])
         )
-        assert set(loaded.postings("acme")) == set(
-            index.postings("acme")
-        )
+        for term in index.vocab:
+            assert by_doc(loaded, term) == by_doc(index, term)
+            assert loaded.document_frequency(
+                term
+            ) == index.document_frequency(term)
 
     def test_loaded_index_is_mutable(self, index, tmp_path):
-        path = tmp_path / "index.json"
-        index.save_json(path)
-        from repro.search.index import InvertedIndex as II
-
-        loaded = II.load_json(path)
+        path = tmp_path / "index.npz"
+        index.save(path)
+        loaded = InvertedIndex.load(path)
         loaded.add_document("d4", "brand new content")
         assert loaded.n_docs == index.n_docs + 1
-        loaded.remove_document("d1")
-        assert "d1" not in loaded.postings("acme")
+        loaded.add_document("d1", "no longer about the firm")
+        assert "d1" not in by_doc(loaded, "acme")
+        assert by_doc(loaded, "new") == {"d3": [3, 7], "d4": [1]}
+
+    def test_empty_index_roundtrip(self, tmp_path):
+        path = tmp_path / "index.npz"
+        InvertedIndex().save(path)
+        loaded = InvertedIndex.load(path)
+        assert loaded.n_docs == 0
+        loaded.add_document("d", "hello")
+        assert by_doc(loaded, "hello") == {"d": [0]}

@@ -1,11 +1,13 @@
-"""Ranking-function tests: TF-IDF and BM25 behaviour."""
+"""BM25 behaviour, on the scoring function and through the engine."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.search.engine import SearchEngine
 from repro.search.index import InvertedIndex
-from repro.search.scoring import Bm25, TfIdf
+from repro.search.scoring import bm25
 
 
 @pytest.fixture
@@ -19,61 +21,46 @@ def index():
     return idx
 
 
+def score(index, term, doc_key, tf):
+    """BM25 of ``term`` occurring ``tf`` times in ``doc_key``."""
+    return bm25(
+        np.array([tf]),
+        np.array([index.doc_length(doc_key)]),
+        index.document_frequency(term),
+        index.n_docs,
+        index.average_doc_length,
+    )[0]
+
+
+def ranked(index, query):
+    return {
+        result.doc_key: result.score
+        for result in SearchEngine(index=index).search(query, top_k=10)
+    }
+
+
 class TestBm25:
     def test_zero_for_unknown_term(self, index):
-        assert Bm25().score_term(index, "zork", "short", 0) == 0.0
+        assert ranked(index, "acme zork") == ranked(index, "acme")
 
     def test_zero_for_zero_tf(self, index):
-        assert Bm25().score_term(index, "acme", "short", 0) == 0.0
+        # common1 lacks "acme": its score is its "deal" score alone.
+        assert ranked(index, "acme deal")["common1"] == ranked(
+            index, "deal"
+        )["common1"]
 
     def test_rare_term_outscores_common(self, index):
-        bm25 = Bm25()
-        rare = bm25.score_term(index, "zebra", "rare", 1)
-        common = bm25.score_term(index, "deal", "common2", 1)
+        rare = score(index, "zebra", "rare", 1)
+        common = score(index, "deal", "common2", 1)
         assert rare > common
 
     def test_length_normalization(self, index):
-        bm25 = Bm25()
-        short = bm25.score_term(index, "acme", "short", 1)
-        long = bm25.score_term(index, "acme", "long", 1)
+        short = score(index, "acme", "short", 1)
+        long = score(index, "acme", "long", 1)
         assert short > long
 
     def test_tf_saturation(self, index):
-        bm25 = Bm25()
-        one = bm25.score_term(index, "deal", "common1", 1)
-        three = bm25.score_term(index, "deal", "common1", 3)
+        one = score(index, "deal", "common1", 1)
+        three = score(index, "deal", "common1", 3)
         assert three > one
         assert three < 3 * one  # saturating, not linear
-
-    def test_b_zero_disables_length_norm(self, index):
-        bm25 = Bm25(b=0.0)
-        short = bm25.score_term(index, "acme", "short", 1)
-        long = bm25.score_term(index, "acme", "long", 1)
-        assert short == pytest.approx(long)
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            Bm25(k1=-1)
-        with pytest.raises(ValueError):
-            Bm25(b=1.5)
-
-
-class TestTfIdf:
-    def test_zero_for_unknown_term(self, index):
-        assert TfIdf().score_term(index, "zork", "short", 0) == 0.0
-
-    def test_rare_term_outscores_common(self, index):
-        tfidf = TfIdf()
-        rare = tfidf.score_term(index, "zebra", "rare", 1)
-        common = tfidf.score_term(index, "deal", "common2", 1)
-        assert rare > common
-
-    def test_sublinear_tf(self, index):
-        tfidf = TfIdf()
-        one = tfidf.score_term(index, "deal", "common1", 1)
-        three = tfidf.score_term(index, "deal", "common1", 3)
-        assert one < three < 3 * one
-
-    def test_all_scores_positive(self, index):
-        tfidf = TfIdf()
-        assert tfidf.score_term(index, "deal", "common1", 2) > 0

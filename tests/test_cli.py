@@ -239,7 +239,7 @@ class TestProfileFlag:
 
 class TestIndexCache:
     def test_gather_writes_index_cache(self, workspace):
-        assert (workspace / "index.json").exists()
+        assert (workspace / "index.npz").exists()
 
     def test_report_with_industry(self, workspace, capsys):
         code = main([
