@@ -18,7 +18,7 @@ from repro.core.snippets import SnippetGenerator
 from repro.core.training import AnnotatedSnippet, TrainingDataGenerator
 from repro.corpus.templates import MERGERS_ACQUISITIONS
 from repro.ml.metrics import precision_recall_f1
-from repro.text.annotator import Annotator
+from repro.text.engine import AnnotationEngine
 from repro.text.ner import NerConfig
 
 #: (gazetteer coverage, pattern back-off enabled).  Degrading coverage
@@ -36,13 +36,13 @@ def bench_ner_quality_sweep(benchmark, medium_dataset):
     labels = medium_dataset.test_labels[MERGERS_ACQUISITIONS]
 
     def evaluate(coverage, patterns):
-        annotator = Annotator(NerConfig(
+        text_engine = AnnotationEngine(NerConfig(
             gazetteer_coverage=coverage, pattern_backoff=patterns,
         ))
         training = TrainingDataGenerator(
             etap.store,
             etap.engine,
-            annotator=annotator,
+            text_engine=text_engine,
             snippet_generator=SnippetGenerator(
                 window=etap.config.snippet_window
             ),
@@ -58,14 +58,14 @@ def bench_ner_quality_sweep(benchmark, medium_dataset):
         test_items = [
             AnnotatedSnippet(
                 snippet=item.snippet,
-                annotated=annotator.annotate(item.snippet.text),
+                annotated=text_engine.annotate(item.snippet.text),
             )
             for item in medium_dataset.test_items
         ]
         pure = [
             AnnotatedSnippet(
                 snippet=item.snippet,
-                annotated=annotator.annotate(item.snippet.text),
+                annotated=text_engine.annotate(item.snippet.text),
             )
             for item in medium_dataset.pure_positive[
                 MERGERS_ACQUISITIONS

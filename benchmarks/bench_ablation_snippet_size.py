@@ -28,7 +28,7 @@ def bench_snippet_window_sweep(benchmark, medium_dataset):
         training = TrainingDataGenerator(
             etap.store,
             etap.engine,
-            annotator=etap.annotator,
+            text_engine=etap.text_engine,
             snippet_generator=SnippetGenerator(window=window),
         )
         noisy, _ = training.noisy_positive(

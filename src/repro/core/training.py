@@ -23,7 +23,7 @@ from repro.core.snippets import Snippet, SnippetGenerator
 from repro.gather.store import DocumentStore
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.search.engine import SearchEngine
-from repro.text.annotator import AnnotatedText, Annotator
+from repro.text.annotator import AnnotatedText
 from repro.text.engine import AnnotationEngine
 
 
@@ -59,43 +59,27 @@ class TrainingDataGenerator:
         self,
         store: DocumentStore,
         engine: SearchEngine,
-        annotator: Annotator | None = None,
         snippet_generator: SnippetGenerator | None = None,
         tracer: AnyTracer | None = None,
         text_engine: AnnotationEngine | None = None,
     ) -> None:
         self.store = store
         self.engine = engine
-        self.text_engine = text_engine
-        if annotator is not None:
-            self.annotator = annotator
-        elif text_engine is not None:
-            self.annotator = text_engine.annotator
-        else:
-            self.annotator = Annotator()
+        self.text_engine = text_engine or AnnotationEngine()
         self.snippets = snippet_generator or SnippetGenerator(
-            splitter=text_engine.sentences if text_engine else None
+            splitter=self.text_engine.sentences
         )
         self.tracer = tracer or NULL_TRACER
-        self._annotation_cache: dict[str, AnnotatedText] = {}
         self._snippet_cache: dict[str, list[Snippet]] = {}
 
     # -- shared plumbing ------------------------------------------------------
 
     def _annotate(self, snippet: Snippet) -> AnnotatedSnippet:
-        """Annotate once: the engine caches by content across stages.
-
-        Without an engine (standalone use) fall back to the local
-        per-snippet-id memo this generator always had.
-        """
-        if self.text_engine is not None:
-            annotated = self.text_engine.annotate(snippet.text)
-            return AnnotatedSnippet(snippet=snippet, annotated=annotated)
-        cached = self._annotation_cache.get(snippet.snippet_id)
-        if cached is None:
-            cached = self.annotator.annotate(snippet.text)
-            self._annotation_cache[snippet.snippet_id] = cached
-        return AnnotatedSnippet(snippet=snippet, annotated=cached)
+        """Annotate once: the engine caches by content across stages."""
+        return AnnotatedSnippet(
+            snippet=snippet,
+            annotated=self.text_engine.annotate(snippet.text),
+        )
 
     def snippets_of_document(self, doc_id: str) -> list[Snippet]:
         """Window one stored document (memoized; snippets are frozen).

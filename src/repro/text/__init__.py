@@ -14,7 +14,7 @@ from repro.text.ner import (
     NamedEntityRecognizer,
     NerConfig,
 )
-from repro.text.pos import OPEN_CLASS_TAGS, TaggedToken, tag, tag_tokens
+from repro.text.pos import OPEN_CLASS_TAGS, TaggedToken, tag, tag_words
 from repro.text.sentences import Sentence, split_sentence_texts, split_sentences
 from repro.text.stem import PorterStemmer, stem
 from repro.text.stopwords import STOPWORDS, is_stopword, remove_stopwords
@@ -45,7 +45,7 @@ __all__ = [
     "split_sentences",
     "stem",
     "tag",
-    "tag_tokens",
+    "tag_words",
     "tokenize",
     "tokenize_words",
 ]

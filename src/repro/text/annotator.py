@@ -12,8 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.text.ner import Entity, NamedEntityRecognizer, NerConfig
-from repro.text.pos import TaggedToken, tag_tokens
-from repro.text.tokenizer import Token, tokenize
+from repro.text.pos import tag_words
+from repro.text.tokenizer import tokenize_words
+
+#: Upper bound on an annotator's interned-token table.  The table is
+#: cleared when it fills, so an unbounded vocabulary cannot grow it.
+TOKEN_INTERN_BOUND = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,38 +54,45 @@ class AnnotatedText:
 
 
 class Annotator:
-    """Runs tokenization, POS tagging and NER over raw text."""
+    """Runs tokenization, POS tagging and NER over raw text.
+
+    One pass over the token strings: lexical tags and context patches
+    (:func:`~repro.text.pos.tag_words`), then NER over the same words.
+    Equal ``(text, pos, entity)`` triples share one interned
+    :class:`AnnotatedToken`, so a corpus holds one object per distinct
+    annotated word instead of one per occurrence.
+    """
 
     def __init__(self, ner_config: NerConfig | None = None) -> None:
         self._ner = NamedEntityRecognizer(ner_config)
+        self._interned: dict[tuple[str, str, str | None], AnnotatedToken] = {}
 
     def annotate(self, text: str) -> AnnotatedText:
-        tokens = tokenize(text)
-        tagged = tag_tokens(tokens)
-        entities = self._ner.recognize_tokens(tokens)
+        words = tokenize_words(text)
+        tags = tag_words(words)
+        entities = self._ner.recognize_words(words)
+        labels: list[str | None] = [None] * len(words)
+        for entity in entities:
+            labels[entity.start : entity.end] = [entity.label] * (
+                entity.end - entity.start
+            )
         return AnnotatedText(
             text=text,
-            tokens=tuple(_merge(tagged, entities)),
+            tokens=tuple(map(self._token, words, tags, labels)),
             entities=tuple(entities),
         )
 
     def annotate_many(self, texts: list[str]) -> list[AnnotatedText]:
         return [self.annotate(text) for text in texts]
 
-
-def _merge(
-    tagged: list[TaggedToken], entities: list[Entity]
-) -> list[AnnotatedToken]:
-    """Attach entity labels to the tokens inside each entity span."""
-    label_by_index: dict[int, str] = {}
-    for entity in entities:
-        for index in range(entity.start, entity.end):
-            label_by_index[index] = entity.label
-    return [
-        AnnotatedToken(
-            text=item.text,
-            pos=item.tag,
-            entity=label_by_index.get(index),
-        )
-        for index, item in enumerate(tagged)
-    ]
+    def _token(
+        self, text: str, pos: str, entity: str | None
+    ) -> AnnotatedToken:
+        interned = self._interned
+        key = (text, pos, entity)
+        token = interned.get(key)
+        if token is None:
+            if len(interned) >= TOKEN_INTERN_BOUND:
+                interned.clear()
+            token = interned[key] = AnnotatedToken(text, pos, entity)
+        return token

@@ -20,7 +20,7 @@ tokens) lives in a content-hash-keyed, LRU-bounded
 
 The engine is thread-safe: parallel ingestion workers warm the caches
 concurrently, and the deterministic merge step consumes the cached
-values in canonical order (see :mod:`repro.gather.pipeline`).
+values in canonical order (see :mod:`repro.gather.ingest`).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from repro.features.abstraction import AbstractionPolicy, abstract_tokens
-from repro.text.annotator import AnnotatedText, Annotator
-from repro.text.ner import NerConfig
+from repro.text.annotator import AnnotatedText, AnnotatedToken, Annotator
+from repro.text.ner import Entity, NerConfig
 from repro.text.sentences import Sentence, split_sentence_texts, split_sentences
 from repro.text.stem import PorterStemmer
 from repro.text.tokenizer import tokenize_words
@@ -43,6 +43,8 @@ T = TypeVar("T")
 #: Default per-product LRU capacity.  Sized for ~100k cached documents
 #: per product; eviction keeps long-running monitors bounded.
 DEFAULT_CAPACITY = 100_000
+
+_SENTENCE_END_TOKENS = frozenset({".", "!", "?"})
 
 
 def content_key(text: str) -> str:
@@ -164,12 +166,13 @@ class AnnotationEngine:
     training, scoring and serving (see :class:`repro.core.etap.Etap`);
     each derived product is cached by content hash:
 
-    ``sentences``       raw document text -> sentence strings
-    ``sentence_spans``  raw document text -> :class:`Sentence` spans
-    ``sentence_terms``  one sentence -> its normalized index terms
-    ``annotate``        snippet text -> :class:`AnnotatedText`
-    ``index_terms``     document text -> normalized index terms
-    ``features``        (annotated snippet, policy) -> feature tokens
+    ``sentences``             raw document text -> sentence strings
+    ``sentence_spans``        raw document text -> :class:`Sentence` spans
+    ``sentence_terms``        one sentence -> its normalized index terms
+    ``sentence_annotations``  one sentence -> its :class:`AnnotatedText`
+    ``annotate``              snippet text -> :class:`AnnotatedText`
+    ``index_terms``           document text -> normalized index terms
+    ``features``              (annotated snippet, policy) -> feature tokens
 
     The stemmer is shared (and internally memoized), so no two
     classifiers ever re-stem the same word.
@@ -190,6 +193,9 @@ class AnnotationEngine:
         # whole documents, so this cache is where sharded ingestion wins
         # its tokenization time back.
         self._sentence_terms = AnnotationCache(capacity, hashed=False)
+        # Same idea for annotation: a snippet is composed from the
+        # annotations of its sentences (see :meth:`_annotate_of`).
+        self._sentence_annotations = AnnotationCache(capacity, hashed=False)
         self._terms = AnnotationCache(capacity)
         self._features: dict[object, AnnotationCache] = {}
         self._features_lock = threading.Lock()
@@ -198,10 +204,48 @@ class AnnotationEngine:
     # -- cached products ----------------------------------------------------
 
     def annotate(self, text: str) -> AnnotatedText:
-        """Full annotation (tokens, POS, NER) — computed at most once."""
-        return self._annotations.get_or_compute(
-            text, self.annotator.annotate
-        )
+        """Full annotation (tokens, POS, NER) — computed at most once.
+
+        Composed from per-sentence annotations when the sentences
+        compose (see :meth:`_annotate_of`); the result equals
+        annotating the whole text either way.
+        """
+        return self._annotations.get_or_compute(text, self._annotate_of)
+
+    def _annotate_of(self, text: str) -> AnnotatedText:
+        """Concatenate the cached annotations of ``text``'s sentences.
+
+        Valid when the token streams compose (:func:`terms_compose`) and
+        every sentence but the last ends in a ``.``, ``!`` or ``?``
+        token.  That token is tagged ``punct``, resets the tagger's
+        sentence-initial state, matches no context patch and starts or
+        continues no entity, so tagging and NER never look across it.
+        Otherwise the whole text is annotated directly.
+        """
+        spans = split_sentences(text)
+        if not terms_compose(text, spans):
+            return self.annotator.annotate(text)
+        parts = [
+            self._sentence_annotations.get_or_compute(
+                span.text, self.annotator.annotate
+            )
+            for span in spans
+        ]
+        if any(
+            part.tokens[-1].text not in _SENTENCE_END_TOKENS
+            for part in parts[:-1]
+        ):
+            return self.annotator.annotate(text)
+        tokens: list[AnnotatedToken] = []
+        entities: list[Entity] = []
+        for part in parts:
+            offset = len(tokens)
+            tokens.extend(part.tokens)
+            entities.extend(
+                Entity(e.label, e.start + offset, e.end + offset, e.text)
+                for e in part.entities
+            )
+        return AnnotatedText(text, tuple(tokens), tuple(entities))
 
     def sentences(self, text: str) -> list[str]:
         """Sentence strings of a document (cached; do not mutate)."""
@@ -282,6 +326,7 @@ class AnnotationEngine:
             "sentences": self._sentences.stats,
             "sentence_spans": self._sentence_spans.stats,
             "sentence_terms": self._sentence_terms.stats,
+            "sentence_annotations": self._sentence_annotations.stats,
             "index_terms": self._terms.stats,
         }
         feature_total = CacheStats()
@@ -296,6 +341,7 @@ class AnnotationEngine:
             self._sentences,
             self._sentence_spans,
             self._sentence_terms,
+            self._sentence_annotations,
             self._terms,
             *self._features.values(),
         ]

@@ -23,7 +23,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.corpus import vocab
-from repro.text.tokenizer import Token, tokenize
+from repro.text.tokenizer import tokenize_words
 
 #: The 13 entity categories from section 3.2.1, in the paper's order.
 ENTITY_CATEGORIES = (
@@ -314,9 +314,12 @@ class NamedEntityRecognizer:
 
     # -- public API ---------------------------------------------------------
 
-    def recognize_tokens(self, tokens: list[Token]) -> list[Entity]:
-        """Recognize entities over a pre-tokenized text."""
-        words = [token.text for token in tokens]
+    def recognize_words(self, words: list[str]) -> list[Entity]:
+        """Recognize entities over a tokenized text.
+
+        ``words`` is :func:`~repro.text.tokenizer.tokenize_words` output;
+        entity ``start``/``end`` index into it.
+        """
         # One lower-case/strip pass up front; every matcher reads these
         # instead of re-lowering the same token once per candidate span.
         lowers = [word.lower() for word in words]
@@ -343,4 +346,4 @@ class NamedEntityRecognizer:
 
     def recognize(self, text: str) -> list[Entity]:
         """Tokenize ``text`` and recognize entities."""
-        return self.recognize_tokens(tokenize(text))
+        return self.recognize_words(tokenize_words(text))

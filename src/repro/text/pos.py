@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.text.tokenizer import Token, tokenize
+from repro.text.tokenizer import tokenize_words
 
 DETERMINERS = frozenset(
     "the a an this that these those each every some any no all both".split()
@@ -86,21 +86,25 @@ _NOUN_SUFFIXES = (
 )
 _ADJ_SUFFIXES = ("ous", "ful", "ive", "able", "ible", "al", "ic", "ish")
 
+#: Upper bound on :data:`_LEXICAL_MEMO` entries.  The memo is cleared
+#: when it fills, so an unbounded vocabulary cannot grow it further.
+LEXICAL_MEMO_BOUND = 50_000
+
+#: ``(word, sentence_initial) -> lexical tag``.  The rules in
+#: :func:`_lexical_tag` are a pure function of that key, and business
+#: news reuses a small vocabulary, so almost every lookup hits.
+_LEXICAL_MEMO: dict[tuple[str, bool], str] = {}
+
 
 @dataclass(frozen=True, slots=True)
 class TaggedToken:
-    """A token paired with its part-of-speech tag."""
+    """A word paired with its part-of-speech tag (see :func:`tag`)."""
 
-    token: Token
+    text: str
     tag: str
 
-    @property
-    def text(self) -> str:
-        return self.token.text
 
-
-def _lexical_tag(token: Token, is_sentence_initial: bool) -> str:
-    text = token.text
+def _lexical_tag(text: str, is_sentence_initial: bool) -> str:
     lower = text.lower()
     first = text[0]
     # First-char guard: almost every token starts alphanumeric, which
@@ -142,44 +146,58 @@ def _lexical_tag(token: Token, is_sentence_initial: bool) -> str:
     return "nn"
 
 
-def _apply_context_patches(tagged: list[TaggedToken]) -> list[TaggedToken]:
-    """Brill-style contextual repairs over the lexical tagging."""
-    patched = list(tagged)
-    for index, item in enumerate(patched):
-        previous = patched[index - 1] if index > 0 else None
+def _apply_context_patches(words: list[str], tags: list[str]) -> None:
+    """Brill-style contextual repairs over the lexical tags, in place.
+
+    Left to right: each rule reads the already-repaired previous tag.
+    """
+    last = len(tags) - 1
+    for index in range(1, len(tags)):
+        current, previous = tags[index], tags[index - 1]
         # DT + vb -> DT + nn ("the acquired assets" is adjectival/nominal)
-        if item.tag == "vb" and previous is not None and previous.tag == "dt":
-            nxt = patched[index + 1] if index + 1 < len(patched) else None
-            if nxt is None or nxt.tag in {"punct", "in", "cc"}:
-                patched[index] = TaggedToken(item.token, "nn")
+        if current == "vb" and previous == "dt":
+            if index == last or tags[index + 1] in {"punct", "in", "cc"}:
+                tags[index] = "nn"
         # TO + nn -> TO + vb ("plans to growth" never occurs; "to acquire")
-        if item.tag == "nn" and previous is not None and previous.tag == "to":
-            if item.text.lower() in VERBS:
-                patched[index] = TaggedToken(item.token, "vb")
         # MD + nn -> MD + vb ("will merge")
-        if item.tag == "nn" and previous is not None and previous.tag == "md":
-            if item.text.lower() in VERBS:
-                patched[index] = TaggedToken(item.token, "vb")
-    return patched
+        elif (
+            current == "nn"
+            and previous in ("to", "md")
+            and words[index].lower() in VERBS
+        ):
+            tags[index] = "vb"
 
 
-def tag_tokens(tokens: list[Token]) -> list[TaggedToken]:
-    """Tag a pre-tokenized sentence."""
-    tagged: list[TaggedToken] = []
+def tag_words(words: list[str]) -> list[str]:
+    """POS tags of a tokenized text (:func:`tokenize_words` output)."""
+    memo = _LEXICAL_MEMO
+    tags: list[str] = []
+    append = tags.append
     sentence_initial = True
-    for token in tokens:
-        tag = _lexical_tag(token, sentence_initial)
-        tagged.append(TaggedToken(token, tag))
-        if tag != "punct":
+    for word in words:
+        key = (word, sentence_initial)
+        found = memo.get(key)
+        if found is None:
+            found = _lexical_tag(word, sentence_initial)
+            if len(memo) >= LEXICAL_MEMO_BOUND:
+                memo.clear()
+            memo[key] = found
+        append(found)
+        if found != "punct":
             sentence_initial = False
-        elif token.text in ".!?":
+        elif word in ".!?":
             sentence_initial = True
-    return _apply_context_patches(tagged)
+    _apply_context_patches(words, tags)
+    return tags
 
 
 def tag(text: str) -> list[TaggedToken]:
     """Tokenize and tag raw text."""
-    return tag_tokens(tokenize(text))
+    words = tokenize_words(text)
+    return [
+        TaggedToken(word, found)
+        for word, found in zip(words, tag_words(words))
+    ]
 
 
 #: The open-class POS categories analyzed in Figures 3-4 of the paper.

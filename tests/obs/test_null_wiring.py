@@ -105,12 +105,10 @@ def recorder_keepers():
 def _training_generator(gatherer, tracer):
     from repro.core.snippets import SnippetGenerator
     from repro.core.training import TrainingDataGenerator
-    from repro.text.annotator import Annotator
 
     return TrainingDataGenerator(
         store=gatherer.store,
         engine=gatherer.engine,
-        annotator=Annotator(),
         snippet_generator=SnippetGenerator(),
         tracer=tracer,
     )

@@ -13,12 +13,16 @@ from collections import OrderedDict
 
 from hypothesis import given, strategies as st
 
+import repro.text.annotator as annotator_module
 import repro.text.engine as engine_module
+import repro.text.pos as pos_module
+from repro.text.annotator import Annotator
 from repro.text.engine import (
     AnnotationCache,
     AnnotationEngine,
     content_key,
 )
+from repro.text.sentences import split_sentence_texts
 
 texts_strategy = st.lists(
     st.text(alphabet="ab ", max_size=4), max_size=60
@@ -88,7 +92,12 @@ def test_hash_collision_never_serves_the_wrong_value(monkeypatch):
 
 
 @given(st.lists(st.sampled_from(
-    ["Acme Inc. acquired Widgets.", "Revenue rose 12%.", ""]
+    [
+        "Acme Inc. acquired Widgets.",
+        "Revenue rose 12%.",
+        "Acme Inc. acquired Widgets. Revenue rose 12%.",
+        "",
+    ]
 ), min_size=1, max_size=10))
 def test_engine_accounting_is_consistent(sequence):
     engine = AnnotationEngine()
@@ -100,23 +109,48 @@ def test_engine_accounting_is_consistent(sequence):
     n_sentences = {
         text: len(engine.sentence_spans(text)) for text in unique
     }
+    distinct_sentences = {
+        sentence for text in unique for sentence in split_sentence_texts(text)
+    }
     stats = engine.stats()
-    # Each call is one top-level lookup; an index_terms *miss* composes
+    # Each call is one top-level lookup.  An index_terms *miss* composes
     # from the sentence products, adding one sentence_spans lookup and
-    # one sentence_terms lookup per sentence of that (unique) text.
+    # one sentence_terms lookup per sentence of that (unique) text; an
+    # annotate miss adds one sentence_annotations lookup per sentence.
     # The n_sentences reads above add one further (hit) lookup each.
-    nested = sum(1 + n for n in n_sentences.values()) + len(unique)
+    nested = sum(1 + 2 * n for n in n_sentences.values()) + len(unique)
     assert stats.lookups == 3 * len(sequence) + nested
     # Three top-level products miss once per unique text; composition
-    # misses once per unique sentence (and once per unique text for
+    # misses once per distinct sentence (and once per unique text for
     # the span split).
     by_product = engine.stats_by_product()
     assert by_product["annotations"].misses == len(unique)
     assert by_product["sentences"].misses == len(unique)
     assert by_product["index_terms"].misses == len(unique)
     assert by_product["index_terms"].hits == len(sequence) - len(unique)
+    assert by_product["sentence_annotations"].misses == len(
+        distinct_sentences
+    )
+    assert by_product["sentence_annotations"].lookups == sum(
+        n_sentences.values()
+    )
     assert stats.hits == stats.lookups - stats.misses
     assert sum(s.lookups for s in by_product.values()) == stats.lookups
+
+
+def test_annotator_memos_stay_within_their_bounds(monkeypatch):
+    """Ten times the bound of distinct words never overfills a memo."""
+    bound = 40
+    monkeypatch.setattr(pos_module, "LEXICAL_MEMO_BOUND", bound)
+    monkeypatch.setattr(pos_module, "_LEXICAL_MEMO", {})
+    monkeypatch.setattr(annotator_module, "TOKEN_INTERN_BOUND", bound)
+    annotator = Annotator()
+    before = annotator.annotate("Zorblat shares rose.")
+    for index in range(10 * bound):
+        annotator.annotate(f"Shares of Word{index} rose.")
+        assert len(pos_module._LEXICAL_MEMO) <= bound
+        assert len(annotator._interned) <= bound
+    assert annotator.annotate("Zorblat shares rose.") == before
 
 
 def test_engine_annotation_is_computed_once():
