@@ -1,9 +1,11 @@
 """Flight-recorder overhead bench: pipeline with recorder on vs. off.
 
 The recorder's contract is "zero overhead when off": every instrumented
-call site defaults to ``NULL_EVENT_LOG``, whose ``emit`` is a single
-no-op method call.  This bench runs the same seeded demo pipeline with
-the recorder off and on, records per-stage event counts and the wall
+call site emits through its tracer, which defaults to ``NULL_TRACER``,
+whose ``emit`` is a single no-op method call.  This bench runs the same
+seeded demo pipeline with the recorder off (the null tracer) and on (a
+tracer carrying an :class:`~repro.obs.events.EventLog`, so spans and
+counters ride along), records per-stage event counts and the wall
 overhead of turning it on, and emits ``BENCH_obs.json`` so the claim is
 tracked across PRs.
 """
@@ -17,7 +19,8 @@ from pathlib import Path
 from repro.core.etap import Etap, EtapConfig
 from repro.corpus.generator import CorpusConfig
 from repro.corpus.web import build_web
-from repro.obs.events import NULL_EVENT_LOG, EventLog
+from repro.obs.events import EventLog
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 #: Committed artifact; regenerating it is the point of the bench.
 DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_obs.json"
@@ -25,12 +28,12 @@ DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_obs.json"
 _CONFIG = dict(top_k_per_query=80, negative_sample_size=1500)
 
 
-def _run_pipeline(n_docs: int, seed: int, event_log) -> float:
+def _run_pipeline(n_docs: int, seed: int, tracer) -> float:
     """One full gather -> train -> extract -> rank run; returns wall s."""
     web = build_web(n_docs, CorpusConfig(seed=seed))
     start = time.perf_counter()
     etap = Etap.from_web(
-        web, config=EtapConfig(**_CONFIG), event_log=event_log
+        web, config=EtapConfig(**_CONFIG), tracer=tracer
     )
     etap.gather()
     etap.train()
@@ -43,7 +46,7 @@ def _null_emit_seconds(calls: int = 100_000) -> float:
     """Per-call cost of the recorder-off path (a no-op emit)."""
     start = time.perf_counter()
     for _ in range(calls):
-        NULL_EVENT_LOG.emit("page_crawled", url="u", depth=0)
+        NULL_TRACER.emit("page_crawled", url="u", depth=0)
     return (time.perf_counter() - start) / calls
 
 
@@ -58,9 +61,11 @@ def measure(
     on_times = []
     recorder = None
     for round_ in range(rounds):
-        off_times.append(_run_pipeline(n_docs, seed, NULL_EVENT_LOG))
+        off_times.append(_run_pipeline(n_docs, seed, NULL_TRACER))
         recorder = EventLog()
-        on_times.append(_run_pipeline(n_docs, seed, recorder))
+        on_times.append(
+            _run_pipeline(n_docs, seed, Tracer(recorder=recorder))
+        )
 
     off_s = min(off_times)
     on_s = min(on_times)
@@ -96,7 +101,7 @@ def bench_recorder_overhead(benchmark):
         print(f"  {event_type:20s} {count}")
     benchmark.extra_info.update(payload)
     # The recorder must stay cheap even when on; the off path is the
-    # baseline itself (every call site defaults to the null log).
+    # baseline itself (every call site defaults to the null tracer).
     assert payload["overhead_ratio"] < 0.5
     assert payload["null_emit_seconds_per_call"] < 5e-6
 

@@ -44,6 +44,7 @@ from repro.corpus.web import build_web
 from repro.obs import FakeClock
 from repro.obs.slo import SloEngine, load_slo_config
 from repro.obs.timeseries import Telemetry
+from repro.obs.tracer import Tracer
 from repro.robustness.faults import get_profile
 from repro.serve import (
     AdmissionController,
@@ -106,6 +107,7 @@ def run_leg(
     """One full chaos run (hedged or not) over a gathered etap."""
     clock = FakeClock()
     telemetry = Telemetry(clock=clock)
+    tracer = Tracer(windows=telemetry)
     admission = AdmissionController(
         rate=1e9,
         burst=float(max(1, n_queries)),
@@ -117,7 +119,7 @@ def run_leg(
         n_shards=n_shards,
         admission=admission,
         clock=clock,
-        telemetry=telemetry,
+        tracer=tracer,
         n_replicas=n_replicas,
         hedge_after=hedge_after,
         fail_after=fail_after,
@@ -145,7 +147,7 @@ def run_leg(
         )
         report = generator.run()
         monkey.finish()
-        engine = SloEngine(serve_slos(), telemetry, clock=clock)
+        engine = SloEngine(serve_slos(), tracer)
         statuses = engine.evaluate()
         replica_stats = portal.replicas.stats()
         degraded = telemetry.window(

@@ -1,8 +1,9 @@
 """SLO telemetry overhead bench: recording cost and sketch memory.
 
 The windowed-telemetry contract mirrors the flight recorder's: when
-telemetry is off (:data:`NULL_TELEMETRY`, the wiring default) a record
-is one no-op method call; when on, a record is a couple of dict lookups
+telemetry is off (a tracer without windows, e.g. the default
+:data:`~repro.obs.tracer.NULL_TRACER`) a record costs one
+``tracer.windows is not None`` check; when on, a record is a couple of dict lookups
 and float adds — cheap enough for per-request call sites.  The second
 claim is memory: a :class:`QuantileSketch` must stay constant-size no
 matter how many observations arrive, where the raw list it replaces
@@ -23,11 +24,8 @@ from pathlib import Path
 
 from repro.obs.metrics import Histogram
 from repro.obs.slo import SloEngine, default_slos
-from repro.obs.timeseries import (
-    NULL_TELEMETRY,
-    QuantileSketch,
-    Telemetry,
-)
+from repro.obs.timeseries import QuantileSketch, Telemetry
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 #: Committed artifact; regenerating it is the point of the bench.
 DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_slo.json"
@@ -62,12 +60,20 @@ def _deep_bytes(obj, seen: set[int] | None = None) -> int:
     elif isinstance(obj, (list, tuple, set, frozenset)):
         for item in obj:
             size += _deep_bytes(item, seen)
-    for slot in getattr(type(obj), "__slots__", ()):
-        if hasattr(obj, slot):
-            size += _deep_bytes(getattr(obj, slot), seen)
+    for cls in type(obj).__mro__:
+        for slot in getattr(cls, "__slots__", ()):
+            if hasattr(obj, slot):
+                size += _deep_bytes(getattr(obj, slot), seen)
     if hasattr(obj, "__dict__"):
         size += _deep_bytes(vars(obj), seen)
     return size
+
+
+def _record(tracer, name: str) -> None:
+    """The instrumented call-site idiom: record only when windows are on."""
+    windows = tracer.windows
+    if windows is not None:
+        windows.record(name)
 
 
 def _sketch_bytes(n_observations: int) -> int:
@@ -90,11 +96,12 @@ def measure(
 ) -> dict:
     """Run the comparison and (optionally) write ``BENCH_slo.json``."""
     telemetry = Telemetry()
+    tracer = Tracer(windows=telemetry)
     null_record = _per_call(
-        lambda: NULL_TELEMETRY.record("fetch.outcomes"), timing_calls
+        lambda: _record(NULL_TRACER, "fetch.outcomes"), timing_calls
     )
     real_record = _per_call(
-        lambda: telemetry.record("fetch.outcomes"), timing_calls
+        lambda: _record(tracer, "fetch.outcomes"), timing_calls
     )
     observe_calls = max(1, timing_calls // 10)
     real_observe = _per_call(
@@ -102,7 +109,7 @@ def measure(
     )
 
     # SLO evaluation cost over the populated hub (per render frame).
-    engine = SloEngine(default_slos(), telemetry)
+    engine = SloEngine(default_slos(), tracer)
     evaluate_seconds = _per_call(lambda: engine.evaluate(), 200)
 
     small_n = min(1_000, n_observations)

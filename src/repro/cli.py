@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.core.drivers import builtin_drivers
@@ -42,9 +43,7 @@ from repro.evaluation.reporting import ascii_table, format_float
 from repro.gather.store import DocumentStore
 from repro.obs import (
     EXIT_CODES,
-    NULL_EVENT_LOG,
     NULL_TRACER,
-    AnyEventLog,
     AnyTracer,
     EventLog,
     HealthMonitor,
@@ -79,19 +78,28 @@ def _workspace(path: str) -> Path:
     return workspace
 
 
-def _tracer(args: argparse.Namespace) -> AnyTracer:
-    return getattr(args, "tracer", None) or NULL_TRACER
+def _handle(args: argparse.Namespace) -> AnyTracer:
+    """The run's one observability handle.
 
-
-def _event_log(args: argparse.Namespace) -> AnyEventLog:
-    return getattr(args, "event_log", None) or NULL_EVENT_LOG
+    Real when the run profiles, records, or is a subcommand that reads
+    its own counters and windows (``observed``); the null handle
+    otherwise.
+    """
+    recording = getattr(args, "record", None)
+    if not (
+        getattr(args, "profile", False)
+        or recording
+        or getattr(args, "observed", False)
+    ):
+        return NULL_TRACER
+    return Tracer(
+        recorder=EventLog(sink=recording) if recording else None,
+        windows=Telemetry(),
+    )
 
 
 def _load_etap(
-    workspace: Path,
-    config: EtapConfig,
-    tracer: AnyTracer = NULL_TRACER,
-    event_log: AnyEventLog = NULL_EVENT_LOG,
+    workspace: Path, config: EtapConfig, tracer: AnyTracer
 ) -> Etap:
     """Rebuild an Etap from a workspace: store + (cached) index."""
     store_path = workspace / STORE_FILE
@@ -114,13 +122,7 @@ def _load_etap(
             (document.doc_id, document.text, document.title)
             for document in store
         )
-    return Etap(
-        store=store,
-        engine=engine,
-        config=config,
-        tracer=tracer,
-        event_log=event_log,
-    )
+    return Etap(store=store, engine=engine, config=config, tracer=tracer)
 
 
 def _maybe_faulty(web, args: argparse.Namespace):
@@ -162,16 +164,15 @@ def _serve_queries() -> list[str]:
 
 def _health_monitor(
     specs,
-    telemetry,
-    event_log,
+    tracer,
     etap=None,
     gather_report=None,
     portal=None,
     processor=None,
 ) -> HealthMonitor:
     """Assemble the standard monitor: SLO engine + component probes."""
-    engine = SloEngine(specs, telemetry, event_log=event_log)
-    monitor = HealthMonitor(engine, event_log=event_log)
+    engine = SloEngine(specs, tracer)
+    monitor = HealthMonitor(engine, tracer=tracer)
     if gather_report is not None:
         monitor.register("ingest", gather_probe(gather_report))
     gatherer = getattr(etap, "_gatherer", None) if etap else None
@@ -200,8 +201,7 @@ def cmd_gather(args: argparse.Namespace) -> int:
         build_web(args.docs, CorpusConfig(seed=args.seed)), args
     )
     etap = Etap.from_web(
-        web, config=EtapConfig(workers=args.workers),
-        tracer=_tracer(args), event_log=_event_log(args),
+        web, config=EtapConfig(workers=args.workers), tracer=args.tracer
     )
     report = etap.gather()
     etap.store.save_jsonl(workspace / STORE_FILE)
@@ -215,10 +215,7 @@ def cmd_gather(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     workspace = _workspace(args.workspace)
-    etap = _load_etap(
-        workspace, _config_from_args(args), _tracer(args),
-        _event_log(args),
-    )
+    etap = _load_etap(workspace, _config_from_args(args), args.tracer)
     summaries = etap.train()
     paths = save_classifiers(etap.classifiers, workspace / MODELS_DIR)
     rows = [
@@ -240,10 +237,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_trained_etap(args: argparse.Namespace) -> Etap:
     workspace = _workspace(args.workspace)
-    etap = _load_etap(
-        workspace, _config_from_args(args), _tracer(args),
-        _event_log(args),
-    )
+    etap = _load_etap(workspace, _config_from_args(args), args.tracer)
     classifiers = load_classifiers(workspace / MODELS_DIR)
     if not classifiers:
         raise SystemExit(
@@ -309,8 +303,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     etap = Etap.from_web(
         web,
         config=EtapConfig(top_k_per_query=80, negative_sample_size=1500),
-        tracer=_tracer(args),
-        event_log=_event_log(args),
+        tracer=args.tracer,
     )
     report = etap.gather()
     note = _degradation_note(report)
@@ -448,11 +441,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     gauges and stream/serve rollups ride along via
     :func:`~repro.obs.export.derive_gauges`.
     """
-    tracer = _tracer(args)
-    if not tracer.enabled:
-        tracer = Tracer()
-    event_log = _event_log(args)
-    telemetry = Telemetry()
+    tracer = args.tracer
     web = _maybe_faulty(
         build_web(args.docs, CorpusConfig(seed=args.seed)), args
     )
@@ -460,8 +449,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         web,
         config=EtapConfig(top_k_per_query=80, negative_sample_size=1500),
         tracer=tracer,
-        event_log=event_log,
-        telemetry=telemetry,
     )
     etap.gather()
     etap.train()
@@ -471,10 +458,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     def render() -> None:
         text = prometheus_text(
             tracer.registry,
-            gauges=derive_gauges(
-                tracer.registry, event_log=event_log,
-                telemetry=telemetry,
-            ),
+            gauges=derive_gauges(tracer.registry, tracer=tracer),
         )
         parse_prometheus_text(text)  # self-check: must be parseable
         print(text, end="")
@@ -495,7 +479,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             time.sleep(args.watch)
         evolver.advance(args.new_docs)
         report = service.poll()
-        telemetry.record("metrics.alerts", n=len(report.alerts))
+        tracer.windows.record("metrics.alerts", n=len(report.alerts))
         print(f"# watch round {round_no}: {report.new_documents} new "
               f"docs, {len(report.alerts)} alerts")
         render()
@@ -506,17 +490,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Gather a corpus, stand up the portal, and drive seeded load."""
     from repro.serve import AlertPortal, LoadGenerator
 
-    tracer = _tracer(args)
-    if not tracer.enabled:
-        tracer = Tracer()
-    event_log = _event_log(args)
-    telemetry = Telemetry()
+    tracer = args.tracer
     web = _maybe_faulty(
         build_web(args.docs, CorpusConfig(seed=args.seed)), args
     )
     etap = Etap.from_web(
-        web, config=EtapConfig(workers=args.workers),
-        tracer=tracer, event_log=event_log, telemetry=telemetry,
+        web, config=EtapConfig(workers=args.workers), tracer=tracer
     )
     report = etap.gather()
     note = _degradation_note(report)
@@ -584,7 +563,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         slo_statuses = None
         if args.slo_config:
             monitor = _health_monitor(
-                _load_slos(args.slo_config), telemetry, event_log,
+                _load_slos(args.slo_config), tracer,
                 etap=etap, gather_report=report, portal=portal,
             )
             health = monitor.rollup()
@@ -596,7 +575,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         text = prometheus_text(
             tracer.registry,
             gauges=derive_gauges(
-                tracer.registry, portal=portal, telemetry=telemetry,
+                tracer.registry, tracer=tracer, portal=portal,
                 slo_statuses=slo_statuses,
             ),
         )
@@ -629,9 +608,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         StreamProcessor,
     )
 
-    tracer = _tracer(args)
-    event_log = _event_log(args)
-    telemetry = Telemetry()
+    tracer = args.tracer
     checkpoint_dir = Path(args.checkpoint_dir)
     checkpoint_dir.mkdir(parents=True, exist_ok=True)
     models_dir = checkpoint_dir / MODELS_DIR
@@ -647,7 +624,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     etap = Etap.from_web(
         web,
         config=EtapConfig(top_k_per_query=80, negative_sample_size=1500),
-        tracer=tracer, event_log=event_log, telemetry=telemetry,
+        tracer=tracer,
     )
     gather_report = etap.gather()
     classifiers = load_classifiers(models_dir)
@@ -678,7 +655,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
             checkpoint_every=args.checkpoint_every,
             threshold=args.alert_threshold,
             n_shards=args.shards,
-            tracer=tracer, event_log=event_log,
         )
         print(f"resumed from checkpoint "
               f"{info.checkpoint_id if info.checkpoint_id is not None else '-'} "
@@ -693,7 +669,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
             checkpoint_every=args.checkpoint_every,
             threshold=args.alert_threshold,
             n_shards=args.shards,
-            tracer=tracer, event_log=event_log,
         )
     with processor:
         try:
@@ -728,7 +703,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
               f"{source.degraded} degraded pages excluded")
     if args.slo_config:
         monitor = _health_monitor(
-            _load_slos(args.slo_config), telemetry, event_log,
+            _load_slos(args.slo_config), tracer,
             etap=etap, gather_report=gather_report,
             processor=processor,
         )
@@ -740,7 +715,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stand_up_portal(args: argparse.Namespace, telemetry):
+def _stand_up_portal(args: argparse.Namespace):
     """Gather a (possibly faulty) corpus and open a portal over it.
 
     Shared by ``repro health`` and ``repro top``: search-only serving
@@ -756,9 +731,7 @@ def _stand_up_portal(args: argparse.Namespace, telemetry):
     etap = Etap.from_web(
         web,
         config=EtapConfig(top_k_per_query=80, negative_sample_size=1500),
-        tracer=_tracer(args),
-        event_log=_event_log(args),
-        telemetry=telemetry,
+        tracer=args.tracer,
     )
     report = etap.gather()
     portal = AlertPortal.from_etap(etap, n_shards=args.shards)
@@ -775,9 +748,7 @@ def cmd_health(args: argparse.Namespace) -> int:
 
     from repro.serve import LoadGenerator
 
-    event_log = _event_log(args)
-    telemetry = Telemetry()
-    etap, report, portal = _stand_up_portal(args, telemetry)
+    etap, report, portal = _stand_up_portal(args)
     with portal:
         LoadGenerator(
             portal,
@@ -787,7 +758,7 @@ def cmd_health(args: argparse.Namespace) -> int:
             seed=args.seed,
         ).run()
         monitor = _health_monitor(
-            _load_slos(args.slo_config), telemetry, event_log,
+            _load_slos(args.slo_config), args.tracer,
             etap=etap, gather_report=report, portal=portal,
         )
         health = monitor.rollup()
@@ -799,15 +770,15 @@ def cmd_health(args: argparse.Namespace) -> int:
 
 
 def _top_frame(
-    round_no: int, telemetry, engine, portal, fetcher
+    round_no: int, windows, engine, portal, fetcher
 ) -> str:
     """One rendered console frame: QPS, latency, budgets, breakers."""
     stats = portal.stats()
-    sketch = telemetry.sketch("serve.latency")
+    sketch = windows.sketch("serve.latency")
     budgets = engine.budgets()
     lines = [
         f"repro top — round {round_no}",
-        f"  qps(60s): {telemetry.rate('serve.requests', 60.0):8.1f}   "
+        f"  qps(60s): {windows.rate('serve.requests', 60.0):8.1f}   "
         f"p50: {sketch.quantile(0.5) * 1000:7.2f} ms   "
         f"p99: {sketch.quantile(0.99) * 1000:7.2f} ms",
         f"  cache hit rate: {stats['cache_hit_rate']:.2f}   "
@@ -837,14 +808,10 @@ def cmd_top(args: argparse.Namespace) -> int:
 
     from repro.serve import LoadGenerator
 
-    event_log = _event_log(args)
-    telemetry = Telemetry()
-    etap, _, portal = _stand_up_portal(args, telemetry)
+    etap, _, portal = _stand_up_portal(args)
     gatherer = getattr(etap, "_gatherer", None)
     fetcher = gatherer.fetcher if gatherer is not None else None
-    engine = SloEngine(
-        _load_slos(args.slo_config), telemetry, event_log=event_log
-    )
+    engine = SloEngine(_load_slos(args.slo_config), args.tracer)
     clear = not args.no_clear and sys.stdout.isatty()
     queries = _serve_queries()
     with portal:
@@ -858,7 +825,7 @@ def cmd_top(args: argparse.Namespace) -> int:
             ).run()
             engine.evaluate()
             frame = _top_frame(
-                round_no, telemetry, engine, portal, fetcher
+                round_no, args.tracer.windows, engine, portal, fetcher
             )
             if clear:
                 print("\x1b[2J\x1b[H", end="")
@@ -870,9 +837,7 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Replay the demo pipeline under a tracer; emit the report as JSON."""
-    tracer = _tracer(args)
-    if not tracer.enabled:
-        tracer = Tracer()
+    tracer = args.tracer
     web = build_web(args.docs, CorpusConfig(seed=args.seed))
     etap = Etap.from_web(
         web,
@@ -913,8 +878,7 @@ def cmd_queries_plan(args: argparse.Namespace) -> int:
         web,
         drivers=drivers,
         config=EtapConfig(top_k_per_query=args.top_k),
-        tracer=_tracer(args),
-        event_log=_event_log(args),
+        tracer=args.tracer,
     )
     report = etap.gather()
     print(f"gathered {report.documents_stored} documents "
@@ -926,8 +890,7 @@ def cmd_queries_plan(args: argparse.Namespace) -> int:
             top_k=args.top_k,
             max_queries=args.max_queries,
         ),
-        tracer=_tracer(args),
-        event_log=_event_log(args),
+        tracer=args.tracer,
     )
     for plan in plans.values():
         planned, baseline = plan.planned, plan.baseline
@@ -976,12 +939,7 @@ def cmd_recipe_run(args: argparse.Namespace) -> int:
     recipe = _load_recipe_or_exit(args.file)
     if recipe is None:
         return 2
-    result = run_recipe(
-        recipe,
-        tracer=_tracer(args),
-        event_log=_event_log(args),
-        n_docs=args.docs,
-    )
+    result = run_recipe(recipe, tracer=args.tracer, n_docs=args.docs)
     print(result.render())
     return 0
 
@@ -1150,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="kill a replica before the load run (repeatable), e.g. "
              "--kill-replica 0:1",
     )
-    serve.set_defaults(func=cmd_serve)
+    serve.set_defaults(func=cmd_serve, observed=True)
 
     stream = sub.add_parser(
         "stream", parents=[profiled, faulty],
@@ -1193,7 +1151,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument("--shards", type=int, default=2,
                         help="serving-index shards")
-    stream.set_defaults(func=cmd_stream)
+    stream.set_defaults(func=cmd_stream, observed=True)
 
     trace = sub.add_parser(
         "trace", parents=[profiled],
@@ -1202,7 +1160,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--docs", type=int, default=800)
     trace.add_argument("--seed", type=int, default=7)
-    trace.set_defaults(func=cmd_trace)
+    trace.set_defaults(func=cmd_trace, observed=True)
 
     explain = sub.add_parser(
         "explain",
@@ -1248,7 +1206,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--new-docs", type=int, default=30,
                          help="documents added to the corpus per "
                               "watch round")
-    metrics.set_defaults(func=cmd_metrics)
+    metrics.set_defaults(func=cmd_metrics, observed=True)
 
     health = sub.add_parser(
         "health", parents=[profiled, faulty],
@@ -1269,7 +1227,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     health.add_argument("--json", action="store_true",
                         help="emit the rollup as JSON instead of text")
-    health.set_defaults(func=cmd_health)
+    health.set_defaults(func=cmd_health, observed=True)
 
     top = sub.add_parser(
         "top", parents=[profiled, faulty],
@@ -1292,7 +1250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--no-clear", action="store_true",
                      help="never emit ANSI clear codes between frames")
-    top.set_defaults(func=cmd_top)
+    top.set_defaults(func=cmd_top, observed=True)
 
     queries = sub.add_parser(
         "queries",
@@ -1356,22 +1314,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     profiling = getattr(args, "profile", False)
-    args.tracer = Tracer() if profiling else NULL_TRACER
-    recording = getattr(args, "record", None)
-    args.event_log = (
-        EventLog(sink=recording) if recording else NULL_EVENT_LOG
-    )
-    if args.event_log.enabled:
-        args.event_log.emit("run_started", command=args.command)
+    args.tracer = tracer = _handle(args)
+    tracer.emit("run_started", command=args.command)
     try:
-        with args.tracer.span(args.command):
+        # Only a profiled run wraps the command in a root span, so the
+        # stage tree ``trace`` prints is the same with or without
+        # ``--record``.
+        with tracer.span(args.command) if profiling else nullcontext():
             code = args.func(args)
     finally:
-        args.event_log.close()
-    if recording:
+        if tracer.recorder is not None:
+            tracer.recorder.close()
+    if tracer.recorder is not None:
         print(
-            f"recorded {args.event_log.total_emitted} events -> "
-            f"{recording}",
+            f"recorded {tracer.recorder.total_emitted} events -> "
+            f"{args.record}",
             file=sys.stderr,
         )
     if profiling:

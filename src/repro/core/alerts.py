@@ -17,7 +17,6 @@ from typing import Sequence
 from repro.core.etap import Etap
 from repro.core.ranking import TriggerEvent, make_trigger_events, rank_events
 from repro.gather.dedup import NearDuplicateIndex
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
 
 
 def idempotency_key(
@@ -73,7 +72,6 @@ class AlertService:
         etap: Etap,
         threshold: float | None = None,
         suppress_near_duplicates: bool = False,
-        event_log: AnyEventLog | None = None,
     ) -> None:
         if not etap.classifiers:
             raise ValueError(
@@ -84,11 +82,9 @@ class AlertService:
             etap.config.trigger_threshold if threshold is None
             else threshold
         )
-        # Default to the Etap's recorder so the whole alert loop lands
-        # in one event stream.
-        self.event_log = (
-            event_log if event_log is not None else etap.event_log
-        ) or NULL_EVENT_LOG
+        # The Etap's handle, so the whole alert loop lands in one
+        # event stream.
+        self.tracer = etap.tracer
         self._processed_docs: set[str] = set(etap.store.doc_ids())
         self._cycle = 0
         # Idempotency: (driver, snippet, companies) identities already
@@ -146,7 +142,7 @@ class AlertService:
                 events = self._drop_duplicate_stories(
                     driver.driver_id, events
                 )
-            if self.event_log.enabled:
+            if self.tracer.recording:
                 self._record_classifications(
                     driver.driver_id, events, scores
                 )
@@ -164,7 +160,7 @@ class AlertService:
                     alert_id=key,
                 )
                 report.alerts.append(alert)
-                self.event_log.emit(
+                self.tracer.emit(
                     "alert_emitted",
                     lineage_id=event.doc_id,
                     alert_id=key,
@@ -195,7 +191,7 @@ class AlertService:
         """
         classifier = self.etap.classifiers[driver_id]
         for event in events:
-            self.event_log.emit(
+            self.tracer.emit(
                 "snippet_scored",
                 lineage_id=event.doc_id,
                 snippet_id=event.snippet_id,
@@ -203,7 +199,7 @@ class AlertService:
                 driver_id=driver_id,
                 score=event.score,
             )
-            self.event_log.emit(
+            self.tracer.emit(
                 "trigger_classified",
                 lineage_id=event.doc_id,
                 snippet_id=event.snippet_id,
@@ -220,7 +216,7 @@ class AlertService:
         if monitor is None:
             return
         for drift in monitor.check_scores(list(scores)):
-            self.event_log.emit(
+            self.tracer.emit(
                 "drift_warning",
                 monitor=drift.monitor,
                 value=drift.value,

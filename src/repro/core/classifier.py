@@ -23,7 +23,6 @@ from repro.ml.noise import (
     DenoiseResult,
     IterativeNoiseReducer,
 )
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.text.engine import AnnotationEngine
 from repro.text.stem import PorterStemmer
@@ -59,12 +58,10 @@ class TriggerEventClassifier:
         max_denoise_iter: int = 2,
         oversample_pure: int = 3,
         tracer: AnyTracer | None = None,
-        event_log: AnyEventLog | None = None,
         text_engine: AnnotationEngine | None = None,
     ) -> None:
         self.driver_id = driver_id
-        self.tracer = tracer or NULL_TRACER
-        self.event_log = event_log or NULL_EVENT_LOG
+        self.tracer = NULL_TRACER if tracer is None else tracer
         self.policy = policy or AbstractionPolicy.paper_default()
         #: Shared annotate-once engine: feature abstraction is cached
         #: per (snippet content, policy), so a bank of per-driver
@@ -149,7 +146,7 @@ class TriggerEventClassifier:
             n_features=self.vectorizer.n_features,
             fit_seconds=span.duration,
         )
-        self.event_log.emit(
+        self.tracer.emit(
             "model_trained",
             driver_id=self.driver_id,
             n_noisy_positive=self.summary.n_noisy_positive,

@@ -55,8 +55,6 @@ from repro.gather.pipeline import DataGatherer, GatherReport
 from repro.gather.store import DocumentStore
 from repro.ml.noise import ClassifierFactory
 from repro.obs.drift import DriftBaseline, DriftMonitor, DriftThresholds
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
-from repro.obs.timeseries import NULL_TELEMETRY, AnyTelemetry
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.search.engine import SearchEngine
 from repro.text.engine import AnnotationEngine
@@ -87,11 +85,10 @@ class EtapConfig:
     #: Ingestion fan-out width (``--workers`` on the CLI).  With
     #: ``workers > 1`` the initial gather partitions documents by
     #: content hash and each worker *process* owns its shard
-    #: end-to-end (tokenize, vectorize, build its postings slice)
-    #: before a deterministic merge — see :mod:`repro.gather.ingest`.
+    #: end-to-end (tokenize, build its postings slice) before a
+    #: deterministic merge — see :mod:`repro.gather.ingest`.
     #: ``workers=1`` runs the same shard code inline, warming the
-    #: shared annotation cache for later stages; incremental
-    #: re-gathers warm it with threads instead.  Output is
+    #: shared annotation cache for later stages.  Output is
     #: bit-identical for every worker count.
     workers: int = 1
 
@@ -107,22 +104,14 @@ class Etap:
         config: EtapConfig | None = None,
         web: SyntheticWeb | None = None,
         tracer: AnyTracer | None = None,
-        event_log: AnyEventLog | None = None,
         text_engine: AnnotationEngine | None = None,
-        telemetry: AnyTelemetry | None = None,
     ) -> None:
         self.config = config or EtapConfig()
         self.drivers = list(drivers) if drivers else builtin_drivers()
         self.store = store
         self.engine = engine
         self._web = web
-        self.tracer = tracer or NULL_TRACER
-        self.event_log = event_log or NULL_EVENT_LOG
-        self.telemetry = telemetry or NULL_TELEMETRY
-        if engine.tracer is NULL_TRACER:
-            engine.tracer = self.tracer
-        if engine.event_log is NULL_EVENT_LOG:
-            engine.event_log = self.event_log
+        self.tracer = NULL_TRACER if tracer is None else tracer
         #: The annotate-once engine shared by every stage: gathering,
         #: training, extraction and serve rebuilds all read annotations,
         #: sentence splits, index terms and abstracted features from its
@@ -155,9 +144,7 @@ class Etap:
         drivers: Sequence[SalesDriver] | None = None,
         config: EtapConfig | None = None,
         tracer: AnyTracer | None = None,
-        event_log: AnyEventLog | None = None,
         fetcher=None,
-        telemetry: AnyTelemetry | None = None,
     ) -> "Etap":
         """Build an ETAP whose gather step crawls the given web.
 
@@ -173,11 +160,9 @@ class Etap:
             web,
             max_pages=config.max_crawl_pages,
             tracer=tracer,
-            event_log=event_log,
             fetcher=fetcher,
             text_engine=text_engine,
             workers=config.workers,
-            telemetry=telemetry,
         )
         etap = cls(
             store=gatherer.store,
@@ -186,9 +171,7 @@ class Etap:
             config=config,
             web=web,
             tracer=tracer,
-            event_log=event_log,
             text_engine=text_engine,
-            telemetry=telemetry,
         )
         etap._gatherer = gatherer
         return etap
@@ -233,7 +216,6 @@ class Etap:
                     max_denoise_iter=self.config.max_denoise_iter,
                     oversample_pure=self.config.oversample_pure,
                     tracer=self.tracer,
-                    event_log=self.event_log,
                     text_engine=self.text_engine,
                 )
                 classifier.fit(
@@ -245,7 +227,7 @@ class Etap:
                 )
                 self.classifiers[driver.driver_id] = classifier
                 summaries[driver.driver_id] = classifier.summary
-                if self.event_log.enabled:
+                if self.tracer.recording:
                     self._install_drift_monitor(
                         classifier, list(noisy) + list(negatives)
                     )
@@ -323,7 +305,7 @@ class Etap:
                 self.tracer.count(
                     f"extract.flagged[{driver.driver_id}]", len(flagged)
                 )
-                if self.event_log.enabled:
+                if self.tracer.recording:
                     self._record_extraction(
                         driver.driver_id,
                         events[driver.driver_id],
@@ -355,9 +337,9 @@ class Etap:
         """
         if industry is not None:
             return industry.lead_list(events_by_driver)
-        return CompanyRanker(
-            tracer=self.tracer, event_log=self.event_log
-        ).score_companies(events_by_driver)
+        return CompanyRanker(tracer=self.tracer).score_companies(
+            events_by_driver
+        )
 
     # -- helpers ------------------------------------------------------------------
 
@@ -405,7 +387,7 @@ class Etap:
         """
         classifier = self._classifier(driver_id)
         for event in ranked_events:
-            self.event_log.emit(
+            self.tracer.emit(
                 "snippet_scored",
                 lineage_id=event.doc_id,
                 snippet_id=event.snippet_id,
@@ -413,7 +395,7 @@ class Etap:
                 driver_id=driver_id,
                 score=event.score,
             )
-            self.event_log.emit(
+            self.tracer.emit(
                 "trigger_classified",
                 lineage_id=event.doc_id,
                 snippet_id=event.snippet_id,
@@ -432,7 +414,7 @@ class Etap:
         sample = all_items[: self.config.drift_token_sample]
         token_lists = [classifier.features_of(item) for item in sample]
         for report in monitor.check(list(scores), token_lists):
-            self.event_log.emit(
+            self.tracer.emit(
                 "drift_warning",
                 monitor=report.monitor,
                 value=report.value,

@@ -22,7 +22,6 @@ from repro.core.lexicon import OrientationLexicon
 from repro.core.temporal import score_with_recency
 from repro.core.training import AnnotatedSnippet
 from repro.gather.dedup import NearDuplicateIndex
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 
 
@@ -208,7 +207,6 @@ class CompanyRanker:
         self,
         driver_weights: dict[str, float] | None = None,
         tracer: AnyTracer | None = None,
-        event_log: AnyEventLog | None = None,
     ) -> None:
         if driver_weights is not None:
             bad = [d for d, w in driver_weights.items() if w < 0]
@@ -217,8 +215,7 @@ class CompanyRanker:
                     f"driver weights must be non-negative; got {bad}"
                 )
         self.driver_weights = driver_weights or {}
-        self.tracer = tracer or NULL_TRACER
-        self.event_log = event_log or NULL_EVENT_LOG
+        self.tracer = NULL_TRACER if tracer is None else tracer
 
     def _weight(self, driver_id: str) -> float:
         return self.driver_weights.get(driver_id, 1.0)
@@ -254,9 +251,9 @@ class CompanyRanker:
             ]
             self.tracer.count("rank.companies_scored", len(scores))
         ordered = sorted(scores, key=lambda s: (-s.mrr, s.company))
-        if self.event_log.enabled:
+        if self.tracer.recording:
             for position, lead in enumerate(ordered, start=1):
-                self.event_log.emit(
+                self.tracer.emit(
                     "company_ranked",
                     company=lead.company,
                     mrr=lead.mrr,

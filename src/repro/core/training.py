@@ -69,7 +69,7 @@ class TrainingDataGenerator:
         self.snippets = snippet_generator or SnippetGenerator(
             splitter=self.text_engine.sentences
         )
-        self.tracer = tracer or NULL_TRACER
+        self.tracer = NULL_TRACER if tracer is None else tracer
         self._snippet_cache: dict[str, list[Snippet]] = {}
 
     # -- shared plumbing ------------------------------------------------------

@@ -65,32 +65,6 @@ def batch_transform(
     return matrix
 
 
-def counts_from_token_ids(
-    token_ids: "np.ndarray",
-    doc_ptr: "np.ndarray",
-    n_features: int,
-) -> sparse.csr_matrix:
-    """Term-count CSR matrix straight from a flat token-id stream.
-
-    ``token_ids`` is one contiguous array of vocabulary ids for a whole
-    shard and ``doc_ptr`` its per-document slice boundaries (the same
-    layout :meth:`repro.search.index.InvertedIndex.from_token_stream`
-    consumes), so
-    a shard worker vectorizes its documents without ever materializing
-    per-document token lists.  Numerically identical to
-    :func:`batch_transform` over the equivalent string tokens.
-    """
-    n_docs = len(doc_ptr) - 1
-    lengths = np.diff(doc_ptr)
-    rows = np.repeat(np.arange(n_docs, dtype=np.intp), lengths)
-    data = np.ones(len(token_ids), dtype=np.float64)
-    return sparse.csr_matrix(
-        (data, (rows, np.asarray(token_ids, dtype=np.intp))),
-        shape=(n_docs, n_features),
-        dtype=np.float64,
-    )
-
-
 def joint_counts_from_matrix(
     matrix: sparse.spmatrix,
     labels: Sequence[Hashable],

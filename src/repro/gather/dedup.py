@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
+from repro.obs.tracer import NULL_TRACER, AnyTracer
 
 _MERSENNE = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
@@ -119,10 +119,10 @@ class NearDuplicateIndex:
         bands: int = 24,
         shingle_k: int = 3,
         threshold: float = 0.8,
-        event_log: AnyEventLog | None = None,
+        tracer: AnyTracer | None = None,
     ) -> None:
         self.hasher = hasher or MinHasher()
-        self.event_log = event_log or NULL_EVENT_LOG
+        self.tracer = NULL_TRACER if tracer is None else tracer
         if self.hasher.n_permutations % bands != 0:
             raise ValueError(
                 "bands must divide the number of permutations"
@@ -168,7 +168,7 @@ class NearDuplicateIndex:
             )
             if similarity >= self.threshold:
                 pairs.append(DuplicatePair(other, key, similarity))
-                self.event_log.emit(
+                self.tracer.emit(
                     "near_duplicate",
                     lineage_id=key,
                     key=key,

@@ -4,8 +4,7 @@ The gather pipeline's serial annotate→vectorize→index loop is the
 ingestion critical path.  This module refactors it into shard
 ownership: accepted documents are partitioned by content hash, each
 worker owns its shard end-to-end — decode texts from a flat buffer,
-tokenize (sentence-cached, see :mod:`repro.text.engine`), vectorize
-(:func:`repro.features.batch.counts_from_token_ids`) and build its
+tokenize (sentence-cached, see :mod:`repro.text.engine`) and build its
 postings slice as numpy arrays — and the parent merges the slices into
 one token stream that becomes the
 :class:`~repro.search.index.InvertedIndex` directly.
@@ -42,10 +41,7 @@ from multiprocessing import get_context
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
-from repro.features.batch import counts_from_token_ids
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.search.index import InvertedIndex
 from repro.text.engine import AnnotationEngine, terms_compose
@@ -78,9 +74,6 @@ class ShardResult:
     doc_ptr: "np.ndarray"  # int64, len n_docs + 1
     first_doc: "np.ndarray"  # per local term: local doc index of first occurrence
     first_pos: "np.ndarray"  # per local term: in-doc position of first occurrence
-    csr_data: "np.ndarray"
-    csr_indices: "np.ndarray"
-    csr_indptr: "np.ndarray"
     sentence_hits: int
     sentence_misses: int
     fallbacks: int
@@ -91,8 +84,6 @@ class IngestResult:
     """The merged output of one sharded ingestion."""
 
     index: InvertedIndex
-    matrix: sparse.csr_matrix
-    vocabulary: dict[str, int]
     shard_docs: list[int]
     sentence_hits: int = 0
     sentence_misses: int = 0
@@ -108,9 +99,8 @@ def tokenize_shard(
     """Tokenize one shard's documents from their flat text buffer.
 
     Builds the shard-local vocabulary in first-appearance order, the
-    doc-major token-id stream, the shard's term-count CSR, and the
-    first-occurrence coordinates the merge uses to renumber terms
-    globally.  A sentence-level memo caches the id array of every
+    doc-major token-id stream and the first-occurrence coordinates the
+    merge uses to renumber terms globally.  A sentence-level memo caches the id array of every
     distinct sentence — templated corpora repeat sentences heavily, so
     most sentences tokenize exactly once per shard.
 
@@ -197,7 +187,6 @@ def tokenize_shard(
         )
     first_doc = np.searchsorted(doc_ptr, first_idx, side="right") - 1
     first_pos = first_idx - doc_ptr[first_doc]
-    matrix = counts_from_token_ids(token_terms, doc_ptr, n_terms)
     return ShardResult(
         shard_id=shard_id,
         vocab=list(vocab_ids),
@@ -205,9 +194,6 @@ def tokenize_shard(
         doc_ptr=doc_ptr,
         first_doc=first_doc,
         first_pos=first_pos,
-        csr_data=matrix.data,
-        csr_indices=matrix.indices,
-        csr_indptr=matrix.indptr,
         sentence_hits=hits,
         sentence_misses=misses,
         fallbacks=fallbacks,
@@ -237,13 +223,11 @@ class ShardedIngester:
         *,
         text_engine: AnnotationEngine | None = None,
         tracer: AnyTracer | None = None,
-        event_log: AnyEventLog | None = None,
         mp_start_method: str | None = None,
     ) -> None:
         self.workers = max(1, workers)
         self.text_engine = text_engine
-        self.tracer = tracer or NULL_TRACER
-        self.event_log = event_log or NULL_EVENT_LOG
+        self.tracer = NULL_TRACER if tracer is None else tracer
         #: ``fork``/``spawn``/``forkserver`` override for the worker
         #: pool; ``None`` uses the platform default.  The spawn path is
         #: exercised in CI so workers never silently depend on fork.
@@ -303,7 +287,7 @@ class ShardedIngester:
                 f"ingest.shard_tokens[{shard_id}]",
                 len(result.token_terms),
             )
-            self.event_log.emit(
+            self.tracer.emit(
                 "shard_merged",
                 shard=shard_id,
                 docs=len(docs),
@@ -359,9 +343,6 @@ class ShardedIngester:
         doc_ptr = np.zeros(n_docs + 1, dtype=np.int64)
         np.cumsum(lengths, out=doc_ptr[1:])
         token_terms = np.empty(int(doc_ptr[-1]), dtype=np.int32)
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        data_parts: list[np.ndarray] = []
         for result, seqs in zip(results, seq_arrays):
             if not len(seqs):
                 continue
@@ -376,28 +357,6 @@ class ShardedIngester:
                 shard_lengths,
             ) + np.arange(len(result.token_terms), dtype=np.int64)
             token_terms[targets] = remap[result.token_terms]
-            rows_parts.append(
-                np.repeat(seqs - seq_base, np.diff(result.csr_indptr))
-            )
-            cols_parts.append(remap[result.csr_indices])
-            data_parts.append(result.csr_data)
-        matrix = sparse.csr_matrix(
-            (
-                np.concatenate(data_parts)
-                if data_parts
-                else np.empty(0, dtype=np.float64),
-                (
-                    np.concatenate(rows_parts)
-                    if rows_parts
-                    else np.empty(0, dtype=np.intp),
-                    np.concatenate(cols_parts)
-                    if cols_parts
-                    else np.empty(0, dtype=np.intp),
-                ),
-            ),
-            shape=(n_docs, len(vocab)),
-            dtype=np.float64,
-        )
         index = InvertedIndex.from_token_stream(
             vocab=vocab,
             doc_keys=[doc.doc_id for doc in accepted],
@@ -407,8 +366,6 @@ class ShardedIngester:
         )
         return IngestResult(
             index=index,
-            matrix=matrix,
-            vocabulary=term_ids,
             shard_docs=[len(docs) for docs in shards],
             sentence_hits=sum(r.sentence_hits for r in results),
             sentence_misses=sum(r.sentence_misses for r in results),

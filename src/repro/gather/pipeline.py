@@ -10,15 +10,12 @@ search index that the training-data generator later queries.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.corpus.web import SyntheticWeb
 from repro.gather.dedup import NearDuplicateIndex
 from repro.gather.ingest import AcceptedDoc, ShardedIngester
 from repro.gather.store import DocumentStore, StoredDocument
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
-from repro.obs.timeseries import NULL_TELEMETRY, AnyTelemetry
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.robustness.faults import FaultyWeb
 from repro.robustness.fetcher import ResilientFetcher
@@ -71,54 +68,35 @@ class DataGatherer:
         near_dedup: bool = False,
         near_dedup_threshold: float = 0.7,
         tracer: AnyTracer | None = None,
-        event_log: AnyEventLog | None = None,
         fetcher: ResilientFetcher | None = None,
         index_degraded: bool = False,
         text_engine: AnnotationEngine | None = None,
         workers: int = 1,
-        telemetry: AnyTelemetry | None = None,
         mp_start_method: str | None = None,
     ) -> None:
         self.web = web
-        self.tracer = tracer or NULL_TRACER
-        self.event_log = event_log or NULL_EVENT_LOG
-        self.telemetry = telemetry or NULL_TELEMETRY
+        self.tracer = NULL_TRACER if tracer is None else tracer
         self.store = DocumentStore()
         #: Shared annotate-once engine; downstream stages (training,
         #: extraction, serve rebuilds) reuse its caches.
         self.text_engine = text_engine
         #: Ingestion fan-out width.  With ``workers > 1`` the initial
         #: gather partitions accepted documents by content hash and
-        #: each worker *process* owns its shard end-to-end — tokenize,
-        #: vectorize, build its postings slice — before a deterministic
-        #: merge (see :mod:`repro.gather.ingest`); output is
-        #: bit-identical to ``workers=1``.  Incremental re-gathers
-        #: (e.g. alert polling) warm the annotation cache on threads
-        #: and index their new documents in one batched write.
+        #: each worker *process* owns its shard end-to-end — tokenize
+        #: and build its postings slice — before a deterministic merge
+        #: (see :mod:`repro.gather.ingest`); output is bit-identical to
+        #: ``workers=1``.  Incremental re-gathers (e.g. alert polling)
+        #: index their new documents serially, in one batched write.
         self.workers = max(1, workers)
         #: Multiprocessing start method for shard workers (``fork``,
         #: ``spawn``, ``forkserver``; ``None`` = platform default).
         self.mp_start_method = mp_start_method
-        #: Populated by the initial sharded gather: the corpus
-        #: term-count CSR matrix and its term -> column vocabulary.
-        self.doc_term_matrix = None
-        self.vocabulary: dict[str, int] | None = None
         self._memory_counted = 0
-        self.engine = SearchEngine(
-            tracer=self.tracer,
-            event_log=self.event_log,
-            text_engine=text_engine,
-        )
+        self.engine = SearchEngine(tracer=self.tracer, text_engine=text_engine)
         # A faulty web without an explicit fetcher gets the resilient
         # path by default: transparent retries, breakers, dead letters.
         if fetcher is None and isinstance(web, FaultyWeb):
-            fetcher = ResilientFetcher(
-                web,
-                seed=web.seed,
-                tracer=self.tracer,
-                event_log=self.event_log,
-                telemetry=self.telemetry,
-            )
+            fetcher = ResilientFetcher(web, seed=web.seed, tracer=self.tracer)
         self.fetcher = fetcher
         #: Degraded (truncated/garbled) pages are counted but, by
         #: default, kept out of the store and index: corrupted text
@@ -132,13 +110,11 @@ class DataGatherer:
             ),
             max_depth=10,
             tracer=self.tracer,
-            event_log=self.event_log,
             fetcher=fetcher,
         )
         self._near_index = (
             NearDuplicateIndex(
-                threshold=near_dedup_threshold,
-                event_log=self.event_log,
+                threshold=near_dedup_threshold, tracer=self.tracer
             )
             if near_dedup
             else None
@@ -148,41 +124,17 @@ class DataGatherer:
     def max_pages(self) -> int:
         return self._crawler.max_pages
 
-    def _warm_annotation_cache(self, texts: list[str]) -> None:
-        """Pre-tokenize page texts into the shared engine, fanned out.
-
-        This is the *incremental* re-gather path (the initial gather
-        shards across processes instead — see
-        :mod:`repro.gather.ingest`): ``workers`` threads each take a
-        chunk of the candidate texts and populate the engine's
-        content-keyed caches.  Cache fills are order independent (same
-        content -> same entry), so the serial merge that follows reads
-        identical values regardless of worker count or interleaving —
-        parallelism changes wall time, never output.
-        """
-        if self.text_engine is None or not texts:
-            return
-        with self.tracer.span("gather.warm_cache") as span:
-            engine = self.text_engine
-            if self.workers <= 1 or len(texts) <= 1:
-                for text in texts:
-                    engine.index_terms(text)
-            else:
-                n_workers = min(self.workers, len(texts))
-                chunks: list[list[str]] = [[] for _ in range(n_workers)]
-                for i, text in enumerate(texts):
-                    chunks[i % n_workers].append(text)
-
-                def warm(chunk: list[str]) -> None:
-                    for text in chunk:
-                        engine.index_terms(text)
-
-                with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                    # list() propagates any worker exception here.
-                    list(pool.map(warm, chunks))
-            span.add_items(len(texts))
-        self.tracer.count("ingest.warm_texts", len(texts))
-        self.tracer.count("ingest.warm_workers", min(self.workers, len(texts)))
+    def _index_delta(
+        self, delta: list[tuple[str, str, str]]
+    ) -> tuple[int, int]:
+        """Index a re-gather's new documents; returns cache (hits, misses)."""
+        if self.text_engine is None:
+            self.engine.add_documents(delta)
+            return 0, 0
+        before = self.text_engine.stats()
+        self.engine.add_documents(delta)
+        after = self.text_engine.stats()
+        return after.hits - before.hits, after.misses - before.misses
 
     def gather(self) -> GatherReport:
         """Run the crawl and populate store and index.
@@ -198,18 +150,6 @@ class DataGatherer:
             # already-built index) index their delta, small by
             # construction, as one write batch.
             sharded = len(self.store) == 0
-            if not sharded:
-                self._warm_annotation_cache(
-                    [
-                        page.text
-                        for page in crawl.pages
-                        if page.document is not None
-                        and (
-                            self.index_degraded
-                            or page.url not in crawl.degraded_urls
-                        )
-                    ]
-                )
             stored = 0
             skipped = 0
             near_skipped = 0
@@ -232,7 +172,7 @@ class DataGatherer:
                         and self._near_index.is_near_duplicate(page.text)
                     ):
                         near_skipped += 1
-                        self.event_log.emit(
+                        self.tracer.emit(
                             "doc_deduped",
                             lineage_id=page.document.doc_id,
                             doc_id=page.document.doc_id,
@@ -266,7 +206,7 @@ class DataGatherer:
                             delta.append(
                                 (document.doc_id, document.text, document.title)
                             )
-                        self.event_log.emit(
+                        self.tracer.emit(
                             "doc_indexed",
                             lineage_id=document.doc_id,
                             doc_id=document.doc_id,
@@ -279,35 +219,36 @@ class DataGatherer:
                             )
                     else:
                         skipped += 1
-                        self.event_log.emit(
+                        self.tracer.emit(
                             "doc_deduped",
                             lineage_id=document.doc_id,
                             doc_id=document.doc_id,
                             url=document.url,
                             reason="exact",
                         )
-                self.engine.add_documents(delta)
-                if sharded and accepted:
+                # Cache accounting covers this gather's lookups only:
+                # the shard memos' on the sharded path, the annotation
+                # engine's during the delta write otherwise.
+                if not sharded:
+                    hits, misses = self._index_delta(delta)
+                elif accepted:
                     ingester = ShardedIngester(
                         self.workers,
                         text_engine=self.text_engine,
                         tracer=self.tracer,
-                        event_log=self.event_log,
                         mp_start_method=self.mp_start_method,
                     )
                     result = ingester.ingest(self.store, accepted)
                     self.engine.index = result.index
-                    self.doc_term_matrix = result.matrix
-                    self.vocabulary = result.vocabulary
                     self.tracer.count(
                         "engine.documents_indexed", stored
                     )
-                    self.tracer.count(
-                        "ingest.cache_hits", result.sentence_hits
-                    )
-                    self.tracer.count(
-                        "ingest.cache_misses", result.sentence_misses
-                    )
+                    hits = result.sentence_hits
+                    misses = result.sentence_misses
+                else:
+                    hits = misses = 0
+                self.tracer.count("ingest.cache_hits", hits)
+                self.tracer.count("ingest.cache_misses", misses)
                 index_span.add_items(stored)
             gather_span.add_items(stored)
             self.tracer.count("gather.documents_stored", stored)
@@ -327,16 +268,13 @@ class DataGatherer:
                 "ingest.memory_bytes", memory - self._memory_counted
             )
             self._memory_counted = memory
-            if self.telemetry.enabled:
-                self.telemetry.record("ingest.docs", n=stored)
-                self.telemetry.record("ingest.pages", n=len(crawl.pages))
-                self.telemetry.record(
+            windows = self.tracer.windows
+            if windows is not None:
+                windows.record("ingest.docs", n=stored)
+                windows.record("ingest.pages", n=len(crawl.pages))
+                windows.record(
                     "ingest.dedup_skipped", n=skipped + near_skipped
                 )
-            if self.text_engine is not None:
-                stats = self.text_engine.stats()
-                self.tracer.count("ingest.cache_hits", stats.hits)
-                self.tracer.count("ingest.cache_misses", stats.misses)
         crawl_seconds = next(
             (
                 child.duration

@@ -1,26 +1,30 @@
-"""Pipeline observability: spans, counters, events, provenance, drift.
+"""Pipeline observability: one handle for spans, counters, events.
 
-Two complementary layers share this package:
+A :class:`Tracer` is the one instrumentation handle.  It carries:
 
-* the **measurement substrate** (PR 1) — :class:`Tracer` spans,
-  :class:`Registry` counters/histograms, :class:`StageReport`;
-* the **flight recorder** — :class:`EventLog` typed JSONL events,
-  :class:`ProvenanceGraph` alert explanation, Prometheus text export,
-  and :class:`DriftMonitor` train-vs-score checks.
+* the **measurement substrate** — spans, a :class:`Registry` of
+  counters and histograms, read back by :class:`StageReport`;
+* optionally the **flight recorder** — an :class:`EventLog` of typed
+  JSONL events, replayed by :class:`ProvenanceGraph` to explain an
+  alert;
+* optionally **windowed telemetry** — a :class:`Telemetry` hub of
+  rates and quantile sketches that the :class:`SloEngine` and the
+  Prometheus export read;
 
-Instrumented entry points (crawler, gatherer, search engine, training
-generator, classifiers, :class:`~repro.core.etap.Etap`, alert service,
-CLI) accept an optional :class:`Tracer` and/or :class:`EventLog`; the
-defaults :data:`NULL_TRACER` and :data:`NULL_EVENT_LOG` make the
-instrumentation free when it is off.
+all on one clock.  Instrumented entry points (crawler, gatherer,
+search engine, training generator, classifiers,
+:class:`~repro.core.etap.Etap`, alert service, stream processor,
+portal, CLI) take one optional ``tracer``; ``None`` means
+:data:`NULL_TRACER`, which makes the instrumentation free when it is
+off.  Components built from an ``Etap`` inherit ``etap.tracer``.
 
     from repro.obs import EventLog, ProvenanceGraph, Tracer
 
-    log = EventLog(sink="events.jsonl")
-    etap = Etap.from_web(web, event_log=log)
+    tracer = Tracer(recorder=EventLog(sink="events.jsonl"))
+    etap = Etap.from_web(web, tracer=tracer)
     etap.gather(); etap.train()
     ...
-    graph = ProvenanceGraph.from_events(log.events())
+    graph = ProvenanceGraph.from_events(tracer.recorder.events())
     print(graph.explain(alert_id).render())
 """
 
@@ -33,12 +37,9 @@ from repro.obs.drift import (
 )
 from repro.obs.events import (
     EVENT_TYPES,
-    NULL_EVENT_LOG,
     SCHEMA_VERSION,
-    AnyEventLog,
     Event,
     EventLog,
-    NullEventLog,
     read_events,
     validate_jsonl,
     validate_record,
@@ -81,9 +82,6 @@ from repro.obs.slo import (
     parse_slo_config,
 )
 from repro.obs.timeseries import (
-    NULL_TELEMETRY,
-    AnyTelemetry,
-    NullTelemetry,
     P2Quantile,
     QuantileSketch,
     Telemetry,
@@ -115,9 +113,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "Event",
     "EventLog",
-    "NullEventLog",
-    "NULL_EVENT_LOG",
-    "AnyEventLog",
     "read_events",
     "validate_jsonl",
     "validate_record",
@@ -137,9 +132,6 @@ __all__ = [
     "P2Quantile",
     "QuantileSketch",
     "Telemetry",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
-    "AnyTelemetry",
     "HISTOGRAM_EXACT_LIMIT",
     "SloSpec",
     "SloStatus",

@@ -10,15 +10,17 @@ be persisted as JSONL, validated against the schema, and replayed into
 a :class:`~repro.obs.provenance.ProvenanceGraph` that explains any
 alert back to the page that produced it.
 
-Instrumented code takes an optional ``event_log`` that defaults to
-:data:`NULL_EVENT_LOG`; as with the null tracer, the recorder-off path
-is a single no-op method call.
+Instrumented code emits through its
+:class:`~repro.obs.tracer.Tracer` (``tracer.emit``), which forwards to
+the log it carries; under the null tracer the recorder-off path is a
+single no-op method call.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -253,7 +255,8 @@ class EventLog:
     The ring (``capacity`` most recent events) keeps memory bounded on
     long runs; the file sink, when given, receives *every* event as one
     JSON line, so the durable record is complete even after the ring
-    wraps.
+    wraps.  Emission is serialized by a lock: serving threads share one
+    tracer, and unserialized writes tear sink lines and repeat ``seq``.
     """
 
     def __init__(
@@ -268,6 +271,7 @@ class EventLog:
         self.run_id = run_id or new_run_id()
         self.clock = clock or MonotonicClock()
         self._ring: deque[Event] = deque(maxlen=capacity)
+        self._lock = threading.Lock()
         self._seq = 0
         self._counts: Counter[str] = Counter()
         self._owns_sink = False
@@ -280,10 +284,6 @@ class EventLog:
                 self._sink = sink
 
     # -- recording ------------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return True
 
     def emit(
         self,
@@ -300,31 +300,26 @@ class EventLog:
             raise ValueError(
                 f"{event_type}: missing payload fields {sorted(missing)}"
             )
-        event = Event(
-            event_type=event_type,
-            run_id=self.run_id,
-            seq=self._seq,
-            ts=self.clock.now(),
-            payload=payload,
-            lineage_id=lineage_id,
-        )
-        self._seq += 1
-        self._counts[event_type] += 1
-        self._ring.append(event)
-        if self._sink is not None:
-            self._sink.write(event.to_json() + "\n")
+        with self._lock:
+            event = Event(
+                event_type=event_type,
+                run_id=self.run_id,
+                seq=self._seq,
+                ts=self.clock.now(),
+                payload=payload,
+                lineage_id=lineage_id,
+            )
+            self._seq += 1
+            self._counts[event_type] += 1
+            self._ring.append(event)
+            if self._sink is not None:
+                self._sink.write(event.to_json() + "\n")
         return event
 
     # -- reading --------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._ring)
-
-    def __bool__(self) -> bool:
-        # An empty recorder is still a recorder: without this, the
-        # ``event_log or NULL_EVENT_LOG`` wiring idiom would silently
-        # discard a fresh (len 0, hence falsy) log.
-        return True
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self._ring)
@@ -347,65 +342,20 @@ class EventLog:
     # -- sink lifecycle -------------------------------------------------------
 
     def flush(self) -> None:
-        if self._sink is not None:
-            self._sink.flush()
+        with self._lock:
+            if self._sink is not None:
+                self._sink.flush()
 
     def close(self) -> None:
-        if self._sink is not None:
-            self._sink.flush()
-            if self._owns_sink:
-                self._sink.close()
-            self._sink = None
+        with self._lock:
+            if self._sink is not None:
+                self._sink.flush()
+                if self._owns_sink:
+                    self._sink.close()
+                self._sink = None
 
     def __enter__(self) -> "EventLog":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-class NullEventLog:
-    """Zero-overhead stand-in: ``emit`` is a single no-op call."""
-
-    __slots__ = ()
-    run_id = ""
-
-    @property
-    def enabled(self) -> bool:
-        return False
-
-    def emit(self, event_type: str, lineage_id: str | None = None,
-             **payload) -> None:
-        return None
-
-    def events(self, event_type: str | None = None) -> list:
-        return []
-
-    def counts(self) -> dict[str, int]:
-        return {}
-
-    @property
-    def total_emitted(self) -> int:
-        return 0
-
-    def __len__(self) -> int:
-        return 0
-
-    def __bool__(self) -> bool:
-        return True  # same truthiness contract as EventLog
-
-    def __iter__(self):
-        return iter(())
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-#: Shared no-op event log; the default for every instrumented code path.
-NULL_EVENT_LOG = NullEventLog()
-
-#: Either the real event log or the null stand-in (duck-typed).
-AnyEventLog = EventLog | NullEventLog

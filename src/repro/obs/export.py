@@ -20,6 +20,8 @@ from __future__ import annotations
 import re
 
 from repro.obs.metrics import Registry
+from repro.obs.timeseries import Telemetry
+from repro.obs.tracer import AnyTracer
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SAMPLE_RE = re.compile(
@@ -131,7 +133,7 @@ def parse_prometheus_text(
 
 
 def telemetry_gauges(
-    telemetry,
+    hub: Telemetry,
     windows: tuple[float, ...] = (60.0, 300.0),
 ) -> dict[str, float]:
     """Windowed-rate + quantile gauges from a Telemetry hub.
@@ -140,23 +142,19 @@ def telemetry_gauges(
       rate over each trailing window;
     * ``window_mean{series="...",window="60s"}`` — windowed mean value;
     * ``quantile{sketch="...",q="0.99"}`` — lifetime sketch quantiles.
-
-    Empty under :data:`~repro.obs.timeseries.NULL_TELEMETRY`.
     """
     gauges: dict[str, float] = {}
-    if telemetry is None or not telemetry.enabled:
-        return gauges
-    now = telemetry.clock.now()
-    for name in telemetry.series_names:
-        series = telemetry.series(name)
+    now = hub.clock.now()
+    for name in hub.series_names:
+        series = hub.series(name)
         for seconds in windows:
             aggregate = series.window(seconds, now=now)
             suffix = f'series="{name}",window="{int(seconds)}s"'
             gauges[f"window_rate{{{suffix}}}"] = aggregate.rate
             if aggregate.count:
                 gauges[f"window_mean{{{suffix}}}"] = aggregate.mean
-    for name in telemetry.sketch_names:
-        sketch = telemetry.sketch(name)
+    for name in hub.sketch_names:
+        sketch = hub.sketch(name)
         for q in sketch.quantiles:
             gauges[f'quantile{{sketch="{name}",q="{q:g}"}}'] = (
                 sketch.quantile(q)
@@ -184,9 +182,8 @@ def slo_gauges(statuses) -> dict[str, float]:
 def derive_gauges(
     registry: Registry,
     scheduler=None,
-    event_log=None,
+    tracer: AnyTracer | None = None,
     portal=None,
-    telemetry=None,
     slo_statuses=None,
     portfolios=None,
 ) -> dict[str, float]:
@@ -202,7 +199,8 @@ def derive_gauges(
       driver, the classifier-drift headline number;
     * ``scheduler_queue_depth`` / ``scheduler_tracked_urls`` — revisit
       scheduler backlog, when a scheduler is provided;
-    * ``events_emitted`` — flight-recorder volume, when a log is given;
+    * ``events_emitted`` — flight-recorder volume, when ``tracer``
+      carries a recorder;
     * ``serve_cache_hit_rate`` / ``serve_rejection_rate`` — serving-
       layer health, from the ``serve.*`` counters;
     * ``serve_queue_depth`` / ``serve_generation`` /
@@ -216,8 +214,8 @@ def derive_gauges(
     * ``queries_portfolio_*{driver="..."}`` — per-driver planner
       results, when an iterable of
       :class:`~repro.queries.planner.Portfolio` is provided;
-    * plus :func:`telemetry_gauges` when ``telemetry`` is given and
-      :func:`slo_gauges` when ``slo_statuses`` is given.
+    * plus :func:`telemetry_gauges` when ``tracer`` carries windows
+      and :func:`slo_gauges` when ``slo_statuses`` is given.
     """
     counters = registry.counters
     gauges: dict[str, float] = {}
@@ -255,8 +253,9 @@ def derive_gauges(
         gauges["scheduler_queue_depth"] = float(scheduler.queue_depth)
         gauges["scheduler_tracked_urls"] = float(len(scheduler))
 
-    if event_log is not None and event_log.enabled:
-        gauges["events_emitted"] = float(event_log.total_emitted)
+    recorder = None if tracer is None else tracer.recorder
+    if recorder is not None:
+        gauges["events_emitted"] = float(recorder.total_emitted)
 
     hits = counters.get("serve.cache_hits", 0)
     misses = counters.get("serve.cache_misses", 0)
@@ -328,8 +327,9 @@ def derive_gauges(
                 portfolio.precision_at_budget
             )
 
-    if telemetry is not None:
-        gauges.update(telemetry_gauges(telemetry))
+    hub = None if tracer is None else tracer.windows
+    if hub is not None:
+        gauges.update(telemetry_gauges(hub))
     if slo_statuses is not None:
         gauges.update(slo_gauges(slo_statuses))
 

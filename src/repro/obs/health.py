@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.obs.clock import Clock, MonotonicClock
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
 from repro.obs.slo import SloEngine, SloStatus
+from repro.obs.tracer import NULL_TRACER, AnyTracer
 
 STATUS_OK = "ok"
 STATUS_DEGRADED = "degraded"
@@ -125,11 +125,11 @@ class HealthMonitor:
     def __init__(
         self,
         slo_engine: SloEngine | None = None,
-        event_log: AnyEventLog | None = None,
+        tracer: AnyTracer | None = None,
         clock: Clock | None = None,
     ) -> None:
         self.slo_engine = slo_engine
-        self.event_log = event_log or NULL_EVENT_LOG
+        self.tracer = NULL_TRACER if tracer is None else tracer
         self.clock = clock or MonotonicClock()
         self._probes: dict[str, Callable[[], ComponentHealth]] = {}
         self._last_status: str | None = None
@@ -194,7 +194,7 @@ class HealthMonitor:
             generated_at=now,
         )
         if self._last_status is not None and overall != self._last_status:
-            self.event_log.emit(
+            self.tracer.emit(
                 "health_transition",
                 status=overall,
                 previous=self._last_status,

@@ -9,20 +9,15 @@ pipeline run, not a metrics *server*.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.obs.timeseries import QuantileSketch
+from repro.obs.timeseries import DEFAULT_QUANTILES, QuantileSketch
 
-#: Observations a histogram stores exactly before spilling into a
-#: constant-memory quantile sketch.  Below this, behavior (including
-#: the raw ``values`` list) is identical to the original raw-storage
-#: implementation; at or above it, memory stops growing.
+#: Observations a histogram stores exactly before spilling into
+#: constant-memory P² markers.  Below this, the raw ``values`` list is
+#: kept and every statistic is exact; at or above it, memory stops
+#: growing.
 HISTOGRAM_EXACT_LIMIT = 4096
-
-#: Quantiles the spilled sketch tracks — must cover every percentile
-#: ``summary()`` reports so post-spill summaries stay marker-exact.
-_SKETCH_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
 
 @dataclass
@@ -39,103 +34,42 @@ class Counter:
         self.value += n
 
 
-class Histogram:
-    """Bounded observation store; summary stats computed on demand.
+class Histogram(QuantileSketch):
+    """A named :class:`~repro.obs.timeseries.QuantileSketch`.
 
-    Raw storage keeps the implementation exact (no bucket-boundary
-    error) at the scale a single pipeline run produces — but a soak run
-    observes millions of latencies, so storage is bounded: below
-    ``max_exact`` observations the raw ``values`` list is kept and every
-    statistic is exact; at the limit the values spill into a
-    constant-memory :class:`~repro.obs.timeseries.QuantileSketch` and
-    the list is emptied.  Count/total/min/max stay exact forever;
-    percentiles become P² marker estimates after the spill.
+    Raw values are kept until ``exact_threshold`` observations, so a
+    single pipeline run's statistics are exact (no bucket-boundary
+    error); past it the sketch spills to P² markers and memory stays
+    constant.  Count/total/min/max stay exact forever.  Adds the
+    percent-scale :meth:`percentile` and the report's :meth:`summary`.
     """
 
-    __slots__ = ("name", "values", "max_exact", "_sketch")
+    __slots__ = ("name",)
 
     def __init__(
-        self,
-        name: str,
-        values: list[float] | None = None,
-        max_exact: int = HISTOGRAM_EXACT_LIMIT,
+        self, name: str, exact_threshold: int = HISTOGRAM_EXACT_LIMIT
     ) -> None:
+        super().__init__(DEFAULT_QUANTILES, exact_threshold)
         self.name = name
-        self.values: list[float] = list(values) if values else []
-        self.max_exact = max_exact
-        self._sketch: QuantileSketch | None = None
-
-    def observe(self, value: float) -> None:
-        if self._sketch is not None:
-            self._sketch.observe(float(value))
-            return
-        self.values.append(float(value))
-        if len(self.values) >= self.max_exact:
-            self._spill()
-
-    def _spill(self) -> None:
-        """Hand the raw values to a bounded sketch and stop growing."""
-        sketch = QuantileSketch(
-            quantiles=_SKETCH_QUANTILES,
-            exact_threshold=0,  # already past exact territory
-        )
-        for value in self.values:
-            sketch.observe(value)
-        self._sketch = sketch
-        self.values.clear()
 
     @property
-    def exact(self) -> bool:
-        """Whether statistics still come from raw values."""
-        return self._sketch is None
-
-    @property
-    def count(self) -> int:
-        if self._sketch is not None:
-            return self._sketch.count
-        return len(self.values)
-
-    @property
-    def total(self) -> float:
-        if self._sketch is not None:
-            return self._sketch.total
-        return sum(self.values)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def minimum(self) -> float:
-        if self._sketch is not None:
-            return self._sketch.minimum
-        return min(self.values) if self.values else 0.0
-
-    @property
-    def maximum(self) -> float:
-        if self._sketch is not None:
-            return self._sketch.maximum
-        return max(self.values) if self.values else 0.0
+    def values(self) -> list[float]:
+        """Raw observations while exact; empty once spilled."""
+        return self._exact if self._exact is not None else []
 
     def percentile(self, q: float) -> float:
         """Percentile of the observations so far (``q`` in [0, 100]).
 
-        Exact nearest-rank below ``max_exact`` observations; a P²
-        estimate afterwards (``q`` 0/100 stay the exact min/max).
+        Exact nearest-rank below ``exact_threshold`` observations; a P²
+        estimate afterwards.  ``q`` 0/100 are always the exact min/max.
         """
         if not 0 <= q <= 100:
             raise ValueError("percentile must be in [0, 100]")
-        if self._sketch is not None:
-            if q <= 0:
-                return self._sketch.minimum
-            if q >= 100:
-                return self._sketch.maximum
-            return self._sketch.quantile(q / 100.0)
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        rank = max(int(math.ceil(q / 100 * len(ordered))) - 1, 0)
-        return ordered[rank]
+        if q == 0:
+            return self.minimum
+        if q == 100:
+            return self.maximum
+        return self.quantile(q / 100)
 
     def summary(self) -> dict[str, float]:
         return {

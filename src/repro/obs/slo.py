@@ -37,9 +37,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs.clock import Clock
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
-from repro.obs.timeseries import AnyTelemetry
+from repro.obs.tracer import Tracer
 
 #: Objective kinds ``SloSpec.objective`` accepts.
 OBJECTIVES = ("availability", "dead_letter_rate", "latency", "freshness")
@@ -196,39 +194,36 @@ def _clamp01(value: float) -> float:
 
 
 class SloEngine:
-    """Evaluates specs against a telemetry hub, emitting breaches.
+    """Evaluates specs against a tracer's telemetry, emitting breaches.
 
-    ``evaluate()`` is read-only with respect to the telemetry and cheap
-    enough to call per render frame; breach events are edge-triggered
-    per spec so a console polling every second does not flood the
-    flight recorder.
+    Reads ``tracer.windows`` and emits through ``tracer.emit`` on the
+    tracer's clock.  ``evaluate()`` is read-only with respect to the
+    telemetry and cheap enough to call per render frame; breach events
+    are edge-triggered per spec so a console polling every second does
+    not flood the flight recorder.
     """
 
-    def __init__(
-        self,
-        specs: list[SloSpec],
-        telemetry: AnyTelemetry,
-        event_log: AnyEventLog | None = None,
-        clock: Clock | None = None,
-    ) -> None:
+    def __init__(self, specs: list[SloSpec], tracer: Tracer) -> None:
         names = [spec.name for spec in specs]
         if len(names) != len(set(names)):
             raise ValueError("duplicate SLO names in spec list")
+        if tracer.windows is None:
+            raise ValueError("SloEngine needs a tracer with windows")
         self.specs = list(specs)
-        self.telemetry = telemetry
-        self.event_log = event_log or NULL_EVENT_LOG
-        self.clock = clock or getattr(telemetry, "clock", None)
+        self.tracer = tracer
+        self.windows = tracer.windows
+        self.clock = tracer.clock
         self._breaching: dict[str, bool] = {}
 
     def evaluate(self, now: float | None = None) -> list[SloStatus]:
         """Current status of every spec; emits edge-triggered breaches."""
-        if now is None and self.clock is not None:
+        if now is None:
             now = self.clock.now()
         statuses = [self._evaluate_spec(spec, now) for spec in self.specs]
         for status in statuses:
             was_breaching = self._breaching.get(status.name, False)
             if status.breaching and not was_breaching:
-                self.event_log.emit(
+                self.tracer.emit(
                     "slo_breach",
                     slo=status.name,
                     objective=status.spec.objective,
@@ -245,7 +240,7 @@ class SloEngine:
 
     def budgets(self, now: float | None = None) -> dict[str, float]:
         """``{spec name: budget fraction remaining}`` without emitting."""
-        if now is None and self.clock is not None:
+        if now is None:
             now = self.clock.now()
         return {
             spec.name: self._evaluate_spec(spec, now).budget_remaining
@@ -267,18 +262,18 @@ class SloEngine:
         self, spec: SloSpec, seconds: float, now: float | None
     ) -> tuple[float, int]:
         """(error ratio, total count) inside one window."""
-        total = self.telemetry.window(
+        total = self.windows.window(
             spec.total_series, seconds, now=now
         ).count
         if not total:
             return 0.0, 0
         if spec.objective == "availability":
-            good = self.telemetry.window(
+            good = self.windows.window(
                 spec.good_series, seconds, now=now
             ).count
             errors = max(0, total - good)
         else:
-            errors = self.telemetry.window(
+            errors = self.windows.window(
                 spec.bad_series, seconds, now=now
             ).count
         return min(1.0, errors / total), total
@@ -306,7 +301,7 @@ class SloEngine:
         )
 
     def _evaluate_latency(self, spec: SloSpec) -> SloStatus:
-        sketch = self.telemetry.sketch(spec.sketch)
+        sketch = self.windows.sketch(spec.sketch)
         observed = sketch.quantile(spec.quantile) if sketch.count else 0.0
         burn = observed / spec.target
         return SloStatus(
@@ -322,10 +317,10 @@ class SloEngine:
     def _evaluate_freshness(
         self, spec: SloSpec, now: float | None
     ) -> SloStatus:
-        fast = self.telemetry.window(
+        fast = self.windows.window(
             spec.series, spec.fast_window, now=now
         )
-        slow = self.telemetry.window(
+        slow = self.windows.window(
             spec.series, spec.slow_window, now=now
         )
         burn_fast = fast.maximum / spec.target

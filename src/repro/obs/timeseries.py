@@ -17,10 +17,9 @@ needs "how many, *lately*".  This module is that substrate:
   would give.
 * :class:`Telemetry` — the hub: named series and sketches created on
   first use, one shared :class:`~repro.obs.clock.Clock`.  Instrumented
-  code takes an optional ``telemetry`` that defaults to
-  :data:`NULL_TELEMETRY`; as with the null tracer and null event log,
-  the telemetry-off path is a single no-op method call (guarded by
-  ``enabled`` at busier call sites).
+  code reaches it as ``tracer.windows`` on its
+  :class:`~repro.obs.tracer.Tracer`; the telemetry-off path is one
+  ``tracer.windows is not None`` check.
 
 The SLO engine (:mod:`repro.obs.slo`) and the health monitor
 (:mod:`repro.obs.health`) read exclusively through this layer.
@@ -452,15 +451,6 @@ class Telemetry:
         self._series: dict[str, TimeSeries] = {}
         self._sketches: dict[str, QuantileSketch] = {}
 
-    @property
-    def enabled(self) -> bool:
-        return True
-
-    def __bool__(self) -> bool:
-        # Same truthiness contract as EventLog: a fresh hub must
-        # survive the ``telemetry or NULL_TELEMETRY`` wiring idiom.
-        return True
-
     # -- access ---------------------------------------------------------------
 
     def series(self, name: str) -> TimeSeries:
@@ -547,99 +537,3 @@ class Telemetry:
                 for name, sketch in sorted(self._sketches.items())
             },
         }
-
-
-class _NullSeries:
-    """Inert series handed out by the null telemetry hub."""
-
-    __slots__ = ()
-    name = ""
-    interval = 1.0
-    capacity_seconds = 0.0
-
-    def record(self, value: float = 1.0, n: int = 1,
-               now: float | None = None) -> None:
-        pass
-
-    def window(self, seconds: float,
-               now: float | None = None) -> WindowAggregate:
-        return WindowAggregate(seconds=seconds)
-
-    def rate(self, seconds: float, now: float | None = None) -> float:
-        return 0.0
-
-
-class _NullSketch:
-    """Inert sketch handed out by the null telemetry hub."""
-
-    __slots__ = ()
-    quantiles: tuple[float, ...] = ()
-    count = 0
-    total = 0.0
-    mean = 0.0
-    minimum = 0.0
-    maximum = 0.0
-    exact = True
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    def summary(self) -> dict[str, float]:
-        return {}
-
-
-_NULL_SERIES = _NullSeries()
-_NULL_SKETCH = _NullSketch()
-
-
-class NullTelemetry:
-    """Zero-overhead stand-in: recording is a single no-op call."""
-
-    __slots__ = ()
-    series_names: list[str] = []
-    sketch_names: list[str] = []
-
-    @property
-    def enabled(self) -> bool:
-        return False
-
-    def __bool__(self) -> bool:
-        return True  # same truthiness contract as Telemetry
-
-    def series(self, name: str) -> _NullSeries:
-        return _NULL_SERIES
-
-    def sketch(self, name: str) -> _NullSketch:
-        return _NULL_SKETCH
-
-    def record(self, name: str, value: float = 1.0, n: int = 1,
-               now: float | None = None) -> None:
-        pass
-
-    def observe(self, name: str, value: float,
-                now: float | None = None) -> None:
-        pass
-
-    def window(self, name: str, seconds: float,
-               now: float | None = None) -> WindowAggregate:
-        return WindowAggregate(seconds=seconds)
-
-    def rate(self, name: str, seconds: float,
-             now: float | None = None) -> float:
-        return 0.0
-
-    def quantile(self, name: str, q: float) -> float:
-        return 0.0
-
-    def snapshot(self, windows: tuple[float, ...] = (60.0,)) -> dict:
-        return {"series": {}, "sketches": {}}
-
-
-#: Shared no-op telemetry hub; the default for instrumented code paths.
-NULL_TELEMETRY = NullTelemetry()
-
-#: Either the real hub or the null stand-in (duck-typed).
-AnyTelemetry = Telemetry | NullTelemetry

@@ -1,6 +1,7 @@
-"""Tracing spans over the pipeline's stages.
+"""The one observability handle: spans, metrics, events, windows.
 
-A :class:`Tracer` records a tree of named :class:`Span` objects::
+A :class:`Tracer` records a tree of named :class:`Span` objects plus
+counters and histograms in a :class:`~repro.obs.metrics.Registry`::
 
     tracer = Tracer()
     with tracer.span("gather"):
@@ -8,10 +9,16 @@ A :class:`Tracer` records a tree of named :class:`Span` objects::
             span.add_items(n_pages)
     report = StageReport.from_tracer(tracer)
 
-Instrumented library code takes an optional ``tracer`` argument that
-defaults to the module-level :data:`NULL_TRACER` — a no-op object whose
-``span`` returns a single preallocated context manager, so the
-uninstrumented hot path pays one attribute lookup and nothing else.
+It optionally carries the flight recorder (an
+:class:`~repro.obs.events.EventLog`, fed by :meth:`Tracer.emit`) and
+windowed telemetry (a :class:`~repro.obs.timeseries.Telemetry`, read
+and written through ``tracer.windows``); both share the tracer's clock.
+
+Instrumented library code takes one optional ``tracer`` argument;
+``None`` means the module-level :data:`NULL_TRACER` — a no-op object
+whose ``span`` returns a single preallocated context manager and whose
+``emit`` does nothing, so the uninstrumented hot path pays one method
+call and nothing else.
 """
 
 from __future__ import annotations
@@ -20,7 +27,9 @@ from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 
 from repro.obs.clock import Clock, MonotonicClock
+from repro.obs.events import EventLog
 from repro.obs.metrics import Registry
+from repro.obs.timeseries import Telemetry
 
 
 @dataclass
@@ -82,21 +91,42 @@ class _SpanContext(AbstractContextManager):
 
 
 class Tracer:
-    """Collects a forest of spans plus counters and histograms."""
+    """Collects spans, counters and histograms; optionally events and
+    windowed telemetry.
+
+    ``recorder`` is the flight recorder behind :meth:`emit`;
+    ``windows`` the telemetry hub the SLO engine reads.  Every part
+    runs on one clock: ``clock`` when given, else the windows' clock,
+    else the recorder's; attach parts before they record.
+    """
 
     def __init__(
         self,
         clock: Clock | None = None,
         registry: Registry | None = None,
+        recorder: EventLog | None = None,
+        windows: Telemetry | None = None,
     ) -> None:
-        self.clock = clock or MonotonicClock()
-        self.registry = registry or Registry()
+        parts = [part for part in (windows, recorder) if part is not None]
+        if clock is None:
+            clock = parts[0].clock if parts else MonotonicClock()
+        for part in parts:
+            part.clock = clock
+        self.clock = clock
+        self.registry = Registry() if registry is None else registry
+        self.recorder = recorder
+        self.windows = windows
         self.roots: list[Span] = []
         self._stack: list[Span] = []
 
     @property
     def enabled(self) -> bool:
         return True
+
+    @property
+    def recording(self) -> bool:
+        """Whether :meth:`emit` reaches a flight recorder."""
+        return self.recorder is not None
 
     @property
     def current(self) -> Span | None:
@@ -146,6 +176,15 @@ class Tracer:
         the stage tree; the histogram keeps the distribution instead.
         """
         return _TimedContext(self, name)
+
+    # -- events ---------------------------------------------------------------
+
+    def emit(
+        self, event_type: str, lineage_id: str | None = None, **payload
+    ) -> None:
+        """Record one flight-recorder event (dropped without a recorder)."""
+        if self.recorder is not None:
+            self.recorder.emit(event_type, lineage_id, **payload)
 
 
 class _TimedContext(AbstractContextManager):
@@ -204,9 +243,15 @@ class NullTracer:
     """
 
     __slots__ = ()
+    recorder = None
+    windows = None
 
     @property
     def enabled(self) -> bool:
+        return False
+
+    @property
+    def recording(self) -> bool:
         return False
 
     @property
@@ -230,6 +275,11 @@ class NullTracer:
         pass
 
     def observe(self, name: str, value: float) -> None:
+        pass
+
+    def emit(
+        self, event_type: str, lineage_id: str | None = None, **payload
+    ) -> None:
         pass
 
 

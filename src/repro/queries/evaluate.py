@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from repro.corpus.generator import driver_for_doc_type
 from repro.gather.store import DocumentStore
-from repro.obs.events import NULL_EVENT_LOG
 from repro.obs.tracer import NULL_TRACER
 from repro.queries.generate import QueryCandidate
 from repro.search.engine import SearchEngine
@@ -79,13 +78,11 @@ class QueryEvaluator:
         ground_truth: StoreGroundTruth,
         top_k: int = 40,
         tracer=None,
-        event_log=None,
     ) -> None:
         self.engine = engine
         self.ground_truth = ground_truth
         self.top_k = top_k
-        self.tracer = tracer or NULL_TRACER
-        self.event_log = event_log or NULL_EVENT_LOG
+        self.tracer = NULL_TRACER if tracer is None else tracer
 
     def evaluate(self, candidate: QueryCandidate) -> CandidateEvaluation:
         results = self.engine.search(candidate.query, top_k=self.top_k)
@@ -99,7 +96,7 @@ class QueryEvaluator:
             candidate=candidate, docs=docs, relevant=relevant
         )
         self.tracer.count("queries.candidates_evaluated")
-        self.event_log.emit(
+        self.tracer.emit(
             "query_candidate_evaluated",
             driver_id=candidate.driver_id,
             query=candidate.query,

@@ -225,7 +225,7 @@ class CandidateGenerator:
             dict(lexicons) if lexicons is not None else default_lexicons()
         )
         self.max_candidates = max_candidates
-        self.tracer = tracer or NULL_TRACER
+        self.tracer = NULL_TRACER if tracer is None else tracer
 
     def generate(self, driver: SalesDriver) -> list[QueryCandidate]:
         """Candidates for one driver: seeds first, then expansions.

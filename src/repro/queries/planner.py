@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from repro.obs.events import NULL_EVENT_LOG
 from repro.obs.tracer import NULL_TRACER
 from repro.queries.evaluate import CandidateEvaluation, seed_evaluations
 
@@ -140,12 +139,10 @@ class PortfolioPlanner:
         config: PlannerConfig | None = None,
         weights: FeedbackWeights | None = None,
         tracer=None,
-        event_log=None,
     ) -> None:
         self.config = config or PlannerConfig()
         self.weights = weights or FeedbackWeights()
-        self.tracer = tracer or NULL_TRACER
-        self.event_log = event_log or NULL_EVENT_LOG
+        self.tracer = NULL_TRACER if tracer is None else tracer
 
     def _gain(
         self,
@@ -264,7 +261,7 @@ class PortfolioPlanner:
         self.tracer.count(
             "queries.pages_budgeted", portfolio.total_cost
         )
-        self.event_log.emit(
+        self.tracer.emit(
             "portfolio_selected",
             driver_id=portfolio.driver_id,
             budget=portfolio.budget,
@@ -284,7 +281,6 @@ def plan_driver(
     config: PlannerConfig | None = None,
     weights: FeedbackWeights | None = None,
     tracer=None,
-    event_log=None,
 ) -> tuple[Portfolio, Portfolio, list[CandidateEvaluation]]:
     """Generate, evaluate, and plan one driver end to end.
 
@@ -297,7 +293,6 @@ def plan_driver(
         config=config,
         weights=weights,
         tracer=tracer,
-        event_log=event_log,
     )
     planned = planner.plan(driver.driver_id, evaluations)
     baseline = planner.baseline(driver.driver_id, evaluations)

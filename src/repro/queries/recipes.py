@@ -28,7 +28,6 @@ from repro.corpus.generator import (
     CorpusConfig,
 )
 from repro.corpus.web import build_web
-from repro.obs.events import NULL_EVENT_LOG
 from repro.obs.tracer import NULL_TRACER
 from repro.queries.evaluate import QueryEvaluator, StoreGroundTruth
 from repro.queries.generate import CandidateGenerator
@@ -351,11 +350,9 @@ def plan_portfolios(
     settings: PlannerSettings,
     weights: FeedbackWeights | None = None,
     tracer=None,
-    event_log=None,
 ) -> dict[str, DriverPlan]:
     """Generate/evaluate/plan a portfolio for every driver of an Etap."""
-    tracer = tracer or NULL_TRACER
-    event_log = event_log or NULL_EVENT_LOG
+    tracer = NULL_TRACER if tracer is None else tracer
     generator = CandidateGenerator(
         max_candidates=settings.max_candidates, tracer=tracer
     )
@@ -364,7 +361,6 @@ def plan_portfolios(
         StoreGroundTruth(etap.store),
         top_k=settings.top_k,
         tracer=tracer,
-        event_log=event_log,
     )
     planner = PortfolioPlanner(
         config=PlannerConfig(
@@ -372,7 +368,6 @@ def plan_portfolios(
         ),
         weights=weights,
         tracer=tracer,
-        event_log=event_log,
     )
     plans: dict[str, DriverPlan] = {}
     for driver in etap.drivers:
@@ -390,12 +385,10 @@ def plan_portfolios(
 def run_recipe(
     recipe: Recipe,
     tracer=None,
-    event_log=None,
     n_docs: int | None = None,
 ) -> RecipeResult:
     """Execute a recipe end to end; ``n_docs`` overrides the corpus size."""
-    tracer = tracer or NULL_TRACER
-    event_log = event_log or NULL_EVENT_LOG
+    tracer = NULL_TRACER if tracer is None else tracer
     mix = recipe.corpus_mix()
     web = build_web(
         n_docs or recipe.n_docs,
@@ -414,14 +407,13 @@ def run_recipe(
             negative_sample_size=recipe.negative_sample_size,
         ),
         tracer=tracer,
-        event_log=event_log,
     )
     gather_report = etap.gather()
 
     plans: dict[str, DriverPlan] = {}
     if recipe.planner.enabled:
         plans = plan_portfolios(
-            etap, recipe.planner, tracer=tracer, event_log=event_log
+            etap, recipe.planner, tracer=tracer
         )
         # Train on the planned portfolios; an empty portfolio (nothing
         # gained under this budget) falls back to the hand-written
@@ -447,7 +439,6 @@ def run_recipe(
         service = AlertService(
             etap,
             threshold=recipe.alerts.threshold,
-            event_log=event_log,
         )
         evolver = WebEvolver(
             web, CorpusConfig(seed=recipe.seed + 1, mix=mix)

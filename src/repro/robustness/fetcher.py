@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from urllib.parse import urlparse
 
 from repro.corpus.web import Page
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
-from repro.obs.timeseries import NULL_TELEMETRY, AnyTelemetry
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.robustness.faults import DeadLinkError, FetchError
 
@@ -167,17 +165,13 @@ class ResilientFetcher:
         breaker_cool_off: float = 8.0,
         seed: int = 0,
         tracer: AnyTracer | None = None,
-        event_log: AnyEventLog | None = None,
-        telemetry: AnyTelemetry | None = None,
     ) -> None:
         self.web = web
         self.policy = policy or RetryPolicy()
         self.failure_threshold = failure_threshold
         self.breaker_cool_off = breaker_cool_off
         self.seed = seed
-        self.tracer = tracer or NULL_TRACER
-        self.event_log = event_log or NULL_EVENT_LOG
-        self.telemetry = telemetry or NULL_TELEMETRY
+        self.tracer = NULL_TRACER if tracer is None else tracer
         self._breakers: dict[str, CircuitBreaker] = {}
         self.dead_letters: list[DeadLetter] = []
         # Webs with a simulated clock (FaultyWeb) share it, so backoff
@@ -224,10 +218,11 @@ class ResilientFetcher:
         non-``ok`` outcome the caller can step over.
         """
         outcome = self._fetch(url)
-        if self.telemetry.enabled:
+        windows = self.tracer.windows
+        if windows is not None:
             # Outcome-level, not attempt-level: a URL that succeeds
             # after retries should not count against availability.
-            record = self.telemetry.record
+            record = windows.record
             record("fetch.outcomes")
             if outcome.ok:
                 record("fetch.ok")
@@ -265,7 +260,7 @@ class ResilientFetcher:
                     break
                 wait = self._wait(url, outcome, previous_wait)
                 previous_wait = wait
-                self.event_log.emit(
+                self.tracer.emit(
                     "fetch_retry",
                     url=url,
                     attempt=outcome.attempts,
@@ -279,7 +274,7 @@ class ResilientFetcher:
                 closing = breaker.state != CircuitBreaker.CLOSED
                 breaker.record_success()
                 if closing:
-                    self.event_log.emit("breaker_close", host=host)
+                    self.tracer.emit("breaker_close", host=host)
                     self.tracer.count("fetch.breaker_closes")
                 outcome.page = page
                 degraded = getattr(self.web, "is_degraded", None)
@@ -316,7 +311,7 @@ class ResilientFetcher:
         was_open = breaker.state == CircuitBreaker.OPEN
         breaker.record_failure(self.now)
         if breaker.state == CircuitBreaker.OPEN and not was_open:
-            self.event_log.emit(
+            self.tracer.emit(
                 "breaker_open", host=host, failures=breaker.failures
             )
             self.tracer.count("fetch.breaker_opens")
@@ -332,7 +327,7 @@ class ResilientFetcher:
             url=outcome.url, reason=reason, attempts=outcome.attempts
         )
         self.dead_letters.append(letter)
-        self.event_log.emit(
+        self.tracer.emit(
             "fetch_dead_letter",
             url=outcome.url,
             reason=reason,

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.corpus.web import FRONT_PAGE_URL, Page, SyntheticWeb
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.robustness.faults import FetchError
 from repro.robustness.fetcher import ResilientFetcher
@@ -77,7 +76,6 @@ class FocusedCrawler:
         max_pages: int = 500,
         max_depth: int = 6,
         tracer: AnyTracer | None = None,
-        event_log: AnyEventLog | None = None,
         fetcher: ResilientFetcher | None = None,
     ) -> None:
         if max_pages <= 0:
@@ -86,8 +84,7 @@ class FocusedCrawler:
         self.scorer = scorer
         self.max_pages = max_pages
         self.max_depth = max_depth
-        self.tracer = tracer or NULL_TRACER
-        self.event_log = event_log or NULL_EVENT_LOG
+        self.tracer = NULL_TRACER if tracer is None else tracer
         #: When set, all fetches go through the resilient path
         #: (retries, circuit breaking, dead-lettering).
         self.fetcher = fetcher
@@ -118,7 +115,7 @@ class FocusedCrawler:
                     continue  # failed permanently; crawl around it
                 result.pages.append(page)
                 result.fetch_order.append(url)
-                self.event_log.emit(
+                self.tracer.emit(
                     "page_crawled",
                     lineage_id=(
                         page.document.doc_id if page.document else None

@@ -20,7 +20,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.search.index import InvertedIndex, doc_runs, normalize_term
 from repro.search.scoring import PHRASE_BOOST, bm25
@@ -78,12 +77,10 @@ class SearchEngine:
         self,
         index: InvertedIndex | None = None,
         tracer: AnyTracer | None = None,
-        event_log: AnyEventLog | None = None,
         text_engine: AnnotationEngine | None = None,
     ) -> None:
         self.index = index or InvertedIndex()
-        self.tracer = tracer or NULL_TRACER
-        self.event_log = event_log or NULL_EVENT_LOG
+        self.tracer = NULL_TRACER if tracer is None else tracer
         #: Shared annotate-once engine: index terms come from its
         #: content-keyed cache, so a document tokenized anywhere in the
         #: pipeline is never re-tokenized when it reaches the index.
@@ -118,7 +115,6 @@ class SearchEngine:
         return SearchEngine(
             index=self.index.clone(),
             tracer=self.tracer,
-            event_log=self.event_log,
             text_engine=self.text_engine,
         )
 
@@ -138,7 +134,7 @@ class SearchEngine:
             results = self._search(query, top_k)
         self.tracer.count("engine.searches")
         self.tracer.observe("engine.results_per_search", len(results))
-        self.event_log.emit(
+        self.tracer.emit(
             "search_executed", query=query, n_results=len(results)
         )
         return results

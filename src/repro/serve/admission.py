@@ -122,7 +122,7 @@ class AdmissionController:
         self.burst = burst
         self.max_pending = max_pending
         self.clock = clock or default_clock()
-        self.tracer = tracer or NULL_TRACER
+        self.tracer = NULL_TRACER if tracer is None else tracer
         self.quotas = dict(quotas or {})
         for client_id, quota in self.quotas.items():
             if not 0.0 <= quota <= 1.0:

@@ -26,7 +26,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
+from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.serve.timebase import clock_now, default_clock
 
 #: Returned by :meth:`QueryCache.get` on a miss (``None`` is a value).
@@ -67,7 +67,7 @@ class QueryCache:
         max_cost: float = 65_536.0,
         ttl: float = 30.0,
         clock=None,
-        event_log: AnyEventLog | None = None,
+        tracer: AnyTracer | None = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
@@ -79,7 +79,7 @@ class QueryCache:
         self.max_cost = max_cost
         self.ttl = ttl
         self.clock = clock or default_clock()
-        self.event_log = event_log or NULL_EVENT_LOG
+        self.tracer = NULL_TRACER if tracer is None else tracer
         self._entries: OrderedDict[object, _Entry] = OrderedDict()
         self._total_cost = 0.0
         self._lock = threading.Lock()
@@ -144,7 +144,7 @@ class QueryCache:
                 return MISS
             self._stats.stale_reads += 1
             value = entry.value
-        self.event_log.emit("degraded_read", source="query_cache")
+        self.tracer.emit("degraded_read", source="query_cache")
         return value
 
     def put(

@@ -30,8 +30,6 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.core.alerts import Alert
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
-from repro.obs.timeseries import NULL_TELEMETRY, AnyTelemetry
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.search.engine import SearchResult
 from repro.serve.admission import AdmissionController
@@ -116,9 +114,7 @@ class AlertPortal:
         serve_stale_on_overload: bool = True,
         clock=None,
         tracer: AnyTracer | None = None,
-        event_log: AnyEventLog | None = None,
         text_engine=None,
-        telemetry: AnyTelemetry | None = None,
         n_replicas: int = 1,
         hedge_after: float = 0.05,
         fail_after: float = 0.8,
@@ -132,21 +128,18 @@ class AlertPortal:
         self.store = store
         self.alert_service = alert_service
         self.clock = clock or default_clock()
-        self.tracer = tracer or NULL_TRACER
-        self.event_log = event_log or NULL_EVENT_LOG
-        self.telemetry = telemetry or NULL_TELEMETRY
+        self.tracer = NULL_TRACER if tracer is None else tracer
         self.serve_stale_on_overload = serve_stale_on_overload
         self.shards = ShardedIndex(
             n_shards=n_shards,
             tracer=self.tracer,
-            event_log=self.event_log,
             text_engine=text_engine,
         )
         #: Doc ids present in the currently installed snapshot — what
         #: :meth:`refresh` diffs against to index only the delta.
         self._indexed_doc_ids: set[str] = set()
         self.cache = cache or QueryCache(
-            clock=self.clock, event_log=self.event_log
+            clock=self.clock, tracer=self.tracer
         )
         self.admission = admission or AdmissionController(
             clock=self.clock, tracer=self.tracer, quotas=quotas
@@ -162,7 +155,6 @@ class AlertPortal:
                 n_replicas=n_replicas,
                 failure_threshold=replica_failure_threshold,
                 cool_off=replica_cool_off,
-                event_log=self.event_log,
                 tracer=self.tracer,
             )
             self.router = HedgedRouter(
@@ -173,7 +165,6 @@ class AlertPortal:
                 fault_profile=replica_fault_profile,
                 seed=fault_seed,
                 clock=self.clock,
-                event_log=self.event_log,
                 tracer=self.tracer,
             )
         self.workers = WorkerPool(
@@ -194,12 +185,8 @@ class AlertPortal:
     def from_etap(cls, etap, alert_service=None, **kwargs) -> "AlertPortal":
         """Build a portal over an Etap's store (and optional service)."""
         kwargs.setdefault("tracer", etap.tracer)
-        kwargs.setdefault("event_log", etap.event_log)
         kwargs.setdefault(
             "text_engine", getattr(etap, "text_engine", None)
-        )
-        kwargs.setdefault(
-            "telemetry", getattr(etap, "telemetry", None)
         )
         portal = cls(etap.store, alert_service=alert_service, **kwargs)
         portal.refresh()
@@ -363,7 +350,7 @@ class AlertPortal:
         self, client_id: str, key, reason: str, started: float
     ) -> QueryResponse:
         """Rejected by admission: degrade to stale cache if allowed."""
-        self.event_log.emit(
+        self.tracer.emit(
             "query_rejected", client_id=client_id, reason=reason
         )
         if self.serve_stale_on_overload:
@@ -407,20 +394,21 @@ class AlertPortal:
         else:
             latency = max(0.0, clock_now(self.clock) - started)
         self.tracer.observe("serve.latency_seconds", latency)
-        if self.telemetry.enabled:
+        windows = self.tracer.windows
+        if windows is not None:
             # One windowed request per response, whatever the status:
             # serve-availability = serve.ok / serve.requests.
-            self.telemetry.record("serve.requests")
+            windows.record("serve.requests")
             if status in (STATUS_OK, STATUS_STALE):
-                self.telemetry.record("serve.ok")
+                windows.record("serve.ok")
             elif status == STATUS_REJECTED:
-                self.telemetry.record("serve.rejected")
+                windows.record("serve.rejected")
             if cached:
-                self.telemetry.record("serve.cache_hits")
+                windows.record("serve.cache_hits")
             if degraded:
-                self.telemetry.record("serve.degraded")
-            self.telemetry.observe("serve.latency", latency)
-        self.event_log.emit(
+                windows.record("serve.degraded")
+            windows.observe("serve.latency", latency)
+        self.tracer.emit(
             "query_served",
             client_id=client_id,
             query=key.query,
@@ -519,7 +507,7 @@ class AlertPortal:
             subscription.delivered.update(
                 alert.alert_id for alert in fresh
             )
-        self.event_log.emit(
+        self.tracer.emit(
             "subscription_polled",
             subscription_id=subscription_id,
             n_alerts=len(fresh),

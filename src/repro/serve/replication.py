@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.robustness.fetcher import CircuitBreaker
 from repro.search.engine import SearchEngine
@@ -229,13 +228,11 @@ class ReplicaSet:
         history: int = DEFAULT_HISTORY,
         failure_threshold: int = 3,
         cool_off: float = 2.0,
-        event_log: AnyEventLog | None = None,
         tracer: AnyTracer | None = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        self.event_log = event_log or NULL_EVENT_LOG
-        self.tracer = tracer or NULL_TRACER
+        self.tracer = NULL_TRACER if tracer is None else tracer
         self.groups = [
             ReplicaGroup(
                 shard=shard,
@@ -281,7 +278,7 @@ class ReplicaSet:
     def kill(self, shard: int, index: int) -> Replica:
         replica = self.groups[shard].kill(index)
         self.tracer.count("serve.replica_kills")
-        self.event_log.emit(
+        self.tracer.emit(
             "replica_down", shard=shard, replica=replica.replica_id
         )
         return replica
@@ -292,7 +289,7 @@ class ReplicaSet:
         lag = self.groups[shard].lag(index)
         replica = self.groups[shard].restore(index, catch_up=catch_up)
         self.tracer.count("serve.replica_restores")
-        self.event_log.emit(
+        self.tracer.emit(
             "replica_restored",
             shard=shard,
             replica=replica.replica_id,

@@ -45,7 +45,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.robustness.fetcher import CircuitBreaker
 from repro.robustness.faults import FaultProfile, _unit
@@ -110,7 +109,6 @@ class HedgedRouter:
         fault_profile: FaultProfile | None = None,
         seed: int = 0,
         clock=None,
-        event_log: AnyEventLog | None = None,
         tracer: AnyTracer | None = None,
         chaos=None,
     ) -> None:
@@ -125,8 +123,7 @@ class HedgedRouter:
         self.fault_profile = fault_profile
         self.seed = seed
         self.clock = clock or default_clock()
-        self.event_log = event_log or NULL_EVENT_LOG
-        self.tracer = tracer or NULL_TRACER
+        self.tracer = NULL_TRACER if tracer is None else tracer
         #: Optional :class:`~repro.serve.replication.ChaosMonkey`,
         #: ticked inline before each route.
         self.chaos = chaos
@@ -149,7 +146,7 @@ class HedgedRouter:
             target = self._target_generation(latest)
             degraded = 0 < target < latest
             if degraded:
-                self.event_log.emit(
+                self.tracer.emit(
                     "degraded_read", source="stale_replica"
                 )
 
@@ -170,7 +167,7 @@ class HedgedRouter:
                     engine = group.shipped_engine(target)
                     degraded = True
                     self.tracer.count("serve.degraded_reads")
-                    self.event_log.emit(
+                    self.tracer.emit(
                         "degraded_read",
                         source="replica_group",
                         shard=group.shard,
@@ -343,7 +340,7 @@ class HedgedRouter:
         # deadline.  The track fails over serially, so in-flight
         # requests never exceed primary + one hedge.
         hedge_started = started + self.hedge_after
-        self.event_log.emit(
+        self.tracer.emit(
             "query_hedged",
             query=query,
             shard=group.shard,
@@ -456,7 +453,7 @@ class HedgedRouter:
         was = replica.breaker.state
         replica.breaker.record_success()
         if was != CircuitBreaker.CLOSED:
-            self.event_log.emit(
+            self.tracer.emit(
                 "breaker_close", host=replica.replica_id
             )
 
@@ -472,7 +469,7 @@ class HedgedRouter:
             and was != CircuitBreaker.OPEN
         ):
             self.tracer.count("serve.replica_breaker_opens")
-            self.event_log.emit(
+            self.tracer.emit(
                 "breaker_open",
                 host=replica.replica_id,
                 failures=replica.breaker.failures,

@@ -30,7 +30,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.search.engine import SearchEngine, SearchResult
 from repro.text.engine import AnnotationEngine
@@ -97,14 +96,12 @@ class ShardedIndex:
         self,
         n_shards: int = 4,
         tracer: AnyTracer | None = None,
-        event_log: AnyEventLog | None = None,
         text_engine: AnnotationEngine | None = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.n_shards = n_shards
-        self.tracer = tracer or NULL_TRACER
-        self.event_log = event_log or NULL_EVENT_LOG
+        self.tracer = NULL_TRACER if tracer is None else tracer
         #: Shared annotate-once engine: every rebuild re-tokenizes the
         #: same document texts, so with the pipeline's engine attached a
         #: full rebuild is served from the content-keyed term cache.
@@ -226,7 +223,7 @@ class ShardedIndex:
 
     def _announce_swap(self, snapshot: IndexSnapshot) -> None:
         self.tracer.count("serve.snapshot_swaps")
-        self.event_log.emit(
+        self.tracer.emit(
             "snapshot_swapped",
             generation=snapshot.generation,
             n_docs=snapshot.n_docs,

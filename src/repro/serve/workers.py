@@ -60,7 +60,7 @@ class WorkerPool:
             raise ValueError("max_workers must be >= 1")
         self.worker_fn = worker_fn
         self.clock = clock or default_clock()
-        self.tracer = tracer or NULL_TRACER
+        self.tracer = NULL_TRACER if tracer is None else tracer
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="serve-worker"
         )

@@ -45,9 +45,6 @@ from repro.core.etap import Etap
 from repro.core.persistence import CheckpointStore, WriteAheadLog
 from repro.core.ranking import make_trigger_events, rank_events
 from repro.gather.store import StoredDocument
-from repro.obs.events import NULL_EVENT_LOG, AnyEventLog
-from repro.obs.timeseries import NULL_TELEMETRY, AnyTelemetry
-from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.serve.shards import ShardedIndex
 from repro.stream.source import DocumentStream, MicroBatch, StreamDocument
 
@@ -166,9 +163,6 @@ class StreamProcessor:
         checkpoint_every: int = 1,
         threshold: float | None = None,
         n_shards: int = 2,
-        tracer: AnyTracer | None = None,
-        event_log: AnyEventLog | None = None,
-        telemetry: AnyTelemetry | None = None,
         _build_index: bool = True,
     ) -> None:
         if not etap.classifiers:
@@ -188,19 +182,13 @@ class StreamProcessor:
             etap.config.trigger_threshold if threshold is None
             else threshold
         )
-        self.tracer = tracer or etap.tracer or NULL_TRACER
-        self.event_log = (
-            event_log if event_log is not None else etap.event_log
-        ) or NULL_EVENT_LOG
-        self.telemetry = (
-            telemetry if telemetry is not None
-            else getattr(etap, "telemetry", None)
-        ) or NULL_TELEMETRY
+        #: The Etap's handle: spans, events and windowed telemetry of
+        #: the stream land beside the batch pipeline's.
+        self.tracer = etap.tracer
         #: Serve-facing delta-generation index over the full store.
         self.index = ShardedIndex(
             n_shards=n_shards,
             tracer=self.tracer,
-            event_log=self.event_log,
             text_engine=etap.text_engine,
         )
         if _build_index:
@@ -242,9 +230,8 @@ class StreamProcessor:
             n_docs=len(batch.documents),
             watermark=self.watermark,
         )
-        batch_started = (
-            self.telemetry.clock.now() if self.telemetry.enabled else 0.0
-        )
+        windows = self.tracer.windows
+        batch_started = windows.clock.now() if windows is not None else 0.0
         with self.tracer.span("stream.batch") as span:
             on_time: list[StreamDocument] = []
             n_late = 0
@@ -282,20 +269,19 @@ class StreamProcessor:
             self.checkpoint()
             checkpointed = True
 
-        if self.telemetry.enabled:
-            telemetry = self.telemetry
-            telemetry.record("stream.docs", n=len(ingested))
-            telemetry.record("stream.late", n=n_late)
-            telemetry.record("stream.alerts", n=len(alerts))
-            telemetry.observe(
+        if windows is not None:
+            windows.record("stream.docs", n=len(ingested))
+            windows.record("stream.late", n=n_late)
+            windows.record("stream.alerts", n=len(alerts))
+            windows.observe(
                 "stream.batch_seconds",
-                telemetry.clock.now() - batch_started,
+                windows.clock.now() - batch_started,
             )
             if self.watermark is not None:
                 # Freshness at ingest: how stale each accepted document
                 # already was relative to the event-time watermark.
                 for document in ingested:
-                    telemetry.observe(
+                    windows.observe(
                         "stream.freshness_days",
                         max(0, self.watermark - document.published_day),
                     )
@@ -354,7 +340,7 @@ class StreamProcessor:
             watermark=arrival.watermark,
             cycle=cycle,
         )
-        self.event_log.emit(
+        self.tracer.emit(
             "late_arrival",
             lineage_id=arrival.doc_id,
             doc_id=arrival.doc_id,
@@ -458,7 +444,7 @@ class StreamProcessor:
                     score=event.score,
                     recovered=alert.recovered,
                 )
-                self.event_log.emit(
+                self.tracer.emit(
                     "alert_emitted",
                     lineage_id=event.doc_id,
                     alert_id=key,
@@ -528,7 +514,7 @@ class StreamProcessor:
             watermark=self.watermark,
             wal_seq=state["wal_seq"],
         )
-        self.event_log.emit(
+        self.tracer.emit(
             "checkpoint_written",
             checkpoint_id=self.cycle,
             cycle=self.cycle,
@@ -548,8 +534,6 @@ class StreamProcessor:
         checkpoint_every: int = 1,
         threshold: float | None = None,
         n_shards: int = 2,
-        tracer: AnyTracer | None = None,
-        event_log: AnyEventLog | None = None,
     ) -> tuple["StreamProcessor", ResumeInfo]:
         """Reconstruct a processor after a crash (or a clean stop).
 
@@ -571,8 +555,6 @@ class StreamProcessor:
             checkpoint_every=checkpoint_every,
             threshold=threshold,
             n_shards=n_shards,
-            tracer=tracer,
-            event_log=event_log,
             _build_index=latest is None,
         )
         if latest is None:
@@ -625,7 +607,7 @@ class StreamProcessor:
             cycle=info.cycle,
             wal_records_replayed=info.wal_records_replayed,
         )
-        processor.event_log.emit(
+        processor.tracer.emit(
             "stream_resumed",
             checkpoint_id=(
                 info.checkpoint_id if info.checkpoint_id is not None

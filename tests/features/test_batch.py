@@ -133,45 +133,3 @@ def test_joint_counts_validates_alignment():
         joint_counts_from_matrix(matrix, [0, 1], names)
     with pytest.raises(ValueError):
         joint_counts_from_matrix(matrix, [0], names[:-1])
-
-
-class TestCountsFromTokenIds:
-    """The flat-stream vectorizer shard workers use must agree with
-    ``batch_transform`` over the equivalent string token lists."""
-
-    @given(documents_strategy)
-    def test_matches_batch_transform(self, documents):
-        ids = [
-            [VOCABULARY[t] for t in tokens if t in VOCABULARY]
-            for tokens in documents
-        ]
-        token_ids = np.asarray(
-            [i for doc in ids for i in doc], dtype=np.int32
-        )
-        doc_ptr = np.concatenate(
-            (
-                [0],
-                np.cumsum(
-                    [len(doc) for doc in ids], dtype=np.int64
-                ),
-            )
-        ).astype(np.int64)
-        from repro.features.batch import counts_from_token_ids
-
-        flat = counts_from_token_ids(
-            token_ids, doc_ptr, len(VOCABULARY)
-        )
-        reference = batch_transform(documents, VOCABULARY)
-        assert flat.shape == reference.shape
-        assert (flat != reference).nnz == 0
-
-    def test_empty_stream(self):
-        from repro.features.batch import counts_from_token_ids
-
-        matrix = counts_from_token_ids(
-            np.empty(0, dtype=np.int32),
-            np.zeros(1, dtype=np.int64),
-            4,
-        )
-        assert matrix.shape == (0, 4)
-        assert matrix.nnz == 0

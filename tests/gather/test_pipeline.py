@@ -64,3 +64,57 @@ class TestCrawlBudgetDefaults:
         report = gatherer.gather()
         assert gatherer.max_pages == 25
         assert report.pages_fetched <= 25
+
+
+class TestIngestCacheCounters:
+    """``ingest.cache_*`` count this gather's ingestion lookups once."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_only_this_gathers_lookups(self, monkeypatch, workers):
+        from repro.corpus.evolve import WebEvolver
+        from repro.corpus.generator import CorpusConfig
+        from repro.corpus.web import build_web
+        from repro.gather.ingest import ShardedIngester
+        from repro.obs.tracer import Tracer
+        from repro.text.engine import AnnotationEngine
+
+        results = []
+        ingest = ShardedIngester.ingest
+
+        def spy(self, store, accepted):
+            results.append(ingest(self, store, accepted))
+            return results[-1]
+
+        monkeypatch.setattr(ShardedIngester, "ingest", spy)
+        web = build_web(120, CorpusConfig(seed=3))
+        tracer = Tracer()
+        gatherer = DataGatherer(
+            web, tracer=tracer, text_engine=AnnotationEngine(),
+            workers=workers,
+        )
+        gatherer.gather()
+        [result] = results
+        counters = tracer.registry.counters
+        assert counters["ingest.cache_hits"] == result.sentence_hits
+        assert counters["ingest.cache_misses"] == result.sentence_misses
+
+        # Lookups made outside ingestion (training annotates snippets
+        # through the same engine) must not leak into the counters.
+        for document in list(gatherer.store)[:20]:
+            gatherer.text_engine.annotate(document.text)
+        before = dict(tracer.registry.counters)
+        report = gatherer.gather()
+        assert report.documents_stored == 0
+        after = tracer.registry.counters
+        for name in ("ingest.cache_hits", "ingest.cache_misses"):
+            assert after[name] == before[name]
+
+        # A re-gather that stores new documents counts their lookups.
+        WebEvolver(web, CorpusConfig(seed=4)).advance(10)
+        report = gatherer.gather()
+        assert report.documents_stored > 0
+        grown = tracer.registry.counters
+        assert (
+            grown["ingest.cache_hits"] + grown["ingest.cache_misses"]
+            > before["ingest.cache_hits"] + before["ingest.cache_misses"]
+        )

@@ -131,7 +131,6 @@ def test_every_worker_count_matches_serial_build(texts):
             index.vocab,
             index.sorted_doc.tolist(),
             index.sorted_pos.tolist(),
-            result.matrix.toarray().tolist(),
         )
         if baseline is None:
             baseline = current

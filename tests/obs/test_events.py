@@ -1,4 +1,4 @@
-"""Flight-recorder event tests: schema, ring buffer, sink, null log."""
+"""Flight-recorder event tests: schema, ring buffer, sink, null path."""
 
 from __future__ import annotations
 
@@ -10,16 +10,15 @@ import pytest
 from repro.obs import FakeClock
 from repro.obs.events import (
     EVENT_TYPES,
-    NULL_EVENT_LOG,
     SCHEMA_VERSION,
     Event,
     EventLog,
-    NullEventLog,
     new_run_id,
     read_events,
     validate_jsonl,
     validate_record,
 )
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 #: A valid example payload per event type, used to exercise every
 #: schema.  Keys must cover EVENT_TYPES[...]; extras are allowed.
@@ -276,6 +275,44 @@ class TestFileSink:
         assert len(lines) == len(EVENT_TYPES)
         assert validate_jsonl(lines) == []
 
+    def test_concurrent_emitters_write_whole_lines(self, tmp_path):
+        # Serving threads share one tracer, hence one recorder: every
+        # line must survive intact and every seq must be issued once.
+        import sys
+        import threading
+
+        path = tmp_path / "events.jsonl"
+        log = EventLog(sink=path)
+        n_threads, per_thread = 8, 1500
+
+        def emit(client):
+            for i in range(per_thread):
+                log.emit(
+                    "query_served", client_id=f"c{client}",
+                    query="q" * (i % 40), status="ok",
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=emit, args=(client,))
+                for client in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        log.close()
+        lines = path.read_bytes().decode("utf-8").splitlines()
+        assert validate_jsonl(lines) == []
+        seqs = sorted(json.loads(line)["seq"] for line in lines)
+        assert seqs == list(range(n_threads * per_thread))
+        assert log.total_emitted == n_threads * per_thread
+
 
 class TestValidation:
     def _record(self, **overrides):
@@ -325,38 +362,40 @@ class TestValidation:
 
 
 class TestNullEventLog:
+    """The recorder-off path: a tracer without a recorder drops events."""
+
     def test_disabled_and_empty(self):
-        assert NULL_EVENT_LOG.enabled is False
-        assert len(NULL_EVENT_LOG) == 0
-        assert list(NULL_EVENT_LOG) == []
-        assert NULL_EVENT_LOG.counts() == {}
-        assert NULL_EVENT_LOG.total_emitted == 0
+        assert NULL_TRACER.recording is False
+        assert NULL_TRACER.recorder is None
+        tracer = Tracer()
+        assert tracer.recording is False
+        assert tracer.recorder is None
 
     def test_emit_adds_zero_entries(self):
-        log = NullEventLog()
+        tracer = Tracer()
         for event_type, payload in EXAMPLE_PAYLOADS.items():
-            assert log.emit(event_type, **payload) is None
-        assert len(log) == 0
-        assert log.events() == []
-        assert log.counts() == {}
+            assert NULL_TRACER.emit(event_type, **payload) is None
+            assert tracer.emit(event_type, **payload) is None
+        assert tracer.recorder is None
 
     def test_emit_skips_validation_entirely(self):
         # The null path must stay a bare no-op: no schema checks.
-        assert NULL_EVENT_LOG.emit("not_a_type", junk=1) is None
-
-    def test_lifecycle_methods_are_noops(self):
-        log = NullEventLog()
-        log.flush()
-        log.close()
+        assert NULL_TRACER.emit("not_a_type", junk=1) is None
+        assert Tracer().emit("not_a_type", junk=1) is None
 
 
-def test_empty_event_log_is_truthy():
-    # Regression: `event_log or NULL_EVENT_LOG` is the wiring idiom in
-    # every pipeline constructor; a fresh (empty) log must not be
-    # replaced by the null log just because len() == 0.
-    assert bool(EventLog()) is True
-    assert bool(NullEventLog()) is True
-    assert (EventLog() or NULL_EVENT_LOG).enabled is True
+def test_tracer_forwards_events_to_its_recorder():
+    clock = FakeClock(5.0)
+    log = EventLog(run_id="r")
+    tracer = Tracer(clock=clock, recorder=log)
+    assert tracer.recording and log.clock is clock
+    tracer.emit("doc_indexed", lineage_id="d1", doc_id="d1", url="u")
+    [event] = log.events()
+    assert (event.event_type, event.lineage_id, event.ts) == (
+        "doc_indexed", "d1", 5.0,
+    )
+    with pytest.raises(ValueError):
+        tracer.emit("doc_indexed", doc_id="d1")  # schema still enforced
 
 
 def test_new_run_ids_are_distinct():

@@ -12,6 +12,7 @@ from repro.obs.export import (
     sanitize_metric_name,
 )
 from repro.obs.metrics import Registry
+from repro.obs.tracer import Tracer
 from repro.gather.scheduler import RevisitScheduler
 
 
@@ -147,7 +148,7 @@ class TestDeriveGauges:
     def test_event_log_gauge(self):
         log = EventLog()
         log.emit("run_started", command="demo")
-        gauges = derive_gauges(Registry(), event_log=log)
+        gauges = derive_gauges(Registry(), tracer=Tracer(recorder=log))
         assert gauges["events_emitted"] == 1.0
 
     def test_everything_renders_and_parses(self):

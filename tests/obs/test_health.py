@@ -21,13 +21,14 @@ from repro.obs.health import (
 )
 from repro.obs.slo import SloEngine, SloSpec
 from repro.obs.timeseries import Telemetry
+from repro.obs.tracer import Tracer
 
 
 def ok_probe(component):
     return lambda: ComponentHealth(component, STATUS_OK)
 
 
-def make_engine(telemetry, **kwargs):
+def make_engine(telemetry, recorder=None):
     spec = SloSpec(
         name="avail",
         objective="availability",
@@ -36,7 +37,7 @@ def make_engine(telemetry, **kwargs):
         good_series="ok",
         total_series="total",
     )
-    return SloEngine([spec], telemetry, **kwargs)
+    return SloEngine([spec], Tracer(recorder=recorder, windows=telemetry))
 
 
 class TestStatusAlgebra:
@@ -126,7 +127,9 @@ class TestRollup:
         clock = FakeClock()
         telemetry = Telemetry(clock=clock, interval=1.0)
         monitor = HealthMonitor(
-            make_engine(telemetry), event_log=log, clock=clock
+            make_engine(telemetry),
+            tracer=Tracer(recorder=log, windows=telemetry),
+            clock=clock,
         )
         monitor.rollup()  # first rollup: no previous -> no event
         monitor.rollup()  # steady ok -> no event

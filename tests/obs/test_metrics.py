@@ -73,7 +73,7 @@ class TestHistogramBoundedMemory:
     """The unbounded ``values`` list now spills to a bounded sketch."""
 
     def test_small_histograms_stay_exact(self):
-        histogram = Histogram("h", max_exact=100)
+        histogram = Histogram("h", exact_threshold=100)
         values = [float((31 * i) % 97) for i in range(99)]
         for value in values:
             histogram.observe(value)
@@ -85,7 +85,7 @@ class TestHistogramBoundedMemory:
             assert histogram.percentile(p) == ordered[rank]
 
     def test_spill_empties_the_raw_list(self):
-        histogram = Histogram("h", max_exact=50)
+        histogram = Histogram("h", exact_threshold=50)
         for value in range(200):
             histogram.observe(float(value))
         assert not histogram.exact
@@ -96,7 +96,7 @@ class TestHistogramBoundedMemory:
         assert histogram.maximum == 199.0
 
     def test_memory_is_bounded_past_the_threshold(self):
-        histogram = Histogram("h", max_exact=64)
+        histogram = Histogram("h", exact_threshold=64)
         for value in range(10_000):
             histogram.observe(float(value % 500))
         assert histogram.values == []
@@ -112,7 +112,7 @@ class TestHistogramBoundedMemory:
 
         values = [float(i) for i in range(1000)]
         random.Random(7).shuffle(values)
-        histogram = Histogram("h", max_exact=128)
+        histogram = Histogram("h", exact_threshold=128)
         for value in values:
             histogram.observe(value)
         assert not histogram.exact
@@ -125,7 +125,7 @@ class TestHistogramBoundedMemory:
         assert histogram.percentile(100) == 999.0
 
     def test_summary_keys_survive_spill(self):
-        histogram = Histogram("h", max_exact=4)
+        histogram = Histogram("h", exact_threshold=4)
         for value in (1.0, 2.0, 3.0, 4.0, 5.0):
             histogram.observe(value)
         summary = histogram.summary()

@@ -1,17 +1,18 @@
-"""Regression: recorders passed to constructors are never null-swapped.
+"""Every instrumented constructor keeps the one handle it is given.
 
-A fresh ``EventLog()`` has zero events and a fresh ``Tracer()`` has no
-spans; if either were falsy, the common wiring idiom
-``self.event_log = event_log or NULL_EVENT_LOG`` would silently replace
-a caller's empty-but-real recorder with the null object and the first
-events of a run would vanish.  ``EventLog.__bool__``/``Tracer`` are
-truthy by contract — this suite pins both the contract and every
-constructor that relies on it.
+``tracer=`` is the only observability parameter in the package: a real
+:class:`~repro.obs.tracer.Tracer` (carrying spans, counters, events and
+windowed telemetry) must be kept by identity, and ``None`` must map to
+:data:`~repro.obs.tracer.NULL_TRACER` by an ``is None`` test, never by
+truthiness.  Components built from an ``Etap`` inherit ``etap.tracer``,
+so their factories hand the tracer to the Etap.  An inspect-scan makes
+new constructors join the audit.
 """
 
 from __future__ import annotations
 
 import inspect
+import sys
 
 import pytest
 
@@ -19,193 +20,101 @@ import repro.cli  # noqa: F401 -- force-import the full package tree
 import repro.queries  # noqa: F401 -- cli imports the planner lazily
 from repro.core.alerts import AlertService
 from repro.core.classifier import TriggerEventClassifier
-from repro.core.etap import Etap, EtapConfig
+from repro.core.etap import Etap
 from repro.core.ranking import CompanyRanker
+from repro.core.snippets import SnippetGenerator
+from repro.core.training import TrainingDataGenerator
 from repro.corpus.generator import CorpusConfig
 from repro.corpus.web import build_web
 from repro.gather.dedup import NearDuplicateIndex
 from repro.gather.ingest import ShardedIngester
 from repro.gather.pipeline import DataGatherer
-from repro.obs.events import NULL_EVENT_LOG, EventLog
+from repro.obs.events import EventLog
 from repro.obs.health import HealthMonitor
 from repro.obs.slo import SloEngine, default_slos
-from repro.obs.timeseries import NULL_TELEMETRY, Telemetry
+from repro.obs.timeseries import Telemetry
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.queries.evaluate import QueryEvaluator, StoreGroundTruth
+from repro.queries.generate import CandidateGenerator
+from repro.queries.planner import PortfolioPlanner
 from repro.robustness.fetcher import ResilientFetcher
 from repro.search.crawler import FocusedCrawler
 from repro.search.engine import SearchEngine
-
-
-def test_fresh_recorders_are_truthy():
-    assert EventLog(), "an empty EventLog must be truthy"
-    assert Tracer(), "a fresh Tracer must be truthy"
-    assert len(EventLog()) == 0  # falsy-prone without __bool__
-    assert Telemetry(), "a fresh Telemetry must be truthy"
-    assert NULL_TELEMETRY, "NULL_TELEMETRY shares the truthy contract"
-    assert not NULL_TELEMETRY.enabled  # gate on .enabled, not bool()
-
+from repro.serve.admission import AdmissionController
+from repro.serve.cache import QueryCache
+from repro.serve.portal import AlertPortal
+from repro.serve.replication import ReplicaSet
+from repro.serve.router import HedgedRouter
+from repro.serve.shards import ShardedIndex
+from repro.serve.workers import WorkerPool
+from repro.stream import StreamProcessor
 
 WEB = build_web(30, CorpusConfig(seed=2))
 
 
-def recorder_keepers():
-    """(name, factory) for every constructor taking tracer/event_log."""
-    gatherer = DataGatherer(WEB)
-    etap = Etap.from_web(build_web(30, CorpusConfig(seed=2)))
-    yield "FocusedCrawler", lambda t, e: FocusedCrawler(
-        WEB, tracer=t, event_log=e
-    )
-    yield "DataGatherer", lambda t, e: DataGatherer(
-        WEB, tracer=t, event_log=e
-    )
-    yield "Etap", lambda t, e: Etap.from_web(
-        WEB, tracer=t, event_log=e
-    )
-    yield "SearchEngine", lambda t, e: SearchEngine(
-        tracer=t, event_log=e
-    )
-    yield "TriggerEventClassifier", lambda t, e: TriggerEventClassifier(
-        driver_id="revenue_growth", tracer=t, event_log=e
-    )
-    yield "CompanyRanker", lambda t, e: CompanyRanker(
-        tracer=t, event_log=e
-    )
-    yield "NearDuplicateIndex", lambda t, e: NearDuplicateIndex(
-        event_log=e
-    )
-    yield "TrainingDataGenerator", lambda t, e: _training_generator(
-        gatherer, t
-    )
-    yield "ResilientFetcher", lambda t, e: ResilientFetcher(
-        WEB, tracer=t, event_log=e
-    )
-    yield "ShardedIngester", lambda t, e: ShardedIngester(
-        tracer=t, event_log=e
-    )
-    yield "AlertService", lambda t, e: _alert_service(etap, e)
-    yield "ShardedIndex", lambda t, e: _sharded_index(t, e)
-    yield "WorkerPool", lambda t, e: _worker_pool(t)
-    yield "AdmissionController", lambda t, e: _admission(t)
-    yield "AlertPortal", lambda t, e: _portal(etap, t, e)
-    yield "QueryCache", lambda t, e: _query_cache(e)
-    yield "ReplicaSet", lambda t, e: _replica_set(t, e)
-    yield "HedgedRouter", lambda t, e: _hedged_router(t, e)
-    yield "StreamProcessor", lambda t, e: _stream_processor(etap, t, e)
-    yield "SloEngine", lambda t, e: SloEngine(
-        default_slos(), Telemetry(), event_log=e
-    )
-    yield "HealthMonitor", lambda t, e: HealthMonitor(event_log=e)
-    yield "CandidateGenerator", lambda t, e: _candidate_generator(t)
-    yield "QueryEvaluator", lambda t, e: _query_evaluator(
-        gatherer, t, e
-    )
-    yield "PortfolioPlanner", lambda t, e: _portfolio_planner(t, e)
+def _trained_etap(tracer) -> Etap:
+    # Alerting and streaming only check that classifiers exist; a stub
+    # is enough for a wiring test, and the ungathered store keeps the
+    # stream's index rebuild cheap.
+    etap = Etap.from_web(WEB, tracer=tracer)
+    etap.classifiers["stub"] = object()
+    return etap
 
 
-def _training_generator(gatherer, tracer):
-    from repro.core.snippets import SnippetGenerator
-    from repro.core.training import TrainingDataGenerator
-
-    return TrainingDataGenerator(
-        store=gatherer.store,
-        engine=gatherer.engine,
-        snippet_generator=SnippetGenerator(),
-        tracer=tracer,
-    )
+def _closed(component):
+    component.close()
+    return component
 
 
-def _candidate_generator(tracer):
-    from repro.queries.generate import CandidateGenerator
-
-    return CandidateGenerator(tracer=tracer)
-
-
-def _query_evaluator(gatherer, tracer, event_log):
-    from repro.queries.evaluate import QueryEvaluator, StoreGroundTruth
-
-    return QueryEvaluator(
-        gatherer.engine,
-        StoreGroundTruth(gatherer.store),
-        tracer=tracer,
-        event_log=event_log,
-    )
-
-
-def _portfolio_planner(tracer, event_log):
-    from repro.queries.planner import PortfolioPlanner
-
-    return PortfolioPlanner(tracer=tracer, event_log=event_log)
-
-
-def _alert_service(etap, event_log):
-    # AlertService only checks that classifiers exist; a stub is enough
-    # for a wiring test and avoids training a real model here.
-    etap.classifiers.setdefault("stub", object())
-    return AlertService(etap, event_log=event_log)
-
-
-def _sharded_index(tracer, event_log):
-    from repro.serve.shards import ShardedIndex
-
-    return ShardedIndex(n_shards=2, tracer=tracer, event_log=event_log)
-
-
-def _worker_pool(tracer):
-    from repro.serve.workers import WorkerPool
-
-    pool = WorkerPool(lambda key: key, max_workers=1, tracer=tracer)
+def _shut_down(pool):
     pool.shutdown()
     return pool
 
 
-def _admission(tracer):
-    from repro.serve.admission import AdmissionController
-
-    return AdmissionController(tracer=tracer)
-
-
-def _query_cache(event_log):
-    from repro.serve.cache import QueryCache
-
-    return QueryCache(event_log=event_log)
-
-
-def _replica_set(tracer, event_log):
-    from repro.serve.replication import ReplicaSet
-
-    return ReplicaSet(
-        n_shards=1, n_replicas=2, tracer=tracer, event_log=event_log
+def recorder_keepers():
+    """(name, factory) for every constructor taking ``tracer``."""
+    gatherer = DataGatherer(WEB)
+    yield "FocusedCrawler", lambda t: FocusedCrawler(WEB, tracer=t)
+    yield "DataGatherer", lambda t: DataGatherer(WEB, tracer=t)
+    yield "Etap", lambda t: Etap.from_web(WEB, tracer=t)
+    yield "SearchEngine", lambda t: SearchEngine(tracer=t)
+    yield "TriggerEventClassifier", lambda t: TriggerEventClassifier(
+        driver_id="revenue_growth", tracer=t
     )
-
-
-def _hedged_router(tracer, event_log):
-    from repro.serve.replication import ReplicaSet
-    from repro.serve.router import HedgedRouter
-
-    return HedgedRouter(
-        ReplicaSet(n_shards=1, n_replicas=2),
-        tracer=tracer,
-        event_log=event_log,
+    yield "CompanyRanker", lambda t: CompanyRanker(tracer=t)
+    yield "NearDuplicateIndex", lambda t: NearDuplicateIndex(tracer=t)
+    yield "TrainingDataGenerator", lambda t: TrainingDataGenerator(
+        store=gatherer.store,
+        engine=gatherer.engine,
+        snippet_generator=SnippetGenerator(),
+        tracer=t,
     )
-
-
-def _stream_processor(etap, tracer, event_log):
-    from repro.stream import StreamProcessor
-
-    # Streaming needs trained classifiers; a stub satisfies the guard
-    # (see _alert_service) and the empty store keeps the rebuild cheap.
-    etap.classifiers.setdefault("stub", object())
-    return StreamProcessor(etap, tracer=tracer, event_log=event_log)
-
-
-def _portal(etap, tracer, event_log):
-    from repro.serve.portal import AlertPortal
-
-    portal = AlertPortal(
-        etap.store, n_shards=1, tracer=tracer, event_log=event_log
+    yield "ResilientFetcher", lambda t: ResilientFetcher(WEB, tracer=t)
+    yield "ShardedIngester", lambda t: ShardedIngester(tracer=t)
+    yield "AlertService", lambda t: AlertService(_trained_etap(t))
+    yield "ShardedIndex", lambda t: ShardedIndex(n_shards=2, tracer=t)
+    yield "WorkerPool", lambda t: _shut_down(
+        WorkerPool(lambda key: key, max_workers=1, tracer=t)
     )
-    portal.close()
-    return portal
+    yield "AdmissionController", lambda t: AdmissionController(tracer=t)
+    yield "AlertPortal", lambda t: _closed(
+        AlertPortal.from_etap(_trained_etap(t), n_shards=1)
+    )
+    yield "QueryCache", lambda t: QueryCache(tracer=t)
+    yield "ReplicaSet", lambda t: ReplicaSet(
+        n_shards=1, n_replicas=2, tracer=t
+    )
+    yield "HedgedRouter", lambda t: HedgedRouter(
+        ReplicaSet(n_shards=1, n_replicas=2), tracer=t
+    )
+    yield "StreamProcessor", lambda t: StreamProcessor(_trained_etap(t))
+    yield "SloEngine", lambda t: SloEngine(default_slos(), t)
+    yield "HealthMonitor", lambda t: HealthMonitor(tracer=t)
+    yield "CandidateGenerator", lambda t: CandidateGenerator(tracer=t)
+    yield "QueryEvaluator", lambda t: QueryEvaluator(
+        gatherer.engine, StoreGroundTruth(gatherer.store), tracer=t
+    )
+    yield "PortfolioPlanner", lambda t: PortfolioPlanner(tracer=t)
 
 
 @pytest.mark.parametrize(
@@ -213,99 +122,83 @@ def _portal(etap, tracer, event_log):
     if isinstance(v, str) else ""
 )
 def test_constructors_keep_fresh_recorders(name, factory):
-    tracer, log = Tracer(), EventLog()
-    obj = factory(tracer, log)
-    kept_tracer = getattr(obj, "tracer", None)
-    kept_log = getattr(obj, "event_log", None)
-    assert kept_tracer is not NULL_TRACER or kept_log is not NULL_EVENT_LOG, (
-        f"{name} null-swapped both recorders"
+    tracer = Tracer(recorder=EventLog(), windows=Telemetry())
+    assert factory(tracer).tracer is tracer, (
+        f"{name} replaced the tracer it was given"
     )
-    if kept_tracer is not None:
-        assert kept_tracer is tracer, (
-            f"{name} replaced a fresh Tracer with {kept_tracer!r}"
-        )
-    if kept_log is not None:
-        assert kept_log is log, (
-            f"{name} replaced a fresh EventLog with {kept_log!r}"
+    if name == "SloEngine":
+        # The SLO engine reads windows, so it refuses the null handle.
+        with pytest.raises(ValueError):
+            factory(NULL_TRACER)
+    else:
+        assert factory(None).tracer is NULL_TRACER, (
+            f"{name} without a tracer must keep NULL_TRACER"
         )
 
 
 def test_every_recorder_constructor_is_covered():
     """Inspect-scan the package so new constructors join the audit.
 
-    Walks every class reachable from the imported ``repro`` modules and
-    collects those whose ``__init__`` takes a ``tracer`` or
-    ``event_log`` parameter; each must appear in the explicit audit
-    list above (or be a recorder/null-object itself).
+    Walks every class and function reachable from the imported
+    ``repro`` modules.  A constructor taking ``tracer`` must appear in
+    the audit list above (or be one of the tracer's own helpers); no
+    signature may take the retired ``event_log`` or ``telemetry``
+    parameters.
     """
-    import sys
-
     audited = {name for name, _ in recorder_keepers()}
-    exempt = {
-        # The recorders themselves and their null twins.
-        "EventLog", "NullEventLog", "Tracer", "NullTracer",
-        # Thin report/export helpers that receive a recorder to *read*.
-        "MetricsExporter", "StageReport",
-        # Internal context managers handed an already-wired recorder.
-        "_SpanContext", "_TimedContext",
-    }
-    found = set()
+    # Internal context managers handed an already-wired tracer.
+    exempt = {"_SpanContext", "_TimedContext"}
+    found: set[str] = set()
+    retired: set[str] = set()
     for module_name, module in list(sys.modules.items()):
         if not module_name.startswith("repro"):
             continue
-        for _, cls in inspect.getmembers(module, inspect.isclass):
-            if cls.__module__ != module_name:
+        for _, member in inspect.getmembers(module):
+            if getattr(member, "__module__", None) != module_name:
+                continue
+            if inspect.isclass(member):
+                target, label = member.__init__, member.__name__
+            elif inspect.isfunction(member):
+                target, label = member, f"{module_name}.{member.__name__}"
+            else:
                 continue
             try:
-                params = inspect.signature(cls.__init__).parameters
+                params = inspect.signature(target).parameters
             except (TypeError, ValueError):  # pragma: no cover
                 continue
-            if "tracer" in params or "event_log" in params:
-                found.add(cls.__name__)
+            if inspect.isclass(member) and "tracer" in params:
+                found.add(label)
+            if {"event_log", "telemetry"} & set(params):
+                retired.add(label)
     unaudited = found - audited - exempt
     assert not unaudited, (
-        f"constructors taking tracer/event_log missing from this "
-        f"audit: {sorted(unaudited)} — add them to recorder_keepers() "
-        "(or exempt with a reason)"
+        f"constructors taking tracer missing from this audit: "
+        f"{sorted(unaudited)} — add them to recorder_keepers()"
+    )
+    assert not retired, (
+        f"signatures taking event_log/telemetry: {sorted(retired)} — "
+        "pass the one tracer instead"
     )
 
 
 # -- telemetry wiring ---------------------------------------------------------
 #
-# The windowed-telemetry hub follows the same contract: a fresh
-# ``Telemetry()`` (no observations yet) is truthy, so ``telemetry or
-# NULL_TELEMETRY`` keeps it; sites that skip recording must gate on
-# ``.enabled``, never on truthiness.
+# Windowed telemetry travels on the tracer as ``tracer.windows``.  The
+# components that record into (or read) the windows must reach the very
+# hub the caller attached, and without a tracer they must see no windows
+# at all, so their recording sites stay no-ops.
 
 
 def telemetry_keepers():
-    """(name, factory) for every constructor taking ``telemetry``."""
-    etap = Etap.from_web(build_web(30, CorpusConfig(seed=2)))
-    yield "ResilientFetcher", lambda tel: ResilientFetcher(
-        WEB, telemetry=tel
+    """(name, factory) for every component using ``tracer.windows``."""
+    yield "ResilientFetcher", lambda t: ResilientFetcher(WEB, tracer=t)
+    yield "DataGatherer", lambda t: DataGatherer(WEB, tracer=t)
+    yield "Etap", lambda t: Etap.from_web(WEB, tracer=t)
+    yield "AlertPortal", lambda t: _closed(
+        AlertPortal.from_etap(_trained_etap(t), n_shards=1)
     )
-    yield "DataGatherer", lambda tel: DataGatherer(WEB, telemetry=tel)
-    yield "Etap", lambda tel: Etap.from_web(WEB, telemetry=tel)
-    yield "AlertPortal", lambda tel: _portal_with_telemetry(etap, tel)
-    yield "StreamProcessor", lambda tel: _stream_with_telemetry(
-        etap, tel
-    )
-    yield "SloEngine", lambda tel: SloEngine(default_slos(), tel)
-
-
-def _portal_with_telemetry(etap, telemetry):
-    from repro.serve.portal import AlertPortal
-
-    portal = AlertPortal(etap.store, n_shards=1, telemetry=telemetry)
-    portal.close()
-    return portal
-
-
-def _stream_with_telemetry(etap, telemetry):
-    from repro.stream import StreamProcessor
-
-    etap.classifiers.setdefault("stub", object())
-    return StreamProcessor(etap, telemetry=telemetry)
+    yield "StreamProcessor", lambda t: StreamProcessor(_trained_etap(t))
+    yield "SloEngine", lambda t: SloEngine(default_slos(), t)
 
 
 @pytest.mark.parametrize(
@@ -314,37 +207,38 @@ def _stream_with_telemetry(etap, telemetry):
 )
 def test_constructors_keep_fresh_telemetry(name, factory):
     telemetry = Telemetry()
-    obj = factory(telemetry)
-    kept = getattr(obj, "telemetry", None)
+    obj = factory(Tracer(windows=telemetry))
+    kept = obj.tracer.windows
     assert kept is telemetry, (
         f"{name} replaced a fresh Telemetry with {kept!r}"
     )
 
 
 @pytest.mark.parametrize(
-    "name,factory", list(telemetry_keepers()), ids=lambda v: v
-    if isinstance(v, str) else ""
+    "name,factory",
+    [(n, f) for n, f in telemetry_keepers() if n != "SloEngine"],
+    ids=lambda v: v if isinstance(v, str) else "",
 )
 def test_constructors_default_to_null_telemetry(name, factory):
-    if name == "SloEngine":
-        pytest.skip("SloEngine requires a real telemetry hub")
+    # SloEngine has no default: it refuses a tracer without windows
+    # (checked in test_constructors_keep_fresh_recorders).
     obj = factory(None)
-    assert obj.telemetry is NULL_TELEMETRY, (
-        f"{name} without telemetry= must wire NULL_TELEMETRY, "
-        f"got {obj.telemetry!r}"
+    assert obj.tracer is NULL_TRACER and obj.tracer.windows is None, (
+        f"{name} without a tracer must see no windows, "
+        f"got {obj.tracer.windows!r}"
     )
 
 
 def test_every_telemetry_constructor_is_covered():
-    """Inspect-scan mirror of the recorder audit for ``telemetry``."""
-    import sys
+    """Inspect-scan mirror of the recorder audit for ``tracer.windows``.
 
+    Every class whose source reaches ``tracer.windows`` must appear in
+    :func:`telemetry_keepers`, and no constructor may take the retired
+    ``telemetry`` parameter.
+    """
     audited = {name for name, _ in telemetry_keepers()}
-    exempt = {
-        # The hub and its null twin take no telemetry themselves.
-        "Telemetry", "NullTelemetry",
-    }
-    found = set()
+    found: set[str] = set()
+    retired: set[str] = set()
     for module_name, module in list(sys.modules.items()):
         if not module_name.startswith("repro"):
             continue
@@ -352,13 +246,20 @@ def test_every_telemetry_constructor_is_covered():
             if cls.__module__ != module_name:
                 continue
             try:
+                source = inspect.getsource(cls)
                 params = inspect.signature(cls.__init__).parameters
-            except (TypeError, ValueError):  # pragma: no cover
+            except (OSError, TypeError, ValueError):  # pragma: no cover
                 continue
-            if "telemetry" in params:
+            if "tracer.windows" in source:
                 found.add(cls.__name__)
-    unaudited = found - audited - exempt
+            if "telemetry" in params:
+                retired.add(cls.__name__)
+    unaudited = found - audited
     assert not unaudited, (
-        f"constructors taking telemetry missing from this audit: "
+        f"classes using tracer.windows missing from this audit: "
         f"{sorted(unaudited)} — add them to telemetry_keepers()"
+    )
+    assert not retired, (
+        f"constructors taking telemetry: {sorted(retired)} — "
+        "attach the hub to the tracer instead"
     )

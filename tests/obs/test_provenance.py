@@ -10,6 +10,7 @@ from repro.corpus.evolve import WebEvolver
 from repro.corpus.generator import CorpusConfig
 from repro.corpus.web import build_web
 from repro.obs.events import EventLog
+from repro.obs.tracer import Tracer
 from repro.obs.provenance import (
     ProvenanceGraph,
     snippet_doc_id,
@@ -190,7 +191,7 @@ class TestRecordedRun:
             config=EtapConfig(
                 top_k_per_query=50, negative_sample_size=600
             ),
-            event_log=log,
+            tracer=Tracer(recorder=log),
         )
         etap.gather()
         etap.train()

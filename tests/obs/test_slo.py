@@ -27,6 +27,7 @@ from repro.obs.slo import (
     parse_slo_config,
 )
 from repro.obs.timeseries import Telemetry
+from repro.obs.tracer import Tracer
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SLOS_YAML = REPO_ROOT / "configs" / "slos.yaml"
@@ -45,11 +46,11 @@ def availability_spec(**overrides) -> SloSpec:
     return SloSpec(**kwargs)
 
 
-def fresh_engine(specs, **engine_kwargs):
+def fresh_engine(specs, recorder=None):
     clock = FakeClock(start=10_000.0)
     telemetry = Telemetry(clock=clock, interval=1.0, n_buckets=7200)
     return clock, telemetry, SloEngine(
-        specs, telemetry, **engine_kwargs
+        specs, Tracer(recorder=recorder, windows=telemetry)
     )
 
 
@@ -107,7 +108,8 @@ class TestSloSpec:
         telemetry = Telemetry(clock=FakeClock())
         with pytest.raises(ValueError, match="duplicate"):
             SloEngine(
-                [availability_spec(), availability_spec()], telemetry
+                [availability_spec(), availability_spec()],
+                Tracer(windows=telemetry),
             )
 
 
@@ -189,7 +191,7 @@ class TestBurnRates:
     def test_budgets_do_not_emit_breaches(self):
         log = EventLog()
         clock, telemetry, engine = fresh_engine(
-            [availability_spec()], event_log=log
+            [availability_spec()], recorder=log
         )
         for _ in range(10):
             telemetry.record("total")
@@ -262,7 +264,7 @@ class TestBreachEvents:
         spec = availability_spec(
             fast_window=10.0, slow_window=10.0
         )
-        clock, telemetry, engine = fresh_engine([spec], event_log=log)
+        clock, telemetry, engine = fresh_engine([spec], recorder=log)
         telemetry.record("total", n=10)  # 100% errors
         engine.evaluate()
         engine.evaluate()
@@ -281,7 +283,7 @@ class TestBreachEvents:
     def test_breach_payload_schema(self):
         log = EventLog()
         _, telemetry, engine = fresh_engine(
-            [availability_spec()], event_log=log
+            [availability_spec()], recorder=log
         )
         telemetry.record("total", n=20)
         engine.evaluate()

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.obs.clock import FakeClock
 from repro.obs.timeseries import (
-    NULL_TELEMETRY,
     P2Quantile,
     QuantileSketch,
     Telemetry,
@@ -372,16 +371,14 @@ class TestTelemetry:
         assert snap["series"]["serve.latency"]["60s"]["count"] == 1
         assert snap["sketches"]["serve.latency"]["count"] == 1
 
-    def test_null_telemetry_is_inert_but_truthy(self):
-        assert NULL_TELEMETRY
-        assert not NULL_TELEMETRY.enabled
-        NULL_TELEMETRY.record("x")
-        NULL_TELEMETRY.observe("x", 1.0)
-        assert NULL_TELEMETRY.rate("x", 10.0) == 0.0
-        assert NULL_TELEMETRY.quantile("x", 0.5) == 0.0
-        assert NULL_TELEMETRY.window("x", 5.0).count == 0
-        assert NULL_TELEMETRY.snapshot() == {
-            "series": {}, "sketches": {},
-        }
-        assert NULL_TELEMETRY.series("x").rate(1.0) == 0.0
-        assert NULL_TELEMETRY.sketch("x").summary() == {}
+    def test_tracer_shares_one_clock_with_its_windows(self):
+        from repro.obs.events import EventLog
+        from repro.obs.tracer import NULL_TRACER, Tracer
+
+        assert NULL_TRACER.windows is None
+        assert Tracer().windows is None
+        clock = FakeClock()
+        telemetry = Telemetry(clock=clock)
+        tracer = Tracer(recorder=EventLog(), windows=telemetry)
+        assert tracer.clock is clock
+        assert tracer.recorder.clock is clock

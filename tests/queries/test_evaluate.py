@@ -77,14 +77,13 @@ class TestQueryEvaluator:
     def test_counter_and_event_emission(
         self, queries_etap, ground_truth
     ):
-        tracer = Tracer()
         log = EventLog()
+        tracer = Tracer(recorder=log)
         evaluator = QueryEvaluator(
             queries_etap.engine,
             ground_truth,
             top_k=10,
             tracer=tracer,
-            event_log=log,
         )
         candidates = [
             QueryCandidate("funding_rounds", '"funding round"', "seed"),

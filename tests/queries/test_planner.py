@@ -194,14 +194,14 @@ class TestFeedbackWeights:
 
 class TestObservability:
     def test_counters_and_portfolio_event(self):
-        tracer = Tracer()
         log = EventLog()
+        tracer = Tracer(recorder=log)
         pool = [
             ev("one", ["a"], ["a"]),
             ev("two", ["b", "c"], ["b"]),
         ]
         planner = PortfolioPlanner(
-            PlannerConfig(budget=10), tracer=tracer, event_log=log
+            PlannerConfig(budget=10), tracer=tracer
         )
         portfolio = planner.plan(DRIVER, pool)
 

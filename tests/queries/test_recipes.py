@@ -247,9 +247,9 @@ class TestRunRecipe:
                         "max_candidates": 40},
             "alerts": {"cycles": 1, "docs_per_cycle": 15},
         })
-        tracer = Tracer()
         log = EventLog()
-        result = run_recipe(recipe, tracer=tracer, event_log=log)
+        tracer = Tracer(recorder=log)
+        result = run_recipe(recipe, tracer=tracer)
         return result, tracer, log
 
     def test_end_to_end_shape(self, tiny_result):

@@ -23,6 +23,7 @@ from repro.core.etap import Etap, EtapConfig
 from repro.corpus.generator import CorpusConfig
 from repro.corpus.web import build_web
 from repro.obs.events import EventLog, validate_record
+from repro.obs.tracer import Tracer
 from repro.robustness.faults import PROFILES, FaultyWeb, get_profile
 
 SEED = 13
@@ -60,7 +61,7 @@ def test_degradation_invariant_holds(profile_name, baseline):
     profile = get_profile(profile_name)
     web = FaultyWeb(base_web, profile, seed=FAULT_SEED)
     log = EventLog()
-    etap = Etap.from_web(web, config=CONFIG, event_log=log)
+    etap = Etap.from_web(web, config=CONFIG, tracer=Tracer(recorder=log))
     report = etap.gather()  # must not raise, whatever the profile
     # Reuse the fault-free classifiers: differences are gather-only.
     etap.classifiers = base_etap.classifiers

@@ -64,27 +64,27 @@ class TestFetchPaths:
             FaultProfile(transient_rate=1.0, max_transient_failures=2),
             seed=0,
         )
-        fetcher = ResilientFetcher(web, event_log=EventLog())
+        fetcher = ResilientFetcher(web, tracer=Tracer(recorder=EventLog()))
         url = article_url(inner)
         outcome = fetcher.fetch(url)
         assert outcome.ok
         assert outcome.retries == web.plan_of(url).transient_failures
         assert outcome.attempts == outcome.retries + 1
-        retries = fetcher.event_log.events("fetch_retry")
+        retries = fetcher.tracer.recorder.events("fetch_retry")
         assert len(retries) == outcome.retries
         assert all(not validate_record(e.to_dict()) for e in retries)
 
     def test_dead_link_dead_letters_without_retry(self):
         inner = tiny_web()
         web = FaultyWeb(inner, FaultProfile(dead_rate=1.0), seed=0)
-        fetcher = ResilientFetcher(web, event_log=EventLog())
+        fetcher = ResilientFetcher(web, tracer=Tracer(recorder=EventLog()))
         url = article_url(inner)
         outcome = fetcher.fetch(url)
         assert not outcome.ok and outcome.status == "dead"
         assert outcome.attempts == 1
         assert fetcher.dead_letter_urls == {url}
         assert fetcher.dead_letters[0].reason == "dead_link"
-        (letter_event,) = fetcher.event_log.events("fetch_dead_letter")
+        (letter_event,) = fetcher.tracer.recorder.events("fetch_dead_letter")
         assert letter_event.payload["reason"] == "dead_link"
         assert not validate_record(letter_event.to_dict())
 
@@ -156,7 +156,7 @@ class TestBackoff:
             web,
             policy=RetryPolicy(max_attempts=7, jitter=0.9),
             failure_threshold=100,
-            event_log=log,
+            tracer=Tracer(recorder=log),
         )
         fetcher.fetch(article_url(inner))
         waits = [
@@ -203,7 +203,7 @@ class TestCircuitBreaker:
             ),
             failure_threshold=4,
             breaker_cool_off=1_000_000.0,
-            event_log=log,
+            tracer=Tracer(recorder=log),
         )
         urls = [d.url for d in inner.documents[:4]]
         host = urls[0].split("/")[2]
@@ -229,7 +229,7 @@ class TestCircuitBreaker:
                                max_backoff=1.0, jitter=0.0),
             failure_threshold=2,
             breaker_cool_off=50.0,
-            event_log=log,
+            tracer=Tracer(recorder=log),
         )
         url = article_url(inner)
         host = url.split("/")[2]
@@ -267,7 +267,7 @@ class TestDeterminismAcceptance:
         inner = build_web(120, CorpusConfig(seed=7))
         web = FaultyWeb(inner, get_profile("hostile"), seed=11)
         log = EventLog()
-        fetcher = ResilientFetcher(web, seed=11, event_log=log)
+        fetcher = ResilientFetcher(web, seed=11, tracer=Tracer(recorder=log))
         for url in inner.urls:
             fetcher.fetch(url)
         schedule = [

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.corpus.generator import CorpusConfig
 from repro.corpus.web import build_web
 from repro.obs.events import EventLog
+from repro.obs.tracer import Tracer
 from repro.robustness.faults import FaultProfile, FaultyWeb
 from repro.robustness.fetcher import (
     CircuitBreaker,
@@ -90,7 +91,7 @@ def test_backoff_schedule_monotone_non_decreasing(
     log = EventLog()
     fetcher = ResilientFetcher(
         web, policy=policy, seed=seed,
-        failure_threshold=1_000, event_log=log,
+        failure_threshold=1_000, tracer=Tracer(recorder=log),
     )
     fetcher.fetch(_URLS[0])
     waits = [e.payload["wait_ticks"] for e in log.events("fetch_retry")]

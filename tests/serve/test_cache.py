@@ -131,9 +131,12 @@ class TestStaleReads:
         recorder, so a portal living off expired answers was invisible
         to the degraded-reads SLO.  One stale serve, one event."""
         from repro.obs.events import EventLog
+        from repro.obs.tracer import Tracer
 
         log = EventLog(clock=clock)
-        cache = QueryCache(ttl=1.0, clock=clock, event_log=log)
+        cache = QueryCache(
+            ttl=1.0, clock=clock, tracer=Tracer(recorder=log)
+        )
         key = cache_key("q", 1)
         cache.put(key, "v", generation=1)
         clock.advance(100.0)
@@ -147,17 +150,21 @@ class TestStaleReads:
 
     def test_stale_miss_emits_nothing(self, clock):
         from repro.obs.events import EventLog
+        from repro.obs.tracer import Tracer
 
         log = EventLog(clock=clock)
-        cache = QueryCache(clock=clock, event_log=log)
+        cache = QueryCache(clock=clock, tracer=Tracer(recorder=log))
         assert cache.get_stale(cache_key("absent", 1)) is MISS
         assert log.events("degraded_read") == []
 
     def test_fresh_hit_emits_nothing(self, clock):
         from repro.obs.events import EventLog
+        from repro.obs.tracer import Tracer
 
         log = EventLog(clock=clock)
-        cache = QueryCache(ttl=10.0, clock=clock, event_log=log)
+        cache = QueryCache(
+            ttl=10.0, clock=clock, tracer=Tracer(recorder=log)
+        )
         key = cache_key("q", 1)
         cache.put(key, "v", generation=1)
         assert cache.get(key, generation=1) == "v"

@@ -167,7 +167,7 @@ class TestOverload:
             admission=AdmissionController(
                 rate=1000.0, burst=1000.0, max_pending=0, clock=clock
             ),
-            event_log=log,
+            tracer=Tracer(recorder=log),
         )
         portal.refresh()
         with portal:

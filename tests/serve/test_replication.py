@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.clock import FakeClock
 from repro.obs.events import EventLog
+from repro.obs.tracer import Tracer
 from repro.robustness.fetcher import CircuitBreaker
 from repro.serve.replication import (
     ChaosMonkey,
@@ -133,7 +134,9 @@ class TestReplicaSet:
     def test_kill_restore_emit_events_with_lag(self):
         log = EventLog(clock=FakeClock())
         index = ShardedIndex(n_shards=1)
-        replicas = ReplicaSet(n_shards=1, n_replicas=2, event_log=log)
+        replicas = ReplicaSet(
+            n_shards=1, n_replicas=2, tracer=Tracer(recorder=log)
+        )
         replicas.install_snapshot(index.rebuild(make_docs(12)))
         replicas.kill(0, 1)
         replicas.install_snapshot(index.rebuild(make_docs(12, "beta")))

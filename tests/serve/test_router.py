@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.clock import FakeClock
 from repro.obs.events import EventLog
+from repro.obs.tracer import Tracer
 from repro.robustness.fetcher import CircuitBreaker
 from repro.robustness.faults import _unit
 from repro.serve.replication import ReplicaSet
@@ -81,7 +82,7 @@ class TestHedging:
     def test_down_primary_hedges_within_budget(self):
         log = EventLog(clock=FakeClock())
         _, snapshot, replicas, router = build_cluster(
-            n_shards=1, event_log=log
+            n_shards=1, tracer=Tracer(recorder=log)
         )
         query = QUERIES[0]
         victim = primary_index(router, 0, query, 3)
@@ -149,7 +150,9 @@ class TestHedging:
 class TestDegradedReads:
     def test_whole_group_down_serves_from_shipping_log(self):
         log = EventLog(clock=FakeClock())
-        _, snapshot, replicas, router = build_cluster(event_log=log)
+        _, snapshot, replicas, router = build_cluster(
+            tracer=Tracer(recorder=log)
+        )
         for index in range(3):
             replicas.kill(0, index)
         query = QUERIES[0]
@@ -168,7 +171,7 @@ class TestDegradedReads:
     def test_stale_group_pins_the_whole_response_back(self):
         log = EventLog(clock=FakeClock())
         index, old_snapshot, replicas, router = build_cluster(
-            n_shards=2, event_log=log
+            n_shards=2, tracer=Tracer(recorder=log)
         )
         # Group 0 misses generation 2 entirely, then comes back stale.
         for replica_index in range(3):
@@ -196,7 +199,7 @@ class TestBreakers:
     def test_repeated_timeouts_open_the_breaker_and_exclude(self):
         log = EventLog(clock=FakeClock())
         _, _, replicas, router = build_cluster(
-            n_shards=1, hedging=False, event_log=log
+            n_shards=1, hedging=False, tracer=Tracer(recorder=log)
         )
         query = QUERIES[0]
         victim_index = primary_index(router, 0, query, 3)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.gather.store import DocumentStore, StoredDocument
 from repro.obs.events import EventLog
+from repro.obs.tracer import Tracer
 from repro.search.engine import build_engine_from_pairs
 from repro.serve.shards import IndexSnapshot, ShardedIndex, shard_of
 
@@ -78,7 +79,7 @@ class TestRebuild:
 
     def test_swap_event_emitted(self):
         log = EventLog()
-        index = ShardedIndex(n_shards=2, event_log=log)
+        index = ShardedIndex(n_shards=2, tracer=Tracer(recorder=log))
         index.rebuild(make_docs(5))
         [event] = log.events("snapshot_swapped")
         assert event.payload == {

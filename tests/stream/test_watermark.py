@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.evolve import WebEvolver
-from repro.obs import EventLog
+from repro.obs import EventLog, Tracer
 from repro.stream import (
     StreamProcessor,
     WriteAheadLog,
@@ -174,11 +174,11 @@ class TestSideChannel:
         source, straggler = self._late_scenario(doc_pool)
         etap, _ = fresh_run()
         event_log = EventLog()
+        etap.tracer = Tracer(recorder=event_log)
         processor = StreamProcessor(
             etap,
             wal=WriteAheadLog(tmp_path / "wal.jsonl"),
             allowed_lateness=2,
-            event_log=event_log,
         )
         processor.run(source, until_cycle=len(source))
 
