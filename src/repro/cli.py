@@ -654,7 +654,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
             allowed_lateness=lateness,
             checkpoint_every=args.checkpoint_every,
             threshold=args.alert_threshold,
-            n_shards=args.shards,
         )
         print(f"resumed from checkpoint "
               f"{info.checkpoint_id if info.checkpoint_id is not None else '-'} "
@@ -668,7 +667,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
             allowed_lateness=lateness,
             checkpoint_every=args.checkpoint_every,
             threshold=args.alert_threshold,
-            n_shards=args.shards,
         )
     with processor:
         try:
@@ -697,7 +695,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
           f"({recovered} recovered), "
           f"{len(processor.late_arrivals)} late arrivals, "
           f"watermark {processor.watermark}, "
-          f"index gen {processor.index.generation}")
+          f"index gen {processor.generation}")
     if source.dropped or source.degraded:
         print(f"  fetch degradation: {source.dropped} dropped, "
               f"{source.degraded} degraded pages excluded")
@@ -1149,8 +1147,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate SLOs after the streaming run and print a "
              "health rollup ('default' for built-ins, or a path)",
     )
-    stream.add_argument("--shards", type=int, default=2,
-                        help="serving-index shards")
     stream.set_defaults(func=cmd_stream, observed=True)
 
     trace = sub.add_parser(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.etap import Etap
-from repro.core.ranking import TriggerEvent, make_trigger_events, rank_events
+from repro.core.ranking import TriggerEvent
 from repro.gather.dedup import NearDuplicateIndex
 
 
@@ -107,11 +107,7 @@ class AlertService:
         ]
         self._processed_docs.update(new_doc_ids)
 
-        items = []
-        for doc_id in new_doc_ids:
-            snippets = self.etap.training.snippets_of_document(doc_id)
-            items.extend(self.etap.training.annotate_snippets(snippets))
-
+        items = self.etap.snippet_items(new_doc_ids)
         report = PollReport(
             cycle=self._cycle,
             new_documents=len(new_doc_ids),
@@ -121,29 +117,17 @@ class AlertService:
             return report
 
         for driver in self.etap.drivers:
-            scores = self.etap.score_snippets(driver.driver_id, items)
-            flagged = [
-                (item, score)
-                for item, score in zip(items, scores)
-                if score >= self.threshold
-            ]
-            if not flagged:
-                continue
-            events = rank_events(
-                make_trigger_events(
-                    driver.driver_id,
-                    [item for item, _ in flagged],
-                    [score for _, score in flagged],
-                    normalizer=self.etap.normalizer,
-                    url_of=self.etap.url_of,
-                )
+            events, scores = self.etap.trigger_events(
+                driver.driver_id, items, self.threshold
             )
+            if not events:
+                continue
             if self._seen_alert_text is not None:
                 events = self._drop_duplicate_stories(
                     driver.driver_id, events
                 )
             if self.tracer.recording:
-                self._record_classifications(
+                self.etap.record_trigger_events(
                     driver.driver_id, events, scores
                 )
             for event in events:
@@ -175,55 +159,6 @@ class AlertService:
                     text=event.text,
                 )
         return report
-
-    def _record_classifications(
-        self,
-        driver_id: str,
-        events: list[TriggerEvent],
-        scores,
-    ) -> None:
-        """Flight-record one poll's classifier decisions for ``driver_id``.
-
-        Emits ``snippet_scored`` + ``trigger_classified`` (with feature
-        evidence) so every subsequent alert has a complete provenance
-        chain, and runs the driver's drift monitor over the poll's full
-        score batch.  Recorder-on path only.
-        """
-        classifier = self.etap.classifiers[driver_id]
-        for event in events:
-            self.tracer.emit(
-                "snippet_scored",
-                lineage_id=event.doc_id,
-                snippet_id=event.snippet_id,
-                doc_id=event.doc_id,
-                driver_id=driver_id,
-                score=event.score,
-            )
-            self.tracer.emit(
-                "trigger_classified",
-                lineage_id=event.doc_id,
-                snippet_id=event.snippet_id,
-                doc_id=event.doc_id,
-                driver_id=driver_id,
-                score=event.score,
-                rank=event.rank,
-                features=classifier.explain(event.item),
-                companies=list(event.companies),
-                text=event.text,
-                url=event.url,
-            )
-        monitor = self.etap.drift_monitors.get(driver_id)
-        if monitor is None:
-            return
-        for drift in monitor.check_scores(list(scores)):
-            self.tracer.emit(
-                "drift_warning",
-                monitor=drift.monitor,
-                value=drift.value,
-                threshold=drift.threshold,
-                driver_id=drift.driver_id,
-                detail=drift.detail,
-            )
 
     def _drop_duplicate_stories(
         self, driver_id: str, events: list[TriggerEvent]

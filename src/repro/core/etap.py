@@ -23,7 +23,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.core.classifier import TriggerEventClassifier, TrainingSummary
 from repro.core.company import CompanyNormalizer
@@ -242,6 +242,43 @@ class Etap:
         """Posterior trigger probabilities for prepared snippets."""
         return self._classifier(driver_id).score(items)
 
+    def snippet_items(
+        self, doc_ids: Iterable[str]
+    ) -> list[AnnotatedSnippet]:
+        """Annotated snippets of the given documents, in order."""
+        items: list[AnnotatedSnippet] = []
+        for doc_id in doc_ids:
+            snippets = self.training.snippets_of_document(doc_id)
+            items.extend(self.training.annotate_snippets(snippets))
+        return items
+
+    def trigger_events(
+        self,
+        driver_id: str,
+        items: Sequence[AnnotatedSnippet],
+        threshold: float,
+    ) -> tuple[list[TriggerEvent], Sequence[float]]:
+        """Score ``items`` for one driver; rank those at ``threshold`` up.
+
+        The one scoring path behind extraction, alert polls and stream
+        batches.  Returns the ranked events and every item's score (the
+        drift monitors read the full batch, not just the flagged part).
+        """
+        scores = self.score_snippets(driver_id, items)
+        flagged = [
+            (item, score)
+            for item, score in zip(items, scores)
+            if score >= threshold
+        ]
+        events = make_trigger_events(
+            driver_id,
+            [item for item, _ in flagged],
+            [score for _, score in flagged],
+            normalizer=self.normalizer,
+            url_of=self.url_of,
+        )
+        return rank_events(events), scores
+
     def extract_trigger_events(
         self,
         threshold: float | None = None,
@@ -259,8 +296,8 @@ class Etap:
             self.config.trigger_threshold if threshold is None else threshold
         )
         with self.tracer.span("extract") as extract_span:
-            all_items: list[AnnotatedSnippet] = []
             with self.tracer.span("extract.annotate") as annotate_span:
+                doc_ids = []
                 for doc_id in self.store.doc_ids():
                     if since_day is not None:
                         published = self.store.get(doc_id).metadata.get(
@@ -268,49 +305,38 @@ class Etap:
                         )
                         if published is not None and published < since_day:
                             continue
-                    snippets = self.training.snippets_of_document(doc_id)
-                    all_items.extend(
-                        self.training.annotate_snippets(snippets)
-                    )
+                    doc_ids.append(doc_id)
+                all_items = self.snippet_items(doc_ids)
                 annotate_span.add_items(len(all_items))
 
             events: dict[str, list[TriggerEvent]] = {}
             for driver in self.drivers:
+                driver_id = driver.driver_id
                 with self.tracer.span(
-                    f"extract.score[{driver.driver_id}]"
+                    f"extract.score[{driver_id}]"
                 ) as score_span:
-                    scores = self.score_snippets(
-                        driver.driver_id, all_items
+                    events[driver_id], scores = self.trigger_events(
+                        driver_id, all_items, threshold
                     )
-                    flagged = [
-                        (item, score)
-                        for item, score in zip(all_items, scores)
-                        if score >= threshold
-                    ]
-                    driver_events = make_trigger_events(
-                        driver.driver_id,
-                        [item for item, _ in flagged],
-                        [score for _, score in flagged],
-                        normalizer=self.normalizer,
-                        url_of=self.url_of,
-                    )
-                    events[driver.driver_id] = rank_events(driver_events)
                     score_span.add_items(len(all_items))
+                n_flagged = len(events[driver_id])
+                self.tracer.count("extract.trigger_events", n_flagged)
                 self.tracer.count(
-                    "extract.trigger_events", len(flagged)
+                    f"extract.scored[{driver_id}]", len(all_items)
                 )
-                self.tracer.count(
-                    f"extract.scored[{driver.driver_id}]", len(all_items)
-                )
-                self.tracer.count(
-                    f"extract.flagged[{driver.driver_id}]", len(flagged)
-                )
+                self.tracer.count(f"extract.flagged[{driver_id}]", n_flagged)
                 if self.tracer.recording:
-                    self._record_extraction(
-                        driver.driver_id,
-                        events[driver.driver_id],
-                        scores,
-                        all_items,
+                    token_lists = None
+                    if driver_id in self.drift_monitors:
+                        classifier = self._classifier(driver_id)
+                        token_lists = [
+                            classifier.features_of(item)
+                            for item in all_items[
+                                : self.config.drift_token_sample
+                            ]
+                        ]
+                    self.record_trigger_events(
+                        driver_id, events[driver_id], scores, token_lists
                     )
             extract_span.add_items(len(all_items))
         return events
@@ -371,19 +397,21 @@ class Etap:
             baseline, thresholds=self.config.drift_thresholds
         )
 
-    def _record_extraction(
+    def record_trigger_events(
         self,
         driver_id: str,
-        ranked_events: list[TriggerEvent],
-        scores,
-        all_items,
+        ranked_events: Sequence[TriggerEvent],
+        scores: Sequence[float],
+        token_lists: Sequence[Sequence[str]] | None = None,
     ) -> None:
-        """Flight-record one driver's extraction pass.
+        """Flight-record one driver's scored batch.
 
         Emits ``snippet_scored`` + ``trigger_classified`` (with feature
-        evidence) per ranked event and runs the driver's drift monitor
-        over the full score batch.  Only called when the recorder is on,
-        so the explain/drift cost never touches the default path.
+        evidence) per ranked event, so every later alert has a complete
+        provenance chain, and runs the driver's drift monitor over the
+        full score batch — plus the vocabulary monitor when
+        ``token_lists`` is given.  Call only with the recorder on, so
+        the explain/drift cost never touches the default path.
         """
         classifier = self._classifier(driver_id)
         for event in ranked_events:
@@ -411,8 +439,6 @@ class Etap:
         monitor = self.drift_monitors.get(driver_id)
         if monitor is None:
             return
-        sample = all_items[: self.config.drift_token_sample]
-        token_lists = [classifier.features_of(item) for item in sample]
         for report in monitor.check(list(scores), token_lists):
             self.tracer.emit(
                 "drift_warning",

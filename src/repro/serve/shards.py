@@ -208,11 +208,10 @@ class ShardedIndex:
     ) -> IndexSnapshot:
         """Rebuild at an *explicit* generation (checkpoint recovery).
 
-        A resumed stream processor re-indexes the checkpointed document
-        set but must land on the generation number the checkpoint
-        recorded, so that replayed :meth:`extend` deltas advance the
-        counter to exactly what an uninterrupted run would have reached
-        — the recovery fuzz suite pins generation equality.
+        For a caller that re-indexes a checkpointed document set and
+        must land on the generation number the checkpoint recorded, so
+        that later :meth:`extend` deltas advance the counter to exactly
+        what an uninterrupted run would have reached.
         """
         if generation < 0:
             raise ValueError("generation must be >= 0")

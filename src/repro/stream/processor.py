@@ -11,11 +11,11 @@ Each :class:`~repro.stream.source.MicroBatch` flows through:
    :attr:`late_arrivals`; never silently dropped), everything else is
    processed, late-but-within-lateness documents included;
 3. **incremental ingestion** — on-time documents enter the
-   deduplicating store, the incremental inverted index
-   (:meth:`SearchEngine.add_document`) and a
-   :meth:`~repro.serve.shards.ShardedIndex.extend` delta generation;
-4. **online minting** — snippets of the new documents are scored by
-   every driver's classifier; flagged events mint
+   deduplicating store and, as one write batch, the pipeline's inverted
+   index (:meth:`SearchEngine.add_documents`); the batch advances the
+   index ``generation`` by one;
+4. **online minting** — snippets of the new documents go through the
+   batch path's scorer (:meth:`Etap.trigger_events`); flagged events mint
    :class:`StreamAlert`\\ s keyed by the alert-service idempotency key,
    each logged to the WAL before the batch commits;
 5. **WAL batch-commit + periodic checkpoint** — processor state
@@ -43,9 +43,7 @@ from typing import Sequence
 from repro.core.alerts import idempotency_key
 from repro.core.etap import Etap
 from repro.core.persistence import CheckpointStore, WriteAheadLog
-from repro.core.ranking import make_trigger_events, rank_events
 from repro.gather.store import StoredDocument
-from repro.serve.shards import ShardedIndex
 from repro.stream.source import DocumentStream, MicroBatch, StreamDocument
 
 #: Version of the checkpoint ``state`` payload written below (rides
@@ -162,8 +160,6 @@ class StreamProcessor:
         allowed_lateness: int | None = 2,
         checkpoint_every: int = 1,
         threshold: float | None = None,
-        n_shards: int = 2,
-        _build_index: bool = True,
     ) -> None:
         if not etap.classifiers:
             raise ValueError(
@@ -185,14 +181,9 @@ class StreamProcessor:
         #: The Etap's handle: spans, events and windowed telemetry of
         #: the stream land beside the batch pipeline's.
         self.tracer = etap.tracer
-        #: Serve-facing delta-generation index over the full store.
-        self.index = ShardedIndex(
-            n_shards=n_shards,
-            tracer=self.tracer,
-            text_engine=etap.text_engine,
-        )
-        if _build_index:
-            self.index.rebuild_from_store(etap.store)
+        #: Index generation: 1 for the base corpus, +1 per processed
+        #: batch (recorded in the WAL commit and every checkpoint).
+        self.generation = 1
         self._processed: set[str] = set(etap.store.doc_ids())
         #: Event-time high watermark (None until the first document).
         self.watermark: int | None = None
@@ -258,7 +249,7 @@ class StreamProcessor:
             "stream_batch_commit",
             cycle=batch.cycle,
             watermark=self.watermark,
-            generation=self.index.generation,
+            generation=self.generation,
             n_alerts=len(alerts),
         )
         checkpointed = False
@@ -303,7 +294,7 @@ class StreamProcessor:
             n_deduped=len(on_time) - len(ingested),
             n_late=n_late,
             watermark=self.watermark,
-            generation=self.index.generation,
+            generation=self.generation,
             alerts=alerts,
             checkpointed=checkpointed,
         )
@@ -373,44 +364,24 @@ class StreamProcessor:
             self.streamed_docs.append(document.doc_id)
             fresh.append(document)
         # One write batch keeps the pipeline's engine in sync with the
-        # store for search/snippeting, and the sharded serving index
-        # advances one delta generation (only touched shards are cloned).
-        delta = [(doc.doc_id, doc.text, doc.title) for doc in fresh]
-        self.etap.engine.add_documents(delta)
-        self.index.extend(delta)
+        # store for search/snippeting; each batch is one generation.
+        self.etap.engine.add_documents(
+            [(doc.doc_id, doc.text, doc.title) for doc in fresh]
+        )
+        self.generation += 1
         return fresh
 
     def _mint_alerts(
         self, cycle: int, documents: Sequence[StreamDocument]
     ) -> list[StreamAlert]:
-        items = []
-        day_of: dict[str, int] = {}
-        for document in documents:
-            day_of[document.doc_id] = document.published_day
-            snippets = self.etap.training.snippets_of_document(
-                document.doc_id
-            )
-            items.extend(self.etap.training.annotate_snippets(snippets))
+        day_of = {doc.doc_id: doc.published_day for doc in documents}
+        items = self.etap.snippet_items(doc.doc_id for doc in documents)
         minted: list[StreamAlert] = []
         if not items:
             return minted
         for driver in self.etap.drivers:
-            scores = self.etap.score_snippets(driver.driver_id, items)
-            flagged = [
-                (item, score)
-                for item, score in zip(items, scores)
-                if score >= self.threshold
-            ]
-            if not flagged:
-                continue
-            events = rank_events(
-                make_trigger_events(
-                    driver.driver_id,
-                    [item for item, _ in flagged],
-                    [score for _, score in flagged],
-                    normalizer=self.etap.normalizer,
-                    url_of=self.etap.url_of,
-                )
+            events, _ = self.etap.trigger_events(
+                driver.driver_id, items, self.threshold
             )
             for event in events:
                 key = idempotency_key(
@@ -479,7 +450,7 @@ class StreamProcessor:
             "cycle": self.cycle,
             "watermark": self.watermark,
             "allowed_lateness": self.allowed_lateness,
-            "generation": self.index.generation,
+            "generation": self.generation,
             "emitted_keys": sorted(self.emitted_keys),
             "alerts": [alert.to_dict() for alert in self.alerts],
             "late_arrivals": [
@@ -533,7 +504,6 @@ class StreamProcessor:
         allowed_lateness: int | None = 2,
         checkpoint_every: int = 1,
         threshold: float | None = None,
-        n_shards: int = 2,
     ) -> tuple["StreamProcessor", ResumeInfo]:
         """Reconstruct a processor after a crash (or a clean stop).
 
@@ -554,22 +524,21 @@ class StreamProcessor:
             allowed_lateness=allowed_lateness,
             checkpoint_every=checkpoint_every,
             threshold=threshold,
-            n_shards=n_shards,
-            _build_index=latest is None,
         )
         if latest is None:
             # Crash before the first checkpoint: replay from the
             # origin; the WAL still tells us what was already emitted.
+            records = wal.read()
             recovered = frozenset(
                 record.payload["alert_id"]
-                for record in wal.read()
+                for record in records
                 if record.event_type == "stream_alert"
             )
             processor._recovered_keys = recovered
             info = ResumeInfo(
                 checkpoint_id=None,
                 cycle=0,
-                wal_records_replayed=len(wal.read()),
+                wal_records_replayed=len(records),
                 recovered_alert_keys=recovered,
             )
         else:
@@ -622,6 +591,7 @@ class StreamProcessor:
         """Apply a checkpoint's state on top of the base pipeline."""
         self.cycle = state["cycle"]
         self.watermark = state["watermark"]
+        self.generation = state["generation"]
         self.emitted_keys = set(state["emitted_keys"])
         self.alerts = [
             StreamAlert.from_dict(record) for record in state["alerts"]
@@ -644,13 +614,6 @@ class StreamProcessor:
             self._processed.add(stored.doc_id)
             self.streamed_docs.append(stored.doc_id)
         self.etap.engine.add_documents(restored)
-        self.index.restore(
-            (
-                (doc.doc_id, doc.text, doc.title)
-                for doc in self.etap.store
-            ),
-            generation=state["generation"],
-        )
 
     # -- lifecycle --------------------------------------------------------------
 

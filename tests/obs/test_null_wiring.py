@@ -55,7 +55,7 @@ WEB = build_web(30, CorpusConfig(seed=2))
 def _trained_etap(tracer) -> Etap:
     # Alerting and streaming only check that classifiers exist; a stub
     # is enough for a wiring test, and the ungathered store keeps the
-    # stream's index rebuild cheap.
+    # portal's first snapshot build cheap.
     etap = Etap.from_web(WEB, tracer=tracer)
     etap.classifiers["stub"] = object()
     return etap

@@ -77,6 +77,18 @@ class TestRebuild:
         snapshot = index.rebuild_from_store(store)
         assert snapshot.n_docs == 12
 
+    def test_restore_lands_on_the_given_generation(self):
+        index = ShardedIndex(n_shards=3)
+        index.rebuild(make_docs(4))
+        docs = make_docs(20)
+        snapshot = index.restore(docs, generation=7)
+        assert snapshot.generation == index.generation == 7
+        assert snapshot.n_docs == 20
+        hits = {r.doc_key for r in index.search("merger", top_k=100)}
+        assert hits == {doc_key for doc_key, _, _ in docs}
+        with pytest.raises(ValueError):
+            index.restore(docs, generation=-1)
+
     def test_swap_event_emitted(self):
         log = EventLog()
         index = ShardedIndex(n_shards=2, tracer=Tracer(recorder=log))

@@ -80,8 +80,8 @@ def test_stream_matches_batch_for_any_split(
     assert dict(sorted(
         Counter(a.driver_id for a in processor.alerts).items()
     )) == batch_counts
-    # One delta generation per micro-batch on top of the base rebuild.
-    assert processor.index.generation == len(source) + 1
+    # One generation per micro-batch on top of the base corpus (gen 1).
+    assert processor.generation == len(source) + 1
 
 
 def test_alert_identity_carries_across_splits(fresh_run, evolved):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.search.engine import SearchEngine
 from repro.stream import (
     CheckpointStore,
     EvolvingWebStream,
@@ -48,7 +49,7 @@ def _final_state(processor: StreamProcessor) -> tuple:
             for a in processor.alerts
         ),
         tuple(sorted(processor.emitted_keys)),
-        processor.index.generation,
+        processor.generation,
         processor.watermark,
         tuple(sorted(processor.etap.store.doc_ids())),
     )
@@ -228,3 +229,45 @@ def test_recovered_flags_mark_exactly_the_durably_emitted_tail(
         if alert.alert_id in info.recovered_alert_keys:
             assert alert.recovered
     resumed.close()
+
+
+def test_construction_and_resume_index_only_streamed_documents(
+    fresh_run, monkeypatch, tmp_path
+):
+    """The base corpus is indexed once, by the caller — never again here.
+
+    Constructing a processor writes nothing to any search engine, and a
+    resume writes exactly the checkpoint's streamed documents, so resume
+    cost follows the stream's delta, not the corpus size.
+    """
+    etap, web = fresh_run()
+    resumed_etap, _ = fresh_run()
+    written: list[str] = []
+    add_documents = SearchEngine.add_documents
+
+    def counting(self, documents):
+        documents = list(documents)
+        written.extend(doc_id for doc_id, _, _ in documents)
+        return add_documents(self, documents)
+
+    monkeypatch.setattr(SearchEngine, "add_documents", counting)
+    checkpoints = CheckpointStore(tmp_path / "checkpoints")
+    processor = StreamProcessor(
+        etap,
+        wal=WriteAheadLog(tmp_path / "wal.jsonl"),
+        checkpoints=checkpoints,
+    )
+    assert written == []
+    processor.run(_source(web), until_cycle=2)
+    processor.close()
+    _, state = checkpoints.latest()
+    streamed = [record["doc_id"] for record in state["documents"]]
+    assert streamed, "the stream ingested nothing (vacuous test)"
+
+    written.clear()
+    resumed, _ = StreamProcessor.resume(
+        resumed_etap, WriteAheadLog(tmp_path / "wal.jsonl"), checkpoints
+    )
+    resumed.close()
+    assert written == streamed
+    assert resumed.generation == state["generation"]
