@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.obs.tracer import NULL_TRACER, AnyTracer
-from repro.search.index import InvertedIndex, doc_runs, normalize_term
+from repro.search.index import InvertedIndex, normalize_term
 from repro.search.scoring import PHRASE_BOOST, bm25
 from repro.text.engine import AnnotationEngine
 from repro.text.tokenizer import tokenize_words
@@ -168,16 +168,13 @@ class SearchEngine:
         scored = np.zeros(n_docs, dtype=bool)
         avg_length = index.average_doc_length or 1.0
         for term in parsed.all_terms:
-            docs, tf = doc_runs(index.postings(term)[0])
+            docs, tf = index.doc_postings(term)
+            df = len(docs)
             if candidates is not None:
                 keep = candidates[docs]
                 docs, tf = docs[keep], tf[keep]
             scores[docs] += bm25(
-                tf,
-                index.lengths[docs],
-                index.document_frequency(term),
-                n_docs,
-                avg_length,
+                tf, index.lengths[docs], df, n_docs, avg_length
             )
             scored[docs] = True
 

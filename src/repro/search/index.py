@@ -7,9 +7,17 @@ queries (the paper's *smart queries* such as ``"new ceo"`` and
 * ``term_ids`` — term -> id, in first-appearance order;
 * ``keys``/``titles``/``lengths`` — per document ordinal, in ingest
   order, with the total length cached so the average is O(1);
-* ``sorted_doc``/``sorted_pos``/``term_starts``/``df`` — every token,
+* ``sorted_doc``/``sorted_pos``/``term_starts`` — every token,
   term-major: one term's postings are one contiguous slice, sorted by
-  document ordinal and then position.
+  document ordinal and then position;
+* ``run_doc``/``run_tf``/``run_starts`` — the doc-level postings, one
+  ``(document, term frequency)`` run per term and document, term-major,
+  derived from the above at write time; a term's document frequency is
+  the length of its slice.
+
+Ranked queries read the doc-level postings.  A phrase query turns its
+terms' position postings into sorted ``doc << 32 | position`` keys and
+intersects them with ``np.searchsorted``, starting from the rarest term.
 
 The arrays are never written in place.  A write batch
 (:meth:`InvertedIndex.add_documents`) builds the next set with one
@@ -94,8 +102,11 @@ class InvertedIndex:
         first[1:] = (terms[1:] != terms[:-1]) | (
             self.sorted_doc[1:] != self.sorted_doc[:-1]
         )
-        runs = np.concatenate(([0], np.cumsum(first)))
-        self.df = runs[self.term_starts[1:]] - runs[self.term_starts[:-1]]
+        # One run per (term, document): the doc-level postings.
+        run_at = np.flatnonzero(first)
+        self.run_doc = self.sorted_doc[run_at]
+        self.run_tf = np.diff(run_at, append=len(terms)).astype(np.int32)
+        self.run_starts = np.searchsorted(run_at, self.term_starts)
         self.term_ids: dict[str, int] = term_ids
         self.keys: list[str] = keys
         self._ordinals = dict(zip(keys, range(len(keys))))
@@ -103,7 +114,10 @@ class InvertedIndex:
         self.lengths = lengths
         self.total_terms = int(lengths.sum())
         # Clones share these arrays, and postings() hands out views.
-        for array in (self.sorted_doc, self.sorted_pos, self.lengths):
+        for array in (
+            self.sorted_doc, self.sorted_pos, self.run_doc, self.run_tf,
+            self.lengths,
+        ):
             array.flags.writeable = False
 
     def _sorted_terms(self) -> "np.ndarray":
@@ -260,7 +274,9 @@ class InvertedIndex:
 
     def document_frequency(self, term: str) -> int:
         tid = self.term_ids.get(normalize_term(term))
-        return 0 if tid is None else int(self.df[tid])
+        if tid is None:
+            return 0
+        return int(self.run_starts[tid + 1] - self.run_starts[tid])
 
     def doc_length(self, doc_key: str) -> int:
         ordinal = self._ordinals.get(doc_key)
@@ -290,21 +306,48 @@ class InvertedIndex:
         start, end = self.term_starts[tid], self.term_starts[tid + 1]
         return self.sorted_doc[start:end], self.sorted_pos[start:end]
 
+    def doc_postings(self, term: str) -> tuple["np.ndarray", "np.ndarray"]:
+        """A term's doc-level postings: the ordinals of the documents
+        holding it, ascending, and its frequency in each.
+
+        Equal to :func:`doc_runs` of the postings' ordinals, but built
+        at write time; the length is the document frequency.
+        """
+        tid = self.term_ids.get(normalize_term(term))
+        if tid is None:
+            return self.run_doc[:0], self.run_tf[:0]
+        start, end = self.run_starts[tid], self.run_starts[tid + 1]
+        return self.run_doc[start:end], self.run_tf[start:end]
+
     def phrase_matches(
         self, phrase: Sequence[str]
     ) -> tuple["np.ndarray", "np.ndarray"]:
         """Ordinals of the documents holding ``phrase`` as consecutive
         terms, and the phrase's occurrence count in each.
 
-        Intersects the ``(doc, position)`` keys of the terms' postings,
-        shifting the n-th term's positions back by n.
+        Each term's postings give sorted ``doc << 32 | position`` keys.
+        The rarest term's keys, shifted back by its offset in the
+        phrase, are the candidate starts; a start survives if every
+        other term's sorted keys hold it shifted by that term's offset.
         """
-        docs, pos = self.postings(phrase[0])
-        starts = docs.astype(np.int64) << 32 | pos
-        for offset, term in enumerate(phrase[1:], 1):
-            docs, pos = self.postings(term)
-            follows = docs.astype(np.int64) << 32 | pos
-            starts = starts[np.isin(starts + offset, follows)]
+        keys = [
+            docs.astype(np.int64) << 32 | pos
+            for docs, pos in map(self.postings, phrase)
+        ]
+        if not keys:
+            return doc_runs(np.zeros(0, dtype=np.int64))
+        rarest = min(range(len(keys)), key=lambda at: len(keys[at]))
+        # A start before position 0 would borrow from the document bits.
+        starts = keys[rarest]
+        starts = starts[(starts & 0xFFFFFFFF) >= rarest] - rarest
+        for offset, follows in enumerate(keys):
+            if offset != rarest:
+                # No shorter than the rarest term's keys, so never
+                # empty while a start is left to look up.
+                wanted = starts + offset
+                at = np.searchsorted(follows, wanted)
+                at = np.minimum(at, len(follows) - 1)
+                starts = starts[follows[at] == wanted]
         return doc_runs(starts >> 32)
 
     def phrase_docs(self, phrase: list[str]) -> dict[str, int]:
@@ -312,8 +355,6 @@ class InvertedIndex:
 
         Returns ``doc_key -> occurrence count``.
         """
-        if not phrase:
-            return {}
         docs, counts = self.phrase_matches(phrase)
         keys = self.keys
         return {

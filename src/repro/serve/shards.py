@@ -1,8 +1,10 @@
 """Sharded, snapshot-swapped search index for concurrent serving.
 
-The batch pipeline owns one mutable :class:`~repro.search.index.
-InvertedIndex`; a serving layer cannot query that while ingestion
-mutates it.  :class:`ShardedIndex` fixes both problems at once:
+The batch pipeline owns one :class:`~repro.search.index.InvertedIndex`.
+Its arrays are immutable, but a write installs the next set on the same
+object one attribute at a time, so a serving layer cannot query it while
+ingestion writes.  :class:`ShardedIndex` serves from a separate set of
+indexes instead:
 
 * **sharding** — documents are partitioned by a stable hash of the doc
   key into N :class:`~repro.search.engine.SearchEngine` shards, so a

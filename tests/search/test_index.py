@@ -75,6 +75,8 @@ class TestPhrases:
 
     def test_empty_phrase(self, index):
         assert index.phrase_docs([]) == {}
+        docs, counts = index.phrase_matches([])
+        assert len(docs) == len(counts) == 0
 
     def test_phrase_counts_multiple_occurrences(self):
         idx = InvertedIndex()

@@ -5,16 +5,22 @@ The serve layer builds "previous generation + delta" indexes out of
 pin the invariant that makes that safe: however a document set reaches
 the index — one at a time, batched, re-added, via clone-and-extend —
 the resulting index answers queries identically to a fresh bulk build.
+The doc-level postings built at write time must equal the runs of the
+position postings on every one of those paths.
 """
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, strategies as st
 
 from repro.search.engine import SearchEngine
-from repro.search.index import InvertedIndex
+from repro.search.index import InvertedIndex, doc_runs
 from repro.serve.shards import ShardedIndex
 from tests.search.helpers import postings_snapshot
+from tests.search.test_flat_index import build_flat
 
 WORDS = ["acme", "acquired", "revenue", "ceo", "plant", "growth"]
 
@@ -163,3 +169,48 @@ def test_precomputed_engine_terms_equal_inline_tokenization(docs):
             (result.doc_key, result.score)
             for result in inline.search(word, top_k=10)
         ]
+
+
+def assert_doc_postings_are_position_runs(index: InvertedIndex) -> None:
+    for term in index.vocab + ["zork"]:
+        docs, tf = index.doc_postings(term)
+        want_docs, want_tf = doc_runs(index.postings(term)[0])
+        assert docs.tolist() == want_docs.tolist()
+        assert tf.tolist() == want_tf.tolist()
+        assert len(docs) == index.document_frequency(term)
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from([f"doc-{i}" for i in range(6)]), text_strategy
+), max_size=12), st.integers(1, 4), docs_strategy)
+def test_doc_postings_equal_position_runs_on_every_write_path(
+    writes, n_batches, delta
+):
+    """One at a time, batched, re-added keys (the writes repeat keys),
+    clone + delta, a token stream and a save/load round trip."""
+    one_by_one = InvertedIndex()
+    for doc_key, text in writes:
+        one_by_one.add_document(doc_key, text)
+        assert_doc_postings_are_position_runs(one_by_one)
+    batched = InvertedIndex()
+    size = -(-len(writes) // n_batches) or 1
+    for start in range(0, len(writes), size):
+        batched.add_documents(
+            (doc_key, text, "")
+            for doc_key, text in writes[start:start + size]
+        )
+        assert_doc_postings_are_position_runs(batched)
+    extended = batched.clone()
+    extended.add_documents(
+        (doc_key, text, "") for doc_key, text in delta.items()
+    )
+    assert_doc_postings_are_position_runs(extended)
+    assert_doc_postings_are_position_runs(batched)
+    final = dict(writes)
+    assert_doc_postings_are_position_runs(
+        build_flat([(doc_key, text, "") for doc_key, text in final.items()])
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.npz"
+        extended.save(path)
+        assert_doc_postings_are_position_runs(InvertedIndex.load(path))
