@@ -1,8 +1,8 @@
 """The Electronic Trigger Alert Program doing what its name says.
 
 Trains ETAP once, then watches an evolving web: each simulated day new
-pages are published, the service re-crawls, and only *new* trigger
-events raise alerts — the workflow a sales team would wire to email or
+pages are published, the service re-gathers (fetching only new and
+navigation pages), and only *new* trigger events raise alerts — the workflow a sales team would wire to email or
 a CRM.
 
 Run:  python examples/trigger_alert_monitor.py

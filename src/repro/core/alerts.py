@@ -1,11 +1,12 @@
-"""The alert loop: re-crawl, score only new content, emit alerts.
+"""The alert loop: re-gather, score only new content, emit alerts.
 
 This is the "Electronic Trigger Alert Program" behaviour proper: a
 trained :class:`~repro.core.etap.Etap` instance watches an evolving web;
-each :meth:`AlertService.poll` re-runs the gatherer (the document store
-deduplicates, so only genuinely new pages enter), scores only the
-snippets of previously unseen documents, and emits one :class:`Alert`
-per new trigger event.
+each :meth:`AlertService.poll` runs an incremental gather (the crawler
+fetches only navigation pages and pages it has not yet fetched healthy,
+replaying the links of known content pages; the document store
+deduplicates what remains), scores only the snippets of previously
+unseen documents, and emits one :class:`Alert` per new trigger event.
 """
 
 from __future__ import annotations
@@ -97,9 +98,14 @@ class AlertService:
         )
 
     def poll(self) -> PollReport:
-        """Re-crawl and alert on trigger events in new documents."""
+        """Re-gather and alert on trigger events in new documents.
+
+        The gather fetches only navigation pages, new pages and pages
+        that were dead or degraded last time; known content pages are
+        replayed from the crawler's memory, not fetched again.
+        """
         self._cycle += 1
-        self.etap.gather()  # dedup means only new pages are stored
+        self.etap.gather()  # only new pages are fetched and stored
         new_doc_ids = [
             doc_id
             for doc_id in self.etap.store.doc_ids()

@@ -1,4 +1,4 @@
-"""Data gathering: store, crawl pipeline, dedup, monitoring, schedule."""
+"""Data gathering: store, crawl pipeline, dedup, schedule."""
 
 from repro.gather.dedup import (
     DuplicatePair,
@@ -8,7 +8,6 @@ from repro.gather.dedup import (
     jaccard,
     shingles,
 )
-from repro.gather.monitor import ObservationReport, PageChange, PageMonitor
 from repro.gather.pipeline import DataGatherer, GatherReport
 from repro.gather.scheduler import RevisitScheduler
 from repro.gather.store import (
@@ -26,9 +25,6 @@ __all__ = [
     "GatherReport",
     "MinHasher",
     "NearDuplicateIndex",
-    "ObservationReport",
-    "PageChange",
-    "PageMonitor",
     "RevisitScheduler",
     "StoredDocument",
     "content_hash",

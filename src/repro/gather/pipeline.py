@@ -58,7 +58,15 @@ class GatherReport:
 
 
 class DataGatherer:
-    """Crawls a web, stores article documents and indexes them."""
+    """Crawls a web, stores article documents and indexes them.
+
+    The gatherer owns one :class:`~repro.search.crawler.FocusedCrawler`
+    for its lifetime, so the first :meth:`gather` crawls the whole web
+    and every later one is incremental: it fetches only navigation
+    pages, new pages and pages that were dead or degraded before.  With
+    a budget that does not bind, it stores the same new documents, in
+    the same order, as a fresh gatherer's crawl of the same web would.
+    """
 
     def __init__(
         self,

@@ -68,6 +68,9 @@ class DocumentStore:
         self._ids: list[str] = []
         self._urls: list[str] = []
         self._titles: list[str] = []
+        # Running sys.getsizeof total of every id, url and title, so
+        # memory_bytes() need not walk the three string columns.
+        self._string_bytes = 0
         # Columnar metadata for the standard {"doc_type", "published_day"}
         # shape; anything else keeps its raw dict in the overflow map.
         self._doc_types: list[str | None] = []
@@ -139,6 +142,11 @@ class DocumentStore:
         if document.url:
             self._by_url[document.url] = ordinal
         self._hashes[fingerprint] = ordinal  # type: ignore[index]
+        self._string_bytes += (
+            sys.getsizeof(document.doc_id)
+            + sys.getsizeof(document.url)
+            + sys.getsizeof(document.title)
+        )
         # Appended last: concurrent readers snapshot len(_ids), so a
         # document becomes visible only once every column is written.
         self._ids.append(document.doc_id)
@@ -256,13 +264,15 @@ class DocumentStore:
 
         Counts the text arena, the offset array, and the per-document
         id/url/title/metadata columns.  Tracked by the ingest bench as
-        memory-per-doc.
+        memory-per-doc.  The column strings are summed as they are
+        added; the overflow dicts are sized on call, since callers may
+        mutate them in place.
         """
         total = sys.getsizeof(self._arena)
         total += sys.getsizeof(self._offsets)
+        total += self._string_bytes
         for column in (self._ids, self._urls, self._titles):
             total += sys.getsizeof(column)
-            total += sum(sys.getsizeof(value) for value in column)
         total += sys.getsizeof(self._doc_types) + sys.getsizeof(self._days)
         total += sum(sys.getsizeof(meta) for meta in self._meta_overflow.values())
         return total

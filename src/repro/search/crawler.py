@@ -5,6 +5,17 @@ prioritizes links likely to lead to business-relevant pages.  This
 crawler implements best-first frontier expansion with a pluggable page
 scorer, plus politeness-style bounds (page budget, depth limit) so crawls
 terminate predictably.
+
+eShopMonitor is a *monitor*: it watches the web and hands on what is
+new.  So a :class:`FocusedCrawler` remembers, across :meth:`crawl`
+calls, the outlinks of every content page (one with a ``document``) it
+fetched healthy, plus the link priority of every content page it
+peeked.  Content pages are treated as immutable once fetched healthy:
+a re-crawl walks the same best-first traversal but *replays* a
+remembered page's links instead of fetching it.  Only navigation pages
+(the front page and hubs, which change as the web evolves), pages never
+fetched healthy (new ones included) and pages that were dead or
+degraded last time are fetched again.
 """
 
 from __future__ import annotations
@@ -67,7 +78,13 @@ class CrawlResult:
 
 
 class FocusedCrawler:
-    """Best-first crawler with a page budget and depth limit."""
+    """Best-first crawler with a page budget and depth limit.
+
+    One instance is one monitor: its remembered content pages (see the
+    module docstring) persist across :meth:`crawl` calls, so a second
+    crawl of an evolved web fetches only what may have changed.  A
+    fresh instance crawls from scratch.
+    """
 
     def __init__(
         self,
@@ -88,11 +105,22 @@ class FocusedCrawler:
         #: When set, all fetches go through the resilient path
         #: (retries, circuit breaking, dead-lettering).
         self.fetcher = fetcher
+        #: Outlinks of each content page fetched healthy, by URL.
+        self._remembered: dict[str, tuple[str, ...]] = {}
+        #: Link priority of each content page peeked, by URL.
+        self._priorities: dict[str, float] = {}
 
     def crawl(
         self, seeds: Iterable[str] = (FRONT_PAGE_URL,)
     ) -> CrawlResult:
-        """Crawl from ``seeds``, expanding highest-scoring pages first."""
+        """Crawl from ``seeds``, expanding highest-scoring pages first.
+
+        A remembered content page is not fetched, not appended to
+        ``pages`` and emits no ``page_crawled`` event; its remembered
+        links are pushed in its place.  So fetch order, depth and
+        ``via`` equal a from-scratch crawl's restricted to the fetched
+        pages, and ``max_pages`` counts fetches only.
+        """
         result = CrawlResult()
         counter = itertools.count()  # tie-break to keep heap deterministic
         frontier: list[tuple[float, int, int, str, str | None]] = []
@@ -110,37 +138,38 @@ class FocusedCrawler:
                 if not self.web.has(url):
                     result.skipped += 1
                     continue
-                page = self._fetch(url, result)
-                if page is None:
-                    continue  # failed permanently; crawl around it
-                result.pages.append(page)
-                result.fetch_order.append(url)
-                self.tracer.emit(
-                    "page_crawled",
-                    lineage_id=(
-                        page.document.doc_id if page.document else None
-                    ),
-                    url=url,
-                    depth=depth,
-                    via=via,
-                    doc_id=(
-                        page.document.doc_id if page.document else None
-                    ),
-                )
+                links = self._remembered.get(url)
+                if links is None:
+                    page = self._fetch(url, result)
+                    if page is None:
+                        continue  # failed permanently; crawl around it
+                    result.pages.append(page)
+                    result.fetch_order.append(url)
+                    doc_id = page.document.doc_id if page.document else None
+                    self.tracer.emit(
+                        "page_crawled",
+                        lineage_id=doc_id,
+                        url=url,
+                        depth=depth,
+                        via=via,
+                        doc_id=doc_id,
+                    )
+                    links = page.links
+                    if (
+                        page.document is not None
+                        and url not in result.degraded_urls
+                    ):
+                        self._remembered[url] = links
                 if depth >= self.max_depth:
                     continue
-                for link in page.links:
+                for link in links:
                     if link in seen:
                         continue
                     seen.add(link)
-                    # Peek at the target to prioritize; a real crawler would
-                    # rank by anchor text, we rank by the page itself.
-                    priority = 0.0
-                    if self.web.has(link):
-                        priority = -self.scorer(self.web.peek(link))
                     heapq.heappush(
                         frontier,
-                        (priority, next(counter), depth + 1, link, url),
+                        (self._priority(link), next(counter), depth + 1,
+                         link, url),
                     )
             span.add_items(len(result.pages))
             self.tracer.count("crawl.pages_fetched", len(result.pages))
@@ -149,6 +178,24 @@ class FocusedCrawler:
             self.tracer.count("crawl.pages_failed", result.dead)
             self.tracer.count("crawl.pages_degraded", result.degraded)
         return result
+
+    def _priority(self, url: str) -> float:
+        """Frontier priority of ``url``: its negated score, lowest first.
+
+        Peeks at the target; a real crawler would rank by anchor text,
+        we rank by the page itself.  Content pages never change, so
+        their priority is computed once per crawler.
+        """
+        priority = self._priorities.get(url)
+        if priority is not None:
+            return priority
+        if not self.web.has(url):
+            return 0.0
+        page = self.web.peek(url)
+        priority = -self.scorer(page)
+        if page.document is not None:
+            self._priorities[url] = priority
+        return priority
 
     def _fetch(self, url: str, result: CrawlResult) -> Page | None:
         """One fetch on the resilient (or plain) path.

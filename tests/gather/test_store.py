@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.gather.store import (
@@ -14,6 +16,19 @@ from repro.gather.store import (
 
 def doc(doc_id="d1", url="http://a/x", text="some text", title="t"):
     return StoredDocument(doc_id=doc_id, url=url, title=title, text=text)
+
+
+def walked_memory_bytes(store: DocumentStore) -> int:
+    """``memory_bytes`` recomputed by walking every column."""
+    total = sys.getsizeof(store._arena) + sys.getsizeof(store._offsets)
+    for column in (store._ids, store._urls, store._titles):
+        total += sys.getsizeof(column)
+        total += sum(sys.getsizeof(value) for value in column)
+    total += sys.getsizeof(store._doc_types) + sys.getsizeof(store._days)
+    total += sum(
+        sys.getsizeof(meta) for meta in store._meta_overflow.values()
+    )
+    return total
 
 
 class TestContentHash:
@@ -214,6 +229,33 @@ class TestFlatBuffer:
         empty = store.memory_bytes()
         store.add(doc(text="x" * 10_000))
         assert store.memory_bytes() >= empty + 10_000
+
+    def test_memory_bytes_equals_a_walk_of_the_columns(self, tmp_path):
+        store = DocumentStore()
+        assert store.memory_bytes() == walked_memory_bytes(store)
+        for i in range(40):
+            store.add(doc(
+                doc_id=f"d{i}", url=f"http://a/{i}", title="t" * i,
+                text=f"text number {i}",
+            ))
+        store.add(StoredDocument(
+            doc_id="odd", url="", title="\u00e9t\u00e9", text="odd one",
+            metadata={"tags": ["x"]},
+        ))
+        # Rejected on id, url and content: nothing is counted.
+        store.add(doc(doc_id="d3", url="http://new", text="fresh"))
+        store.add(doc(doc_id="new1", url="http://a/4", text="fresh"))
+        store.add(doc(doc_id="new2", url="http://new", text="text number 5"))
+        assert len(store) == 41
+        assert store.memory_bytes() == walked_memory_bytes(store)
+        # Overflow metadata mutated in place is still sized on call.
+        store.get("odd").metadata["tags"] = ["x"] * 100
+        store.get("odd").metadata.update({f"k{i}": i for i in range(20)})
+        assert store.memory_bytes() == walked_memory_bytes(store)
+        path = tmp_path / "docs.jsonl"
+        store.save_jsonl(path)
+        loaded = DocumentStore.load_jsonl(path)
+        assert loaded.memory_bytes() == walked_memory_bytes(loaded)
 
     def test_try_add_returns_fingerprint_only_when_hashed(self):
         store = DocumentStore()

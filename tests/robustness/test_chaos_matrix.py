@@ -10,6 +10,10 @@ The degradation invariant this suite pins down:
 - under *no* profile does the pipeline raise: crawls complete around
   failures and report them instead.
 
+The same invariant holds for an alert poll after the web evolves, where
+the crawler fetches only navigation pages and pages it does not yet
+know healthy.
+
 Classifiers are trained once on the fault-free corpus and reused for
 every profile, so any alert-set difference is attributable to the
 gather stage alone.
@@ -19,7 +23,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.alerts import AlertService
 from repro.core.etap import Etap, EtapConfig
+from repro.corpus.evolve import WebEvolver
 from repro.corpus.generator import CorpusConfig
 from repro.corpus.web import build_web
 from repro.obs.events import EventLog, validate_record
@@ -31,6 +37,8 @@ FAULT_SEED = 5
 CONFIG = EtapConfig(top_k_per_query=40, negative_sample_size=600)
 
 FAULT_PROFILES = sorted(name for name in PROFILES if name != "none")
+#: Documents published between the initial gather and the poll.
+NEW_DOCS = 30
 
 
 def alert_set(etap: Etap) -> set[tuple[str, str]]:
@@ -113,3 +121,55 @@ def test_lossy_profiles_actually_lose_something(baseline):
         if alert_set(etap) < base_alerts:
             strict.append(name)
     assert strict, "no lossy profile dropped a single alert"
+
+
+def polled_alert_set(profile_name: str, classifiers) -> set[tuple[str, str]]:
+    """Alerts of one poll after the (fresh) web evolves under a profile."""
+    inner = build_web(250, CorpusConfig(seed=SEED))
+    web = FaultyWeb(inner, get_profile(profile_name), seed=FAULT_SEED)
+    etap = Etap.from_web(web, config=CONFIG)
+    etap.gather()
+    etap.classifiers = classifiers
+    service = AlertService(etap)
+    WebEvolver(inner, CorpusConfig(seed=SEED + 1)).advance(NEW_DOCS)
+    return {
+        (alert.driver_id, alert.event.snippet_id)
+        for alert in service.poll().alerts
+    }
+
+
+@pytest.fixture(scope="module")
+def polled(baseline):
+    """Per-profile poll alert sets; ``"none"`` is the fault-free poll."""
+    _, base_etap, _ = baseline
+    alerts = {
+        name: polled_alert_set(name, base_etap.classifiers)
+        for name in ("none", *FAULT_PROFILES)
+    }
+    assert alerts["none"], "fault-free poll minted no alerts"
+    return alerts
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("profile_name", FAULT_PROFILES)
+def test_poll_after_evolution_degrades_to_a_subset(profile_name, polled):
+    alerts, reference = polled[profile_name], polled["none"]
+    if get_profile(profile_name).lossy:
+        assert alerts <= reference, (
+            f"{profile_name}: poll minted alerts absent from the "
+            f"fault-free poll: {sorted(alerts - reference)[:5]}"
+        )
+    else:
+        assert alerts == reference, (
+            f"{profile_name}: transient-only profile changed the poll's "
+            "alert set"
+        )
+
+
+@pytest.mark.chaos
+def test_some_lossy_poll_loses_an_alert(polled):
+    assert any(
+        polled[name] < polled["none"]
+        for name in FAULT_PROFILES
+        if get_profile(name).lossy
+    ), "no lossy profile dropped a single poll alert"

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
-from repro.corpus.web import FRONT_PAGE_URL
+from repro.corpus.web import FRONT_PAGE_URL, Page, SyntheticWeb
 from repro.search.crawler import (
     CrawlResult,
     FocusedCrawler,
@@ -52,6 +53,30 @@ class TestCrawl:
     def test_documents_property(self, small_web):
         result = FocusedCrawler(small_web, max_pages=200).crawl()
         assert all(doc is not None for doc in result.documents)
+
+    def test_recrawl_of_unchanged_web_fetches_only_navigation(
+        self, small_web
+    ):
+        crawler = FocusedCrawler(small_web, max_pages=10_000)
+        first = crawler.crawl()
+        second = crawler.crawl()
+        assert second.fetch_order == [
+            page.url for page in first.pages if page.document is None
+        ]
+
+    def test_navigation_priority_follows_the_current_page(self):
+        quiet, busy = "http://a.example.com/", "http://b.example.com/"
+        web = SyntheticWeb({}, nx.DiGraph())
+        web.add_page(Page(quiet, "", "weather report", links=()))
+        web.add_page(Page(busy, "", "merger acquired revenue", links=()))
+        web.add_page(Page(FRONT_PAGE_URL, "", "", links=(quiet, busy)))
+        crawler = FocusedCrawler(web)
+        assert crawler.crawl().fetch_order == [FRONT_PAGE_URL, busy, quiet]
+        # A hub's text changes as the web evolves; so does its priority.
+        web.add_page(
+            Page(quiet, "", "ceo appointed profit earnings growth", links=())
+        )
+        assert crawler.crawl().fetch_order == [FRONT_PAGE_URL, quiet, busy]
 
     def test_invalid_budget_rejected(self, small_web):
         with pytest.raises(ValueError):
