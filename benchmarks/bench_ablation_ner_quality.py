@@ -58,14 +58,14 @@ def bench_ner_quality_sweep(benchmark, medium_dataset):
         test_items = [
             AnnotatedSnippet(
                 snippet=item.snippet,
-                annotated=text_engine.annotate(item.snippet.text),
+                annotated=text_engine.annotate(item.snippet.sentences),
             )
             for item in medium_dataset.test_items
         ]
         pure = [
             AnnotatedSnippet(
                 snippet=item.snippet,
-                annotated=text_engine.annotate(item.snippet.text),
+                annotated=text_engine.annotate(item.snippet.sentences),
             )
             for item in medium_dataset.pure_positive[
                 MERGERS_ACQUISITIONS

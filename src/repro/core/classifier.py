@@ -90,7 +90,7 @@ class TriggerEventClassifier:
     def features_of(self, item: AnnotatedSnippet) -> list[str]:
         if self.text_engine is not None:
             return self.text_engine.features(
-                item.annotated.text, item.annotated, self.policy
+                item.snippet.sentences, item.annotated, self.policy
             )
         return abstract_tokens(
             item.annotated, self.policy, stemmer=self._stemmer

@@ -75,10 +75,10 @@ class TrainingDataGenerator:
     # -- shared plumbing ------------------------------------------------------
 
     def _annotate(self, snippet: Snippet) -> AnnotatedSnippet:
-        """Annotate once: the engine caches by content across stages."""
+        """Annotate once, from the snippet's own sentences (cached)."""
         return AnnotatedSnippet(
             snippet=snippet,
-            annotated=self.text_engine.annotate(snippet.text),
+            annotated=self.text_engine.annotate(snippet.sentences),
         )
 
     def snippets_of_document(self, doc_id: str) -> list[Snippet]:

@@ -1,4 +1,4 @@
-"""Data gathering: store, crawl pipeline, dedup, schedule."""
+"""Data gathering: store, crawl pipeline, dedup."""
 
 from repro.gather.dedup import (
     DuplicatePair,
@@ -9,7 +9,6 @@ from repro.gather.dedup import (
     shingles,
 )
 from repro.gather.pipeline import DataGatherer, GatherReport
-from repro.gather.scheduler import RevisitScheduler
 from repro.gather.store import (
     DocumentStore,
     DuplicateDocumentError,
@@ -25,7 +24,6 @@ __all__ = [
     "GatherReport",
     "MinHasher",
     "NearDuplicateIndex",
-    "RevisitScheduler",
     "StoredDocument",
     "content_hash",
     "deduplicate_texts",

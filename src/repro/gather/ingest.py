@@ -27,9 +27,11 @@ workers-equivalence suites):
 
 Workers are plain processes (``fork`` or ``spawn`` both work: the
 payloads are picklable flat buffers and the worker function is a
-module-level callable).  With ``workers=1`` the same shard code runs
-inline against the shared annotation engine, warming its sentence
-caches for the downstream training and extraction stages.
+module-level callable).  Every shard reads its documents through an
+annotation engine: a worker process builds its own, and with
+``workers=1`` the shard runs inline against the shared engine, so the
+sentence splits it caches are the ones the downstream training and
+extraction stages read.
 """
 
 from __future__ import annotations
@@ -44,9 +46,7 @@ import numpy as np
 
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.search.index import InvertedIndex
-from repro.text.engine import AnnotationEngine, terms_compose
-from repro.text.sentences import split_sentences
-from repro.text.tokenizer import tokenize_words
+from repro.text.engine import AnnotationEngine
 
 
 def shard_of(fingerprint: str, n_shards: int) -> int:
@@ -100,14 +100,18 @@ def tokenize_shard(
 
     Builds the shard-local vocabulary in first-appearance order, the
     doc-major token-id stream and the first-occurrence coordinates the
-    merge uses to renumber terms globally.  A sentence-level memo caches the id array of every
-    distinct sentence — templated corpora repeat sentences heavily, so
-    most sentences tokenize exactly once per shard.
+    merge uses to renumber terms globally.  Each document is read
+    through ``engine``'s cached sentence split, and a sentence-level
+    memo caches the id array of every distinct sentence — templated
+    corpora repeat sentences heavily, so most sentences tokenize
+    exactly once per shard.  A document whose sentences do not compose
+    (see :func:`~repro.text.engine.terms_compose`) is tokenized whole.
 
     ``engine`` is the shared annotation engine for the inline
-    (``workers=1``) path; worker processes pass ``None`` and tokenize
-    directly, shipping their cache accounting home in the result.
+    (``workers=1``) path; a worker process passes ``None`` and builds
+    its own process-local one.
     """
+    engine = engine or AnnotationEngine()
     vocab_ids: dict[str, int] = {}
     sentence_memo: dict[str, "np.ndarray"] = {}
     doc_arrays: list[np.ndarray] = []
@@ -115,49 +119,18 @@ def tokenize_shard(
     n_docs = len(offsets) - 1
     for j in range(n_docs):
         text = buffer[offsets[j]:offsets[j + 1]].decode("utf-8")
-        if engine is not None:
-            spans = engine.sentence_spans(text)
-        else:
-            spans = split_sentences(text)
-        if terms_compose(text, spans):
-            parts: list[np.ndarray] = []
-            for span in spans:
-                ids = sentence_memo.get(span.text)
-                if ids is None:
-                    misses += 1
-                    if engine is not None:
-                        terms = engine.sentence_terms(span.text)
-                    else:
-                        terms = [
-                            word.lower()
-                            for word in tokenize_words(span.text)
-                        ]
-                    ids = np.fromiter(
-                        (
-                            vocab_ids.setdefault(term, len(vocab_ids))
-                            for term in terms
-                        ),
-                        dtype=np.int32,
-                        count=len(terms),
-                    )
-                    sentence_memo[span.text] = ids
-                else:
-                    hits += 1
-                parts.append(ids)
-            doc_arrays.append(
-                np.concatenate(parts)
-                if parts
-                else np.empty(0, dtype=np.int32)
-            )
-        else:
-            # Composability guard tripped: tokenize the whole document.
+        split = engine.split(text)
+        pieces = split.sentences
+        if not split.composes:
             fallbacks += 1
-            if engine is not None:
-                terms = engine.index_terms(text)
-            else:
-                terms = [word.lower() for word in tokenize_words(text)]
-            doc_arrays.append(
-                np.fromiter(
+            pieces = (text,)
+        parts: list[np.ndarray] = []
+        for piece in pieces:
+            ids = sentence_memo.get(piece)
+            if ids is None:
+                misses += 1
+                terms = engine.sentence_terms(piece)
+                ids = np.fromiter(
                     (
                         vocab_ids.setdefault(term, len(vocab_ids))
                         for term in terms
@@ -165,7 +138,13 @@ def tokenize_shard(
                     dtype=np.int32,
                     count=len(terms),
                 )
-            )
+                sentence_memo[piece] = ids
+            else:
+                hits += 1
+            parts.append(ids)
+        doc_arrays.append(
+            np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
+        )
     lengths = np.fromiter(
         (len(arr) for arr in doc_arrays), dtype=np.int64, count=n_docs
     )
@@ -205,7 +184,7 @@ def _tokenize_shard_payload(
 ) -> ShardResult:
     """Top-level worker entry point (picklable under fork *and* spawn)."""
     shard_id, buffer, offsets = payload
-    return tokenize_shard(shard_id, buffer, offsets, engine=None)
+    return tokenize_shard(shard_id, buffer, offsets)
 
 
 class ShardedIngester:

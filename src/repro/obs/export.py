@@ -181,7 +181,6 @@ def slo_gauges(statuses) -> dict[str, float]:
 
 def derive_gauges(
     registry: Registry,
-    scheduler=None,
     tracer: AnyTracer | None = None,
     portal=None,
     slo_statuses=None,
@@ -197,8 +196,6 @@ def derive_gauges(
       ingestion shard worker (see :mod:`repro.gather.ingest`);
     * ``positive_rate{driver="..."}`` — flagged / scored snippets per
       driver, the classifier-drift headline number;
-    * ``scheduler_queue_depth`` / ``scheduler_tracked_urls`` — revisit
-      scheduler backlog, when a scheduler is provided;
     * ``events_emitted`` — flight-recorder volume, when ``tracer``
       carries a recorder;
     * ``serve_cache_hit_rate`` / ``serve_rejection_rate`` — serving-
@@ -248,10 +245,6 @@ def derive_gauges(
             gauges[f'positive_rate{{driver="{driver_id}"}}'] = (
                 flagged / scored
             )
-
-    if scheduler is not None:
-        gauges["scheduler_queue_depth"] = float(scheduler.queue_depth)
-        gauges["scheduler_tracked_urls"] = float(len(scheduler))
 
     recorder = None if tracer is None else tracer.recorder
     if recorder is not None:

@@ -436,14 +436,7 @@ class StreamProcessor:
 
     def state_dict(self) -> dict:
         """The checkpointable processor state (JSON-compatible)."""
-        cache = None
-        if self.etap.text_engine is not None:
-            stats = self.etap.text_engine.stats()
-            cache = {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "hit_rate": round(stats.hit_rate, 4),
-            }
+        stats = self.etap.text_engine.stats()
         store = self.etap.store
         return {
             "state_version": STATE_VERSION,
@@ -468,7 +461,11 @@ class StreamProcessor:
                             for doc_id in self.streamed_docs)
             ],
             "wal_seq": self.wal.last_seq if self.wal is not None else -1,
-            "cache": cache,
+            "cache": {
+                "hits": stats.hits,
+                "misses": stats.misses,
+                "hit_rate": round(stats.hit_rate, 4),
+            },
         }
 
     def checkpoint(self) -> None:

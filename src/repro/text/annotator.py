@@ -82,9 +82,6 @@ class Annotator:
             entities=tuple(entities),
         )
 
-    def annotate_many(self, texts: list[str]) -> list[AnnotatedText]:
-        return [self.annotate(text) for text in texts]
-
     def _token(
         self, text: str, pos: str, entity: str | None
     ) -> AnnotatedToken:

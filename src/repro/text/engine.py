@@ -7,16 +7,18 @@ tagging, NER, stemming, feature abstraction.  Before this engine each
 stage re-derived that slice from raw text; the pipeline's hot path was
 dominated by redundant annotation.
 
-:class:`AnnotationEngine` is the shared annotate-once facade.  Each
-product (sentences, full annotation, index terms, abstracted feature
-tokens) lives in a content-hash-keyed, LRU-bounded
-:class:`AnnotationCache`, so
+:class:`AnnotationEngine` is the shared annotate-once facade.  A
+document is split into sentences once, and that split is its one
+per-document product: index terms concatenate its sentences' terms,
+snippets are windows over its sentences, and a snippet's annotation
+concatenates the annotations of its own sentences.  Every product lives
+in an LRU-bounded :class:`AnnotationCache`, so
 
 * identical text reaching two stages (or two sales drivers) is
   annotated once;
 * memory stays bounded on unbounded corpora (LRU eviction);
 * a hash collision can never serve the wrong annotation — entries
-  store the full source text and verify it on every hit.
+  store their full key and verify it on every hit.
 
 The engine is thread-safe: parallel ingestion workers warm the caches
 concurrently, and the deterministic merge step consumes the cached
@@ -29,16 +31,17 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Hashable, TypeVar
 
 from repro.features.abstraction import AbstractionPolicy, abstract_tokens
 from repro.text.annotator import AnnotatedText, AnnotatedToken, Annotator
 from repro.text.ner import Entity, NerConfig
-from repro.text.sentences import Sentence, split_sentence_texts, split_sentences
+from repro.text.sentences import Sentence, split_sentences
 from repro.text.stem import PorterStemmer
 from repro.text.tokenizer import tokenize_words
 
 T = TypeVar("T")
+K = TypeVar("K", bound=Hashable)
 
 #: Default per-product LRU capacity.  Sized for ~100k cached documents
 #: per product; eviction keeps long-running monitors bounded.
@@ -79,27 +82,25 @@ class CacheStats:
 
 
 class AnnotationCache:
-    """Content-hash-keyed LRU cache for per-text annotation products.
+    """LRU cache for annotation products, keyed by their source.
 
-    Values are stored alongside the full source text; a lookup whose
-    hash matches but whose text differs (a collision, or a deliberately
+    Values are stored alongside their full key; a lookup whose hash
+    matches but whose key differs (a collision, or a deliberately
     adversarial key) is treated as a miss and recomputed *without*
     evicting the resident entry — correctness never depends on SHA-1
     being collision-free.
-
-    ``capacity <= 0`` disables caching entirely (every lookup computes);
-    that mode exists for benchmarking the uncached path.
     """
 
     def __init__(
         self, capacity: int = DEFAULT_CAPACITY, hashed: bool = True
     ) -> None:
         self.capacity = capacity
-        # ``hashed=False`` keys entries by the text itself — right for
-        # short, high-repetition texts (individual sentences) where the
-        # SHA-1 would cost more than the dict probe it guards.
+        # ``hashed=False`` keys entries by the key itself — right for
+        # short, high-repetition texts (individual sentences) and for a
+        # snippet's sentence tuple, where a SHA-1 would cost more than
+        # the dict probe it guards.  Hashed keys must be strings.
         self._hashed = hashed
-        self._entries: "OrderedDict[str, tuple[str, object]]" = (
+        self._entries: "OrderedDict[Hashable, tuple[Hashable, object]]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
@@ -108,27 +109,21 @@ class AnnotationCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get_or_compute(
-        self, text: str, compute: Callable[[str], T]
-    ) -> T:
-        """Return the cached product for ``text``, computing on miss.
+    def get_or_compute(self, key: K, compute: Callable[[K], T]) -> T:
+        """Return the cached product for ``key``, computing on miss.
 
         The compute call runs outside the lock, so concurrent workers
         never serialize on annotation work — at worst two threads
         compute the same value and one insert wins.
         """
-        if self.capacity <= 0:
-            with self._lock:
-                self.stats.misses += 1
-            return compute(text)
-        key = content_key(text) if self._hashed else text
+        slot = content_key(key) if self._hashed else key
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get(slot)
             if entry is not None:
-                stored_text, value = entry
-                if stored_text == text:
+                stored_key, value = entry
+                if stored_key == key:
                     self.stats.hits += 1
-                    self._entries.move_to_end(key)
+                    self._entries.move_to_end(slot)
                     return value
                 # Hash collision: the resident entry keeps its slot.
                 self.stats.collisions += 1
@@ -137,20 +132,20 @@ class AnnotationCache:
             else:
                 self.stats.misses += 1
                 collided = False
-        value = compute(text)
+        value = compute(key)
         if collided:
             return value
         with self._lock:
-            if key not in self._entries:
-                self._entries[key] = (text, value)
+            if slot not in self._entries:
+                self._entries[slot] = (key, value)
                 if len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     self.stats.evictions += 1
             else:
                 # A concurrent compute won the insert race; reuse its
                 # value so every caller observes one canonical object.
-                stored_text, resident = self._entries[key]
-                if stored_text == text:
+                stored_key, resident = self._entries[slot]
+                if stored_key == key:
                     value = resident
         return value
 
@@ -159,23 +154,44 @@ class AnnotationCache:
             self._entries.clear()
 
 
+@dataclass(frozen=True, slots=True)
+class SentenceSplit:
+    """A document's sentences: the engine's one per-document product."""
+
+    sentences: tuple[str, ...]
+    #: Whether the sentences' token streams concatenate to the whole
+    #: text's (see :func:`terms_compose`).
+    composes: bool
+
+
+def split_document(text: str) -> SentenceSplit:
+    """Split ``text`` into sentences and check that they compose."""
+    spans = split_sentences(text)
+    return SentenceSplit(
+        tuple(span.text for span in spans), terms_compose(text, spans)
+    )
+
+
 class AnnotationEngine:
     """Shared annotate-once facade over the text pipeline.
 
     One engine instance is threaded through gathering, indexing,
-    training, scoring and serving (see :class:`repro.core.etap.Etap`);
-    each derived product is cached by content hash:
+    training, scoring and serving (see :class:`repro.core.etap.Etap`).
+    Each derived product is cached:
 
-    ``sentences``             raw document text -> sentence strings
-    ``sentence_spans``        raw document text -> :class:`Sentence` spans
+    ``sentences``             document text -> its :class:`SentenceSplit`
+    ``index_terms``           document text -> normalized index terms
     ``sentence_terms``        one sentence -> its normalized index terms
     ``sentence_annotations``  one sentence -> its :class:`AnnotatedText`
-    ``annotate``              snippet text -> :class:`AnnotatedText`
-    ``index_terms``           document text -> normalized index terms
-    ``features``              (annotated snippet, policy) -> feature tokens
+    ``annotations``           snippet sentences -> :class:`AnnotatedText`
+    ``features``              (snippet sentences, policy) -> feature tokens
 
-    The stemmer is shared (and internally memoized), so no two
-    classifiers ever re-stem the same word.
+    A document is split once.  Its index terms concatenate its
+    sentences' terms, its snippets are windows over its sentences, and
+    a snippet's annotation concatenates its own sentences' annotations,
+    so no snippet is joined and split again.  The stemmer is shared
+    (and internally memoized), so no two classifiers ever re-stem the
+    same word.
     """
 
     def __init__(
@@ -185,54 +201,69 @@ class AnnotationEngine:
     ) -> None:
         self.annotator = Annotator(ner_config)
         self.stemmer = PorterStemmer()
-        self._annotations = AnnotationCache(capacity)
-        self._sentences = AnnotationCache(capacity)
-        self._sentence_spans = AnnotationCache(capacity)
-        # Sentence-level term cache, keyed by the sentence string itself.
-        # Templated corpora repeat whole sentences far more often than
-        # whole documents, so this cache is where sharded ingestion wins
-        # its tokenization time back.
-        self._sentence_terms = AnnotationCache(capacity, hashed=False)
-        # Same idea for annotation: a snippet is composed from the
-        # annotations of its sentences (see :meth:`_annotate_of`).
-        self._sentence_annotations = AnnotationCache(capacity, hashed=False)
+        self._splits = AnnotationCache(capacity)
         self._terms = AnnotationCache(capacity)
+        # Sentence-level caches, keyed by the sentence string itself.
+        # Templated corpora repeat whole sentences far more often than
+        # whole documents, so these are where sharded ingestion wins its
+        # tokenization time back and where snippet annotation reuses.
+        self._sentence_terms = AnnotationCache(capacity, hashed=False)
+        self._sentence_annotations = AnnotationCache(capacity, hashed=False)
+        self._annotations = AnnotationCache(capacity, hashed=False)
         self._features: dict[object, AnnotationCache] = {}
         self._features_lock = threading.Lock()
         self._capacity = capacity
 
     # -- cached products ----------------------------------------------------
 
-    def annotate(self, text: str) -> AnnotatedText:
+    def split(self, text: str) -> SentenceSplit:
+        """The sentence split of a document (cached)."""
+        return self._splits.get_or_compute(text, split_document)
+
+    def sentences(self, text: str) -> tuple[str, ...]:
+        """Sentence strings of a document, read from its split."""
+        return self.split(text).sentences
+
+    def annotate(self, text: str | tuple[str, ...]) -> AnnotatedText:
         """Full annotation (tokens, POS, NER) — computed at most once.
 
-        Composed from per-sentence annotations when the sentences
-        compose (see :meth:`_annotate_of`); the result equals
+        ``text`` is a snippet's sentence tuple, annotated as their
+        ``" "`` join, or a raw text, whose sentences come from its
+        cached split.  The result is composed from per-sentence
+        annotations when they compose (see :meth:`_compose`) and equals
         annotating the whole text either way.
         """
         return self._annotations.get_or_compute(text, self._annotate_of)
 
-    def _annotate_of(self, text: str) -> AnnotatedText:
+    def _annotate_of(self, text: str | tuple[str, ...]) -> AnnotatedText:
+        if not isinstance(text, str):
+            return self._compose(" ".join(text), text)
+        split = self.split(text)
+        if not split.composes:
+            return self.annotator.annotate(text)
+        return self._compose(text, split.sentences)
+
+    def _compose(
+        self, text: str, sentences: tuple[str, ...]
+    ) -> AnnotatedText:
         """Concatenate the cached annotations of ``text``'s sentences.
 
-        Valid when the token streams compose (:func:`terms_compose`) and
-        every sentence but the last ends in a ``.``, ``!`` or ``?``
-        token.  That token is tagged ``punct``, resets the tagger's
-        sentence-initial state, matches no context patch and starts or
-        continues no entity, so tagging and NER never look across it.
-        Otherwise the whole text is annotated directly.
+        The sentences' token streams concatenate to ``text``'s.  The
+        annotations compose when every sentence but the last ends in a
+        ``.``, ``!`` or ``?`` token.  That token is tagged ``punct``,
+        resets the tagger's sentence-initial state, matches no context
+        patch and starts or continues no entity, so tagging and NER
+        never look across it.  Otherwise the whole text is annotated
+        directly.
         """
-        spans = split_sentences(text)
-        if not terms_compose(text, spans):
-            return self.annotator.annotate(text)
         parts = [
             self._sentence_annotations.get_or_compute(
-                span.text, self.annotator.annotate
+                sentence, self.annotator.annotate
             )
-            for span in spans
+            for sentence in sentences
         ]
         if any(
-            part.tokens[-1].text not in _SENTENCE_END_TOKENS
+            not part.tokens or part.tokens[-1].text not in _SENTENCE_END_TOKENS
             for part in parts[:-1]
         ):
             return self.annotator.annotate(text)
@@ -247,16 +278,6 @@ class AnnotationEngine:
             )
         return AnnotatedText(text, tuple(tokens), tuple(entities))
 
-    def sentences(self, text: str) -> list[str]:
-        """Sentence strings of a document (cached; do not mutate)."""
-        return self._sentences.get_or_compute(
-            text, split_sentence_texts
-        )
-
-    def sentence_spans(self, text: str) -> list[Sentence]:
-        """Sentence spans of a document (cached; do not mutate)."""
-        return self._sentence_spans.get_or_compute(text, split_sentences)
-
     def sentence_terms(self, sentence: str) -> list[str]:
         """Normalized index terms of one sentence (cached; do not mutate)."""
         return self._sentence_terms.get_or_compute(sentence, _index_terms)
@@ -264,38 +285,41 @@ class AnnotationEngine:
     def index_terms(self, text: str) -> list[str]:
         """Normalized (lower-cased) index terms (cached; do not mutate).
 
-        Computed compositionally when possible: split into sentences and
-        concatenate each sentence's (cached) terms.  Sentence-level
-        reuse dwarfs document-level reuse on templated corpora, so a
-        re-index after sharded ingestion runs almost entirely from the
-        sentence-term cache.  When the composability guard fails the
-        whole document is tokenized directly — the result is identical
-        either way (see :func:`terms_compose`).
+        The concatenated (cached) terms of the document's sentences.
+        Sentence-level reuse dwarfs document-level reuse on templated
+        corpora, so a re-index after sharded ingestion runs almost
+        entirely from the sentence-term cache.  When the split does not
+        compose the whole document is tokenized directly — the result
+        is identical either way (see :func:`terms_compose`).
         """
         return self._terms.get_or_compute(text, self._index_terms_of)
 
     def _index_terms_of(self, text: str) -> list[str]:
-        spans = self.sentence_spans(text)
-        if not terms_compose(text, spans):
+        split = self.split(text)
+        if not split.composes:
             return _index_terms(text)
         terms: list[str] = []
-        for span in spans:
-            terms.extend(self.sentence_terms(span.text))
+        for sentence in split.sentences:
+            terms.extend(self.sentence_terms(sentence))
         return terms
 
     def features(
-        self, text: str, annotated: AnnotatedText, policy: AbstractionPolicy
+        self,
+        sentences: tuple[str, ...],
+        annotated: AnnotatedText,
+        policy: AbstractionPolicy,
     ) -> list[str]:
         """Abstracted feature tokens for one annotated snippet.
 
         Cached per policy, so a bank of per-driver classifiers sharing
         one policy abstracts each snippet once instead of once per
-        driver.  ``text`` is the snippet's source text (the cache key);
-        ``annotated`` its annotation, typically from :meth:`annotate`.
+        driver.  ``sentences`` is the snippet's sentence tuple (the
+        cache key); ``annotated`` its annotation, typically from
+        :meth:`annotate`.
         """
         cache = self._feature_cache(policy)
         return cache.get_or_compute(
-            text,
+            sentences,
             lambda _: abstract_tokens(
                 annotated, policy, stemmer=self.stemmer
             ),
@@ -307,7 +331,7 @@ class AnnotationEngine:
         if cache is None:
             with self._features_lock:
                 cache = self._features.setdefault(
-                    key, AnnotationCache(self._capacity)
+                    key, AnnotationCache(self._capacity, hashed=False)
                 )
         return cache
 
@@ -316,35 +340,22 @@ class AnnotationEngine:
     def stats(self) -> CacheStats:
         """Aggregate hit/miss accounting across every product cache."""
         total = CacheStats()
-        for cache in self._caches():
-            total = total.merged(cache.stats)
+        for product in self.stats_by_product().values():
+            total = total.merged(product)
         return total
 
     def stats_by_product(self) -> dict[str, CacheStats]:
-        named = {
-            "annotations": self._annotations.stats,
-            "sentences": self._sentences.stats,
-            "sentence_spans": self._sentence_spans.stats,
+        features = CacheStats()
+        for cache in list(self._features.values()):
+            features = features.merged(cache.stats)
+        return {
+            "sentences": self._splits.stats,
+            "index_terms": self._terms.stats,
             "sentence_terms": self._sentence_terms.stats,
             "sentence_annotations": self._sentence_annotations.stats,
-            "index_terms": self._terms.stats,
+            "annotations": self._annotations.stats,
+            "features": features,
         }
-        feature_total = CacheStats()
-        for cache in self._features.values():
-            feature_total = feature_total.merged(cache.stats)
-        named["features"] = feature_total
-        return named
-
-    def _caches(self) -> list[AnnotationCache]:
-        return [
-            self._annotations,
-            self._sentences,
-            self._sentence_spans,
-            self._sentence_terms,
-            self._sentence_annotations,
-            self._terms,
-            *self._features.values(),
-        ]
 
 
 def terms_compose(text: str, spans: list[Sentence]) -> bool:
@@ -353,10 +364,10 @@ def terms_compose(text: str, spans: list[Sentence]) -> bool:
     Tokenizer matches never span whitespace, so concatenating each
     sentence's token stream equals tokenizing the whole document as long
     as every sentence (after the first) is preceded by whitespace in the
-    source text.  :func:`~repro.text.sentences.split_sentences` yields
-    stripped spans whose gaps are whitespace by construction, so this
-    guard holds everywhere today — it exists so a future splitter change
-    degrades to the slow path instead of to wrong terms.
+    source text.  :func:`~repro.text.sentences.split_sentences` can cut
+    between two sentences that abut: ``"Acme rose.Beta fell."`` splits
+    after ``rose.``, but the whole text tokenizes ``rose.Beta`` as one
+    word.  Such a document is tokenized whole.
     """
     return all(
         span.start == 0 or text[span.start - 1].isspace()
@@ -365,5 +376,5 @@ def terms_compose(text: str, spans: list[Sentence]) -> bool:
 
 
 def _index_terms(text: str) -> list[str]:
-    """The inverted index's term stream for one document."""
+    """The inverted index's term stream for one text."""
     return [word.lower() for word in tokenize_words(text)]

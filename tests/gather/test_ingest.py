@@ -83,9 +83,10 @@ class TestTokenizeShard:
         ordinals = [store.ordinal_of(doc.doc_id) for doc in accepted]
         buffer, offsets = store.flat_texts(ordinals)
         bare = tokenize_shard(0, buffer, offsets, engine=None)
-        warmed = tokenize_shard(
-            0, buffer, offsets, engine=AnnotationEngine()
-        )
+        # A shared engine that already cached every split and sentence.
+        engine = AnnotationEngine()
+        tokenize_shard(0, buffer, offsets, engine=engine)
+        warmed = tokenize_shard(0, buffer, offsets, engine=engine)
         assert bare.vocab == warmed.vocab
         assert bare.token_terms.tolist() == warmed.token_terms.tolist()
         assert bare.doc_ptr.tolist() == warmed.doc_ptr.tolist()

@@ -24,6 +24,7 @@ from repro.corpus.web import build_web
 from repro.gather.ingest import AcceptedDoc, ShardedIngester
 from repro.gather.store import DocumentStore, StoredDocument
 from repro.search.index import InvertedIndex
+from repro.text.engine import split_document
 from tests.search.helpers import postings_snapshot
 
 WORKER_COUNTS = (1, 2, 4)
@@ -41,14 +42,26 @@ SENTENCES = (
     "Markets reacted calmly.",
 )
 
+#: ``""`` abuts sentences: the split still cuts between them, but the
+#: document tokenizes across the cut (``results.markets``), so ingestion
+#: takes its whole-document fallback.
+JOINS = (" ", "")
+
+ABUTTING = [
+    "Analysts cheered the results.Markets reacted calmly.",
+    "The deal closed quickly. Layoffs hit the sector hard.",
+]
+
 
 @st.composite
 def corpora(draw) -> list[str]:
     texts = draw(
         st.lists(
-            st.lists(
-                st.sampled_from(SENTENCES), min_size=0, max_size=4
-            ).map(" ".join),
+            st.builds(
+                str.join,
+                st.sampled_from(JOINS),
+                st.lists(st.sampled_from(SENTENCES), min_size=0, max_size=4),
+            ),
             min_size=0,
             max_size=18,
         )
@@ -107,8 +120,12 @@ def full_snapshot(index, vocab):
 # boundaries: every text appears twice, only the first copy lands.
 @example([s for s in SENTENCES for _ in range(2)])
 @example([])
+@example(ABUTTING)
 def test_every_worker_count_matches_serial_build(texts):
     store, accepted = ingest_all(texts)
+    abutting = sum(
+        not split_document(document.text).composes for document in store
+    )
 
     reference = InvertedIndex()
     for document in store:
@@ -120,6 +137,7 @@ def test_every_worker_count_matches_serial_build(texts):
     baseline = None
     for workers in WORKER_COUNTS:
         result = ShardedIngester(workers).ingest(store, accepted)
+        assert result.fallbacks == abutting
         index = result.index
         # Store order is fixed by the serial parent loop — sharding
         # must reflect it back untouched.
@@ -138,6 +156,13 @@ def test_every_worker_count_matches_serial_build(texts):
             assert current == baseline, (
                 f"workers={workers} produced a different index"
             )
+
+
+def test_abutting_corpus_takes_the_fallback():
+    """The ``ABUTTING`` example really runs the whole-document path."""
+    store, accepted = ingest_all(ABUTTING)
+    for workers in WORKER_COUNTS:
+        assert ShardedIngester(workers).ingest(store, accepted).fallbacks == 1
 
 
 class TestEndToEndAlerts:

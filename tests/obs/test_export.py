@@ -13,7 +13,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import Registry
 from repro.obs.tracer import Tracer
-from repro.gather.scheduler import RevisitScheduler
 
 
 class TestSanitize:
@@ -136,14 +135,6 @@ class TestDeriveGauges:
         gauges = derive_gauges(registry)
         assert gauges['ingest_shard_docs{shard="0"}'] == 26.0
         assert gauges['ingest_shard_docs{shard="1"}'] == 24.0
-
-    def test_scheduler_gauges(self):
-        scheduler = RevisitScheduler()
-        scheduler.track("http://x/a")
-        scheduler.track("http://x/b")
-        gauges = derive_gauges(Registry(), scheduler=scheduler)
-        assert gauges["scheduler_tracked_urls"] == 2.0
-        assert gauges["scheduler_queue_depth"] == 2.0
 
     def test_event_log_gauge(self):
         log = EventLog()

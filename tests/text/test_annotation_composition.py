@@ -1,15 +1,15 @@
 """Sentence-composed annotation equals whole-text annotation.
 
 :meth:`AnnotationEngine.annotate` builds a snippet's annotation from
-cached per-sentence annotations whenever the composition rule holds,
-and annotates the whole text otherwise.  Either way the result must
-equal the reference annotator's (``tests/text/test_reference_annotator``)
-on the whole text.
+the cached annotations of its own sentences whenever the composition
+rule holds, and annotates the whole text otherwise.  Either way the
+result must equal the reference annotator's
+(``tests/text/test_reference_annotator``) on the whole text.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.snippets import SnippetGenerator
@@ -22,6 +22,7 @@ from tests.text.test_reference_annotator import (
     NER_CONFIG,
     reference_annotate,
     template_sentences,
+    texts,
 )
 
 REFERENCE_NER = NamedEntityRecognizer(NER_CONFIG)
@@ -37,6 +38,24 @@ sentence_lists = st.lists(
 def test_composed_annotation_equals_reference(sentences):
     text = " ".join(sentences)
     assert ENGINE.annotate(text) == reference_annotate(text, REFERENCE_NER)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts, st.integers(min_value=1, max_value=4))
+# Abutting sentences: the split cuts after ``rose.``, but the document
+# text tokenizes ``rose.Beta`` whole.
+@example("Acme rose.Beta fell. Profits were flat.", 3)
+# ``A.B.`` ends a sentence in one token: the snippet is annotated whole.
+@example("Profits rose at A.B. XYZ shares fell.", 3)
+def test_snippet_annotation_equals_reference(text, window):
+    """A snippet is annotated from its own sentences, never re-split."""
+    snippets = SnippetGenerator(window=window, splitter=ENGINE.sentences)
+    cut = snippets.from_text("d", text)
+    splits = ENGINE.stats_by_product()["sentences"].lookups
+    for snippet in cut:
+        expected = reference_annotate(snippet.text, REFERENCE_NER)
+        assert ENGINE.annotate(snippet.sentences) == expected
+    assert ENGINE.stats_by_product()["sentences"].lookups == splits
 
 
 def test_sentence_shared_by_two_snippets_is_annotated_once():

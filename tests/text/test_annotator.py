@@ -46,14 +46,3 @@ class TestMerge:
         text = "Acme Inc named Mary Jones CEO on Monday."
         annotated = annotator.annotate(text)
         assert len(annotated.tokens) == len(tokenize(text))
-
-
-class TestAnnotateMany:
-    def test_batch_matches_single(self, annotator):
-        texts = ["Acme Inc grew.", "Globex Corp shrank."]
-        batch = annotator.annotate_many(texts)
-        singles = [annotator.annotate(t) for t in texts]
-        assert [a.tokens for a in batch] == [a.tokens for a in singles]
-
-    def test_empty_batch(self, annotator):
-        assert annotator.annotate_many([]) == []

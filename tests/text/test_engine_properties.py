@@ -22,7 +22,7 @@ from repro.text.engine import (
     AnnotationEngine,
     content_key,
 )
-from repro.text.sentences import split_sentence_texts
+from repro.text.sentences import split_sentences
 
 texts_strategy = st.lists(
     st.text(alphabet="ab ", max_size=4), max_size=60
@@ -54,16 +54,6 @@ def test_cache_matches_lru_reference_model(sequence, capacity):
     assert cache.stats.lookups == len(sequence)
     assert cache.stats.collisions == 0
     assert len(cache) == len(reference)
-
-
-@given(texts_strategy)
-def test_zero_capacity_disables_caching(sequence):
-    cache = AnnotationCache(capacity=0)
-    for text in sequence:
-        assert cache.get_or_compute(text, str.upper) == text.upper()
-    assert len(cache) == 0
-    assert cache.stats.hits == 0
-    assert cache.stats.misses == len(sequence)
 
 
 def test_repeat_lookup_returns_the_cached_object():
@@ -102,38 +92,34 @@ def test_hash_collision_never_serves_the_wrong_value(monkeypatch):
 def test_engine_accounting_is_consistent(sequence):
     engine = AnnotationEngine()
     for text in sequence:
-        engine.annotate(text)
-        engine.sentences(text)
+        raw = engine.annotate(text)
+        assert engine.annotate(engine.sentences(text)) == raw
         engine.index_terms(text)
     unique = set(sequence)
-    n_sentences = {
-        text: len(engine.sentence_spans(text)) for text in unique
-    }
+    n_sentences = [len(split_sentences(text)) for text in unique]
     distinct_sentences = {
-        sentence for text in unique for sentence in split_sentence_texts(text)
+        sentence.text for text in unique for sentence in split_sentences(text)
     }
     stats = engine.stats()
-    # Each call is one top-level lookup.  An index_terms *miss* composes
-    # from the sentence products, adding one sentence_spans lookup and
-    # one sentence_terms lookup per sentence of that (unique) text; an
-    # annotate miss adds one sentence_annotations lookup per sentence.
-    # The n_sentences reads above add one further (hit) lookup each.
-    nested = sum(1 + 2 * n for n in n_sentences.values()) + len(unique)
-    assert stats.lookups == 3 * len(sequence) + nested
-    # Three top-level products miss once per unique text; composition
-    # misses once per distinct sentence (and once per unique text for
-    # the span split).
     by_product = engine.stats_by_product()
-    assert by_product["annotations"].misses == len(unique)
+    # Each loop iteration makes four top-level lookups: annotate(text),
+    # sentences, annotate(sentence tuple) and index_terms.  Misses add
+    # nested lookups once per unique text: the text annotation reads the
+    # split and one sentence annotation per sentence, the tuple
+    # annotation one sentence annotation per sentence, and index_terms
+    # the split and one sentence_terms entry per sentence.
+    nested = sum(2 + 3 * n for n in n_sentences)
+    assert stats.lookups == 4 * len(sequence) + nested
+    # The document split is computed once per unique text; a text and
+    # its sentence tuple are two annotation keys.
     assert by_product["sentences"].misses == len(unique)
+    assert by_product["annotations"].misses == 2 * len(unique)
     assert by_product["index_terms"].misses == len(unique)
     assert by_product["index_terms"].hits == len(sequence) - len(unique)
-    assert by_product["sentence_annotations"].misses == len(
-        distinct_sentences
-    )
-    assert by_product["sentence_annotations"].lookups == sum(
-        n_sentences.values()
-    )
+    for product in ("sentence_annotations", "sentence_terms"):
+        assert by_product[product].misses == len(distinct_sentences)
+    assert by_product["sentence_annotations"].lookups == 2 * sum(n_sentences)
+    assert by_product["sentence_terms"].lookups == sum(n_sentences)
     assert stats.hits == stats.lookups - stats.misses
     assert sum(s.lookups for s in by_product.values()) == stats.lookups
 
