@@ -29,6 +29,9 @@ from repro.text.engine import AnnotationEngine
 #: same budget.
 DEFAULT_MAX_CRAWL_PAGES = 100_000
 
+#: MinHash similarity at which ``near_dedup`` drops a syndicated copy.
+NEAR_DEDUP_THRESHOLD = 0.7
+
 
 @dataclass
 class GatherReport:
@@ -74,13 +77,10 @@ class DataGatherer:
         max_pages: int | None = None,
         scorer: PageScorer = business_relevance,
         near_dedup: bool = False,
-        near_dedup_threshold: float = 0.7,
         tracer: AnyTracer | None = None,
         fetcher: ResilientFetcher | None = None,
-        index_degraded: bool = False,
         text_engine: AnnotationEngine | None = None,
         workers: int = 1,
-        mp_start_method: str | None = None,
     ) -> None:
         self.web = web
         self.tracer = NULL_TRACER if tracer is None else tracer
@@ -96,9 +96,6 @@ class DataGatherer:
         #: ``workers=1``.  Incremental re-gathers (e.g. alert polling)
         #: index their new documents serially, in one batched write.
         self.workers = max(1, workers)
-        #: Multiprocessing start method for shard workers (``fork``,
-        #: ``spawn``, ``forkserver``; ``None`` = platform default).
-        self.mp_start_method = mp_start_method
         self._memory_counted = 0
         self.engine = SearchEngine(tracer=self.tracer, text_engine=text_engine)
         # A faulty web without an explicit fetcher gets the resilient
@@ -106,10 +103,6 @@ class DataGatherer:
         if fetcher is None and isinstance(web, FaultyWeb):
             fetcher = ResilientFetcher(web, seed=web.seed, tracer=self.tracer)
         self.fetcher = fetcher
-        #: Degraded (truncated/garbled) pages are counted but, by
-        #: default, kept out of the store and index: corrupted text
-        #: must never mint trigger events a healthy fetch would not.
-        self.index_degraded = index_degraded
         self._crawler = FocusedCrawler(
             web,
             scorer=scorer,
@@ -122,7 +115,7 @@ class DataGatherer:
         )
         self._near_index = (
             NearDuplicateIndex(
-                threshold=near_dedup_threshold, tracer=self.tracer
+                threshold=NEAR_DEDUP_THRESHOLD, tracer=self.tracer
             )
             if near_dedup
             else None
@@ -168,10 +161,11 @@ class DataGatherer:
                 for page in crawl.pages:
                     if page.document is None:
                         continue  # hub/index pages are navigation, not content
-                    if (
-                        not self.index_degraded
-                        and page.url in crawl.degraded_urls
-                    ):
+                    if page.url in crawl.degraded_urls:
+                        # Degraded (truncated/garbled) text is counted
+                        # but kept out of the store and index: it must
+                        # never mint a trigger event a healthy fetch
+                        # would not.
                         degraded_skipped += 1
                         continue
                     if (
@@ -244,7 +238,6 @@ class DataGatherer:
                         self.workers,
                         text_engine=self.text_engine,
                         tracer=self.tracer,
-                        mp_start_method=self.mp_start_method,
                     )
                     result = ingester.ingest(self.store, accepted)
                     self.engine.index = result.index

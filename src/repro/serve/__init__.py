@@ -18,8 +18,8 @@ artifacts into a system that answers analyst traffic:
   multi-tenant subscriptions (company/driver filters), ``query()``,
   ``poll_alerts()`` on AlertService idempotency keys;
 * :mod:`repro.serve.loadgen` — :class:`LoadGenerator`: seeded
-  closed-loop clients with zipf query popularity, feeding
-  ``benchmarks/bench_serve.py``.
+  closed-loop clients with zipf query popularity, driving
+  ``repro serve``, ``repro health`` and ``repro top``.
 
 See ``docs/SERVING.md`` for the architecture and the overload /
 zero-downtime-swap semantics the serve test suite enforces.

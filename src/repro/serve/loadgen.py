@@ -11,8 +11,7 @@ a result cache worth having).
 Determinism: each client owns ``random.Random(seed * 10007 + client)``
 and a fixed per-client request budget, so the multiset of (client,
 query) requests is a pure function of ``(seed, n_clients, n_queries,
-queries)`` — identical on every run, which is what lets
-``BENCH_serve.json``'s cache hit rate and status counts be compared
+queries)`` — identical on every run, so status counts can be compared
 across commits.  Latency percentiles are measured wall time and vary;
 the *workload* does not.
 """

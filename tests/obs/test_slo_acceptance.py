@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.obs.events import read_events
 
@@ -21,7 +19,6 @@ DOCS = ["--docs", "200", "--seed", "7"]
 LOAD = ["--queries", "30", "--clients", "2"]
 
 
-@pytest.mark.chaos
 class TestHealthUnderFaults:
     def test_fault_free_run_is_ok(self, capsys):
         code = main(["health", *DOCS, *LOAD])

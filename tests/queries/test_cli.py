@@ -8,8 +8,6 @@ import pytest
 
 from repro.cli import main
 
-pytestmark = pytest.mark.queries
-
 RECIPES_DIR = Path(__file__).resolve().parents[2] / "configs" / "recipes"
 
 

@@ -14,8 +14,6 @@ from repro.queries.evaluate import (
 )
 from repro.queries.generate import QueryCandidate
 
-pytestmark = pytest.mark.queries
-
 
 class TestStoreGroundTruth:
     def test_every_driver_has_relevant_documents(self, ground_truth):

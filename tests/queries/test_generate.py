@@ -17,8 +17,6 @@ from repro.queries.generate import (
     entity_slot_companies,
 )
 
-pytestmark = pytest.mark.queries
-
 
 class TestDefaultLexicons:
     def test_every_available_driver_has_a_lexicon(self):

@@ -15,11 +15,7 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from tests.golden.regen_queries import GOLDEN_PATH, snapshot
-
-pytestmark = pytest.mark.queries
 
 
 def test_planner_output_matches_golden_snapshot():

@@ -16,8 +16,6 @@ from repro.queries.planner import (
     PortfolioPlanner,
 )
 
-pytestmark = pytest.mark.queries
-
 DRIVER = "layoffs"
 
 

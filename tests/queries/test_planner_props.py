@@ -9,15 +9,12 @@ docs get covered), and planning is fully deterministic.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.queries.evaluate import CandidateEvaluation
 from repro.queries.generate import QueryCandidate
 from repro.queries.planner import PlannerConfig, PortfolioPlanner
-
-pytestmark = pytest.mark.queries
 
 DOC_IDS = tuple(f"doc-{i}" for i in range(16))
 

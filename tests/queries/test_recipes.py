@@ -19,8 +19,6 @@ from repro.queries.recipes import (
     validate_recipe_data,
 )
 
-pytestmark = pytest.mark.queries
-
 RECIPES_DIR = Path(__file__).resolve().parents[2] / "configs" / "recipes"
 
 MINIMAL = {"name": "t", "drivers": ["layoffs"]}

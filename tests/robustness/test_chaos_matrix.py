@@ -62,7 +62,6 @@ def baseline():
     return web, etap, alerts
 
 
-@pytest.mark.chaos
 @pytest.mark.parametrize("profile_name", FAULT_PROFILES)
 def test_degradation_invariant_holds(profile_name, baseline):
     base_web, base_etap, base_alerts = baseline
@@ -100,7 +99,6 @@ def test_degradation_invariant_holds(profile_name, baseline):
         assert not validate_record(record.to_dict())
 
 
-@pytest.mark.chaos
 def test_lossy_profiles_actually_lose_something(baseline):
     """At least one lossy profile produces a *strict* subset.
 
@@ -150,7 +148,6 @@ def polled(baseline):
     return alerts
 
 
-@pytest.mark.chaos
 @pytest.mark.parametrize("profile_name", FAULT_PROFILES)
 def test_poll_after_evolution_degrades_to_a_subset(profile_name, polled):
     alerts, reference = polled[profile_name], polled["none"]
@@ -166,7 +163,6 @@ def test_poll_after_evolution_degrades_to_a_subset(profile_name, polled):
         )
 
 
-@pytest.mark.chaos
 def test_some_lossy_poll_loses_an_alert(polled):
     assert any(
         polled[name] < polled["none"]

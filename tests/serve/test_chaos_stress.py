@@ -21,14 +21,10 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
 from repro.obs.clock import FakeClock
 from repro.serve import AdmissionController, AlertPortal, QueryCache
 
 from tests.serve.test_stress import build_store, make_alert
-
-pytestmark = [pytest.mark.serve, pytest.mark.chaos_serve]
 
 N_READERS = 5
 N_ROUNDS = 8

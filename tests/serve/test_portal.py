@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.drivers import builtin_drivers
 from repro.obs.clock import FakeClock
 from repro.obs.events import EventLog
 from repro.obs.export import (
@@ -19,6 +20,7 @@ from repro.serve import (
     STATUS_STALE,
     AdmissionController,
     AlertPortal,
+    LoadGenerator,
     QueryCache,
 )
 
@@ -290,3 +292,15 @@ class TestStats:
         assert stats["cache_hits"] == 1
         assert stats["cache_misses"] == 1
         assert stats["queue_depth"] == 0
+
+    def test_load_report_accounts_for_every_query(self, portal):
+        queries = [q for d in builtin_drivers() for q in d.smart_queries]
+        report = LoadGenerator(
+            portal, queries, n_clients=3, n_queries=40, seed=7
+        ).run().to_dict()
+        assert report["statuses"] == {STATUS_OK: 40}
+        assert report["qps"] > 0
+        assert 0 <= report["p50_ms"] <= report["p99_ms"]
+        # The zipf mix must make the cache earn its keep.
+        assert 0.3 < report["cache_hit_rate"] <= 1.0
+        assert len(report["shard_docs"]) == 3

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
 from repro.core.alerts import Alert, idempotency_key
 from repro.core.ranking import TriggerEvent
 from repro.core.snippets import Snippet
@@ -20,8 +18,6 @@ from repro.gather.store import DocumentStore, StoredDocument
 from repro.obs.clock import FakeClock
 from repro.serve import AdmissionController, AlertPortal, QueryCache
 from repro.text.annotator import AnnotatedText
-
-pytestmark = pytest.mark.serve
 
 N_READERS = 6
 N_SWAPS = 8

@@ -53,7 +53,6 @@ def healthy_cycles(fresh_run):
     return per_cycle
 
 
-@pytest.mark.chaos
 @pytest.mark.parametrize("profile_name", LOSSY_PROFILES)
 def test_lossy_stream_degrades_never_fabricates(
     fresh_run, healthy_cycles, tmp_path, profile_name
@@ -111,7 +110,6 @@ def test_lossy_stream_degrades_never_fabricates(
     resumed.close()
 
 
-@pytest.mark.chaos
 def test_transient_only_stream_is_lossless(fresh_run, healthy_cycles):
     """Retries must fully mask a transient-only profile, per cycle."""
     profile = get_profile("flaky")

@@ -10,7 +10,8 @@ zero holes.
 ``test_kill_after_every_wal_record`` is exhaustive: the reference run
 counts its WAL records, then every position 1..N is killed against and
 resumed.  The hypothesis test layers multiple crashes in one lifetime
-chain (crash during recovery replay included).
+chain (crash during recovery replay included).  Alerts must also be
+fresh: minted within one cycle of their document's arrival.
 """
 
 from __future__ import annotations
@@ -117,6 +118,23 @@ def reference(fresh_run, tmp_path_factory):
     return state, n_records
 
 
+def test_every_alert_mints_within_one_cycle_of_arrival(fresh_run):
+    etap, web = fresh_run()
+    source = _source(web)
+    processor = StreamProcessor(etap)
+    arrival: dict[str, int] = {}
+    streamed = 0
+    while source.cycle < CYCLES:
+        batch = source.next_batch()
+        for document in batch.documents:
+            arrival.setdefault(document.doc_id, batch.cycle)
+        streamed += processor.process_batch(batch).n_ingested
+    assert streamed == CYCLES * DOCS_PER_CYCLE
+    assert processor.alerts, "no alerts minted (vacuous freshness check)"
+    for alert in processor.alerts:
+        assert 0 <= alert.cycle - arrival[alert.doc_id] <= 1, alert
+
+
 def test_kill_after_every_wal_record(fresh_run, reference, tmp_path):
     ref_state, n_records = reference
     failures = []
@@ -221,6 +239,10 @@ def test_recovered_flags_mark_exactly_the_durably_emitted_tail(
     )
     source.seek(info.cycle)
     resumed.run(source, until_cycle=CYCLES)
+    assert info.recovered_alert_keys, (
+        "no alert sat in the WAL tail past the last checkpoint; move "
+        "the kill so the replay re-derives at least one alert"
+    )
     assert {a.alert_id for a in resumed.alerts if a.recovered} == (
         info.recovered_alert_keys
     )

@@ -1,9 +1,9 @@
-"""Tier-1 smoke test for the benchmark harness.
+"""Tier-1 smoke test for the paper-figure benches.
 
 The ``benchmarks/`` scripts only run under ``pytest-benchmark`` against
 session-scoped paper/medium datasets, so tier-1 runs never import them
-— a refactor can silently break every bench.  This smoke test loads one
-benchmark script and drives it at toy scale through a stub ``benchmark``
+— a refactor can silently break every bench.  This smoke test imports
+every script and drives one at toy scale through a stub ``benchmark``
 fixture, so the bench's imports, plumbing, and assertions stay honest.
 """
 
@@ -12,8 +12,6 @@ from __future__ import annotations
 import importlib.util
 import sys
 from pathlib import Path
-
-import pytest
 
 BENCHMARKS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -47,7 +45,6 @@ class StubBenchmark:
         return func(*args, **kwargs)
 
 
-@pytest.mark.bench_smoke
 def test_fig8_bench_runs_at_toy_scale(trained_etap, small_dataset):
     module = _load_bench_module("bench_fig8_semantic_orientation")
     stub = StubBenchmark()
@@ -57,327 +54,9 @@ def test_fig8_bench_runs_at_toy_scale(trained_etap, small_dataset):
     assert stub.extra_info["n_events"] > 0
 
 
-@pytest.mark.bench_smoke
 def test_all_benchmark_scripts_importable():
     """Every bench script must at least import against current APIs."""
     scripts = sorted(BENCHMARKS_DIR.glob("bench_*.py"))
     assert scripts, "no benchmark scripts found"
     for path in scripts:
         _load_bench_module(path.stem)
-
-
-@pytest.mark.bench_smoke
-def test_obs_overhead_bench_at_toy_scale(tmp_path):
-    """The recorder bench runs, emits its JSON, and the off path stays
-    a no-op (the acceptance check for 'no measurable overhead')."""
-    module = _load_bench_module("bench_obs_overhead")
-    out = tmp_path / "BENCH_obs.json"
-    payload = module.measure(n_docs=200, seed=7, rounds=1, out=out)
-    assert out.exists()
-    import json
-
-    assert json.loads(out.read_text()) == payload
-    assert payload["event_counts"]["page_crawled"] > 0
-    assert payload["event_counts"]["model_trained"] == 3
-    assert payload["events_emitted"] > 0
-    # Recorder-off is the default null-object path: a single no-op
-    # call, far below a microsecond.
-    assert payload["null_emit_seconds_per_call"] < 5e-6
-
-
-@pytest.mark.bench_smoke
-def test_serve_bench_at_toy_scale(tmp_path):
-    """The serving bench runs end to end and its payload validates."""
-    module = _load_bench_module("bench_serve")
-    out = tmp_path / "BENCH_serve.json"
-    payload = module.measure(
-        n_docs=120, n_clients=3, n_queries=40, n_shards=2,
-        seed=7, out=out,
-    )
-    assert out.exists()
-    assert module.validate_payload(payload) == []
-    assert payload["statuses"] == {"ok": 40}
-
-
-@pytest.mark.bench_smoke
-def test_ingest_bench_at_toy_scale(tmp_path):
-    """The ingestion bench runs end to end and its payload validates."""
-    import json
-
-    module = _load_bench_module("bench_ingest")
-    out = tmp_path / "BENCH_ingest.json"
-    payload = module.measure(n_docs=150, seed=7, out=out)
-    assert out.exists()
-    assert json.loads(out.read_text()) == payload
-    assert module.validate_payload(payload) == []
-    # Self-baselined run: the same numbers on both sides, ratio 1.0.
-    assert payload["speedup"] == 1.0
-    # The annotate-once floor holds even at toy scale.
-    assert payload["current"]["cache"]["hit_rate"] >= 0.5
-
-
-@pytest.mark.bench_smoke
-def test_ingest_bench_parallel_warm_matches_serial(tmp_path):
-    """--workers must not change what the measured pipeline produces."""
-    module = _load_bench_module("bench_ingest")
-    serial = module.run_once(n_docs=120, seed=7, workers=1)
-    parallel = module.run_once(n_docs=120, seed=7, workers=4)
-    for key in ("documents_stored", "n_trigger_events"):
-        assert parallel[key] == serial[key]
-
-
-@pytest.mark.bench_smoke
-def test_committed_ingest_bench_artifact_validates():
-    """benchmarks/BENCH_ingest.json must validate AND meet the
-    acceptance floors of the ingestion overhaul: >= 3x end-to-end
-    against the recorded pre-optimization baseline, cache hit rate
-    >= 0.5, and identical trigger-event output on both runs (a perf win
-    that changes the output would be vacuous)."""
-    import json
-
-    module = _load_bench_module("bench_ingest")
-    artifact = BENCHMARKS_DIR / "BENCH_ingest.json"
-    payload = json.loads(artifact.read_text())
-    assert module.validate_payload(payload) == []
-    assert payload["speedup"] >= 3.0
-    assert payload["current"]["cache"]["hit_rate"] >= 0.5
-    assert (
-        payload["current"]["n_trigger_events"]
-        == payload["baseline"]["n_trigger_events"]
-    )
-
-
-@pytest.mark.bench_smoke
-def test_stream_bench_at_toy_scale(tmp_path):
-    """The streaming bench runs end to end — including its built-in
-    crash/resume leg — and its payload validates."""
-    import json
-
-    module = _load_bench_module("bench_stream")
-    out = tmp_path / "BENCH_stream.json"
-    payload = module.measure(
-        n_docs=120, seed=7, cycles=2, docs_per_cycle=8, out=out,
-    )
-    assert out.exists()
-    assert json.loads(out.read_text()) == payload
-    assert module.validate_payload(payload) == []
-    assert payload["throughput"]["streamed_docs"] == 16
-    assert payload["recovery"]["converged"] is True
-
-
-@pytest.mark.bench_smoke
-def test_committed_stream_bench_artifact_validates():
-    """benchmarks/BENCH_stream.json must validate AND meet the
-    streaming acceptance floors: alerts mint within a cycle of their
-    document's arrival (freshness p99 <= 1), sustained throughput is
-    non-trivial, and the crashed run converged to the uninterrupted
-    alert set in bounded time."""
-    import json
-
-    module = _load_bench_module("bench_stream")
-    artifact = BENCHMARKS_DIR / "BENCH_stream.json"
-    payload = json.loads(artifact.read_text())
-    assert module.validate_payload(payload) == []
-    throughput = payload["throughput"]
-    assert throughput["freshness_cycles_p99"] <= 1.0
-    # The committed run sustains ~400 docs/sec; 20 is a generous floor
-    # that still catches an accidental quadratic in the cycle path.
-    assert throughput["docs_per_sec"] >= 20.0
-    recovery = payload["recovery"]
-    assert recovery["converged"] is True
-    assert recovery["recovery_seconds"] <= 10.0
-    assert recovery["recovered_alerts"] > 0, (
-        "the crash landed before any alert was durable — move "
-        "kill_after so the recovery leg exercises WAL replay"
-    )
-
-
-@pytest.mark.bench_smoke
-def test_slo_overhead_bench_at_toy_scale(tmp_path):
-    """The SLO telemetry bench runs, emits its JSON, and the floors
-    hold at toy scale (the off path is a no-op; the sketch does not
-    grow between its small and large runs)."""
-    import json
-
-    module = _load_bench_module("bench_slo_overhead")
-    out = tmp_path / "BENCH_slo.json"
-    payload = module.measure(
-        n_observations=10_000, timing_calls=20_000, out=out,
-    )
-    assert out.exists()
-    assert json.loads(out.read_text()) == payload
-    assert module.validate_payload(payload) == []
-    assert payload["sketch_growth_ratio"] <= 1.01
-    assert payload["null_record_seconds_per_call"] < 5e-6
-
-
-@pytest.mark.bench_smoke
-def test_committed_slo_bench_artifact_validates():
-    """benchmarks/BENCH_slo.json must validate AND meet the PR's
-    acceptance floors: the sketch is constant-size at 1M observations
-    (within 1% of its 1k-observation footprint, and a rounding error
-    next to the raw list it replaces) and recording overhead stays
-    under the declared per-call floors."""
-    import json
-
-    module = _load_bench_module("bench_slo_overhead")
-    artifact = BENCHMARKS_DIR / "BENCH_slo.json"
-    payload = json.loads(artifact.read_text())
-    assert module.validate_payload(payload) == []
-    assert payload["n_observations"] == 1_000_000
-    assert payload["sketch_growth_ratio"] <= 1.01
-    assert payload["sketch_vs_raw_ratio"] <= 0.01
-    assert (
-        payload["real_record_seconds_per_call"]
-        < payload["floors"]["real_record_seconds_per_call"]
-    )
-
-
-@pytest.mark.bench_smoke
-def test_committed_serve_bench_artifact_validates():
-    """benchmarks/BENCH_serve.json must match the bench's own schema,
-    so a schema change cannot outrun the committed artifact."""
-    import json
-
-    module = _load_bench_module("bench_serve")
-    artifact = BENCHMARKS_DIR / "BENCH_serve.json"
-    payload = json.loads(artifact.read_text())
-    assert module.validate_payload(payload) == []
-
-
-@pytest.mark.bench_smoke
-@pytest.mark.chaos_serve
-def test_serve_chaos_bench_acceptance(tmp_path):
-    """The chaos acceptance run holds its SLOs — non-vacuously.
-
-    Time is simulated, so the full chaos storm (replica kill/restore
-    churn, lossy replica faults, hedged fan-out) runs in seconds and
-    belongs in tier 1.  The hedged leg must keep every serve SLO from
-    ``configs/slos.yaml`` under burn 1.0 on both windows while at
-    least one replica per group is killed and restored; the identical
-    run with hedging disabled must breach the latency SLO, proving the
-    chaos schedule actually hurts.
-    """
-    module = _load_bench_module("bench_serve_chaos")
-    out = tmp_path / "BENCH_serve_chaos.json"
-    payload = module.measure(n_docs=200, out=out)
-    assert out.exists()
-    # validate_payload() encodes the acceptance criteria themselves.
-    assert module.validate_payload(payload) == []
-    hedged = payload["legs"]["hedged"]
-    unhedged = payload["legs"]["unhedged"]
-    # Chaos really ran: every group lost and regained a replica (the
-    # monkey kills one replica of *every* group per cycle).
-    assert hedged["kills"] >= 1 and hedged["restores"] >= 1
-    assert unhedged["kills"] >= 1
-    # The hedged cluster rides it out: nothing pages, and both burn
-    # windows stay under 1.0 for every serve objective.
-    assert hedged["breaching"] == []
-    for verdict in hedged["slos"].values():
-        assert verdict["burn_fast"] < 1.0
-        assert verdict["burn_slow"] < 1.0
-    # No query is ever lost to the storm — degraded, maybe; gone, no.
-    assert hedged["statuses"] == {"ok": payload["n_queries"]}
-    # The control leg keeps the pass honest: same storm, no hedging,
-    # and the p99 blows through the latency target.
-    assert "serve-latency-p99" in unhedged["breaching"]
-
-
-@pytest.mark.bench_smoke
-def test_queries_bench_at_toy_scale(tmp_path):
-    """The planner bench runs end to end at toy scale and its payload
-    is schema-complete (the >= 2-drivers-improved acceptance floor is
-    only enforced on the committed reference artifact — at toy scale
-    the comparison is allowed to go either way)."""
-    import json
-
-    module = _load_bench_module("bench_queries")
-    out = tmp_path / "BENCH_queries.json"
-    payload = module.measure(
-        n_docs=150, seed=7, budget=30, top_k=20, out=out,
-    )
-    assert out.exists()
-    assert json.loads(out.read_text()) == payload
-    schema_errors = [
-        error
-        for error in module.validate_payload(payload)
-        if "must beat the hand-written" not in error
-    ]
-    assert schema_errors == []
-    assert set(payload["drivers"]) >= {"funding_rounds", "layoffs"}
-    for plan in payload["drivers"].values():
-        assert plan["planned"]["total_cost"] <= 30
-
-
-@pytest.mark.bench_smoke
-def test_committed_queries_bench_artifact_validates():
-    """benchmarks/BENCH_queries.json must validate AND meet the PR's
-    acceptance floor: the planned portfolio beats the hand-written
-    queries on precision@budget (or ties at strictly lower cost) for
-    >= 2 drivers, with both extended drivers measured."""
-    import json
-
-    module = _load_bench_module("bench_queries")
-    artifact = BENCHMARKS_DIR / "BENCH_queries.json"
-    payload = json.loads(artifact.read_text())
-    assert module.validate_payload(payload) == []
-    assert payload["n_drivers_improved"] >= 2
-    for driver_id in ("funding_rounds", "layoffs"):
-        assert payload["drivers"][driver_id]["improved"] is True, (
-            f"the committed artifact no longer shows planner lift "
-            f"for {driver_id}"
-        )
-
-
-@pytest.mark.bench_smoke
-@pytest.mark.chaos_serve
-def test_committed_serve_chaos_artifact_validates():
-    """benchmarks/BENCH_serve_chaos.json must satisfy the acceptance
-    criteria its own bench encodes: hedged leg green under chaos,
-    unhedged control breaching."""
-    import json
-
-    module = _load_bench_module("bench_serve_chaos")
-    artifact = BENCHMARKS_DIR / "BENCH_serve_chaos.json"
-    payload = json.loads(artifact.read_text())
-    assert module.validate_payload(payload) == []
-    assert payload["legs"]["hedged"]["breaching"] == []
-    assert payload["legs"]["unhedged"]["breaching"] == [
-        "serve-latency-p99"
-    ]
-
-
-@pytest.mark.bench_smoke
-def test_ingest_tier_bench_at_toy_scale():
-    """The sharded ingestion tier runs at toy scale through real worker
-    processes and clears generous floors: >= 3x the recorded 258.9
-    docs/sec end-to-end baseline (the full 10x floor is asserted
-    against the committed 100k artifact) and a recorded, sane
-    memory-per-doc figure."""
-    module = _load_bench_module("bench_ingest")
-    tier = module.run_ingest_tier(n_docs=600, workers=2)
-    assert tier["workers"] == 2
-    assert tier["documents_stored"] > 0
-    assert tier["docs_per_sec"] >= 3 * 258.9
-    assert 0 < tier["memory_bytes_per_doc"] < 100_000
-    assert tier["cache"]["hits"] > 0  # sentence memo saw reuse
-
-
-@pytest.mark.bench_smoke
-def test_committed_ingest_tier_meets_10x_floor():
-    """The committed artifact's ``tier_100k`` section is the PR's
-    acceptance evidence: a 100k-document run through the
-    process-sharded flat-buffer path at >= 10x the pre-optimization
-    end-to-end baseline, with memory per stored document on record."""
-    import json
-
-    module = _load_bench_module("bench_ingest")
-    artifact = BENCHMARKS_DIR / "BENCH_ingest.json"
-    payload = json.loads(artifact.read_text())
-    tier = payload.get("tier_100k")
-    assert tier is not None, "tier_100k missing from BENCH_ingest.json"
-    assert tier["n_docs"] >= 100_000
-    assert tier["workers"] > 1
-    assert tier["speedup_vs_baseline"] >= 10.0
-    assert 0 < tier["memory_bytes_per_doc"] < 100_000
-    assert tier["cache"]["hit_rate"] >= 0.5

@@ -446,6 +446,22 @@ class TestServeSloConfig:
         assert "serve-latency-p99" in slo_names
 
 
+class TestReplicatedServe:
+    def test_killed_replica_loses_no_query(self, capsys):
+        code = main([
+            "serve", "--docs", "200", "--queries", "60",
+            "--replicas", "3", "--kill-replica", "0:1",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "killed replica shard0/r1" in out
+        assert "ok=60" in out
+        groups = out.split("replica groups:")[1].split("serve.* metrics:")[0]
+        assert "shard0: 2/3 up" in groups
+        assert groups.count("3/3 up") == groups.count("shard") - 1
+        assert "repro_serve_replica_kills 1" in out
+
+
 class TestTopCommand:
     def test_top_renders_frames(self, capsys):
         code = main([
