@@ -529,14 +529,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         load = generator.run()
         payload = load.to_dict()
+        # A replicated portal times queries in the router's simulated
+        # ticks, not wall time.
+        unit = "ms, simulated ticks" if portal.router is not None else "ms"
         print(ascii_table(
             ["Metric", "Value"],
             [
                 ["queries served", payload["n_queries"]],
                 ["clients", payload["n_clients"]],
                 ["QPS", payload["qps"]],
-                ["p50 latency (ms)", payload["p50_ms"]],
-                ["p99 latency (ms)", payload["p99_ms"]],
+                [f"p50 latency ({unit})", payload["p50_ms"]],
+                [f"p99 latency ({unit})", payload["p99_ms"]],
                 ["cache hit rate",
                  format_float(payload["cache_hit_rate"])],
                 ["shard docs",

@@ -27,11 +27,12 @@ workers-equivalence suites):
 
 Workers are plain processes (``fork`` or ``spawn`` both work: the
 payloads are picklable flat buffers and the worker function is a
-module-level callable).  Every shard reads its documents through an
-annotation engine: a worker process builds its own, and with
-``workers=1`` the shard runs inline against the shared engine, so the
-sentence splits it caches are the ones the downstream training and
-extraction stages read.
+module-level callable).  With ``workers=1`` the shard runs inline
+against the shared annotation engine, so the sentence splits it caches
+are the ones the downstream training and extraction stages read.  A
+worker process splits and tokenizes with the engine's module functions
+directly: an engine built there would die with the process, caches and
+all.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.search.index import InvertedIndex
-from repro.text.engine import AnnotationEngine
+from repro.text.engine import AnnotationEngine, split_document, text_terms
 
 
 def shard_of(fingerprint: str, n_shards: int) -> int:
@@ -108,10 +109,13 @@ def tokenize_shard(
     (see :func:`~repro.text.engine.terms_compose`) is tokenized whole.
 
     ``engine`` is the shared annotation engine for the inline
-    (``workers=1``) path; a worker process passes ``None`` and builds
-    its own process-local one.
+    (``workers=1``) path; a worker process passes ``None`` and reads
+    the same splits and terms uncached.
     """
-    engine = engine or AnnotationEngine()
+    if engine is None:
+        split_of, terms_of = split_document, text_terms
+    else:
+        split_of, terms_of = engine.split, engine.sentence_terms
     vocab_ids: dict[str, int] = {}
     sentence_memo: dict[str, "np.ndarray"] = {}
     doc_arrays: list[np.ndarray] = []
@@ -119,7 +123,7 @@ def tokenize_shard(
     n_docs = len(offsets) - 1
     for j in range(n_docs):
         text = buffer[offsets[j]:offsets[j + 1]].decode("utf-8")
-        split = engine.split(text)
+        split = split_of(text)
         pieces = split.sentences
         if not split.composes:
             fallbacks += 1
@@ -129,7 +133,7 @@ def tokenize_shard(
             ids = sentence_memo.get(piece)
             if ids is None:
                 misses += 1
-                terms = engine.sentence_terms(piece)
+                terms = terms_of(piece)
                 ids = np.fromiter(
                     (
                         vocab_ids.setdefault(term, len(vocab_ids))

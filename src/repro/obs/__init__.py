@@ -11,7 +11,7 @@ A :class:`Tracer` is the one instrumentation handle.  It carries:
   rates and quantile sketches that the :class:`SloEngine` and the
   Prometheus export read;
 
-all on one clock.  Instrumented entry points (crawler, gatherer,
+all on one clock, ``tracer.clock``.  Instrumented entry points (crawler, gatherer,
 search engine, training generator, classifiers,
 :class:`~repro.core.etap.Etap`, alert service, stream processor,
 portal, CLI) take one optional ``tracer``; ``None`` means

@@ -1,10 +1,13 @@
 """Clock abstraction: monotonic wall-time, swappable for tests.
 
-Every timing in :mod:`repro.obs` flows through a :class:`Clock` so that
-tests can substitute a :class:`FakeClock` and assert *exact* durations —
-no ``time.sleep``, no tolerance windows, no flakiness.  Production code
-uses :class:`MonotonicClock`, which wraps :func:`time.perf_counter` (a
-monotonic, high-resolution counter immune to wall-clock adjustments).
+A run has one :class:`Clock`, chosen at ``Tracer(clock=)`` and read
+everywhere as ``tracer.clock`` — spans, events, windows, SLO and health
+verdicts, cache TTLs, token buckets, deadlines and portal latencies —
+so tests can substitute a :class:`FakeClock` and assert *exact*
+durations: no ``time.sleep``, no tolerance windows, no flakiness.
+Production code uses :class:`MonotonicClock`, which wraps
+:func:`time.perf_counter` (a monotonic, high-resolution counter immune
+to wall-clock adjustments); this module is the only one that reads it.
 """
 
 from __future__ import annotations

@@ -264,12 +264,13 @@ class EventLog:
         capacity: int = 16_384,
         sink: str | Path | IO[str] | None = None,
         run_id: str | None = None,
-        clock: Clock | None = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.run_id = run_id or new_run_id()
-        self.clock = clock or MonotonicClock()
+        #: Stamps ``ts``; the :class:`~repro.obs.tracer.Tracer` the log
+        #: is attached to sets it to the run's clock.
+        self.clock: Clock = MonotonicClock()
         self._ring: deque[Event] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._seq = 0

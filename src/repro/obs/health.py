@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.obs.clock import Clock, MonotonicClock
 from repro.obs.slo import SloEngine, SloStatus
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 
@@ -126,11 +125,9 @@ class HealthMonitor:
         self,
         slo_engine: SloEngine | None = None,
         tracer: AnyTracer | None = None,
-        clock: Clock | None = None,
     ) -> None:
         self.slo_engine = slo_engine
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self.clock = clock or MonotonicClock()
         self._probes: dict[str, Callable[[], ComponentHealth]] = {}
         self._last_status: str | None = None
 
@@ -145,9 +142,13 @@ class HealthMonitor:
         return list(self._probes)
 
     def rollup(self, now: float | None = None) -> HealthReport:
-        """Evaluate probes + SLOs; emit ``health_transition`` on change."""
+        """Evaluate probes + SLOs; emit ``health_transition`` on change.
+
+        ``now`` defaults to the tracer's clock, the axis its windows
+        were recorded on.
+        """
         if now is None:
-            now = self.clock.now()
+            now = self.tracer.clock.now()
         verdicts: dict[str, ComponentHealth] = {}
         for component, probe in self._probes.items():
             try:

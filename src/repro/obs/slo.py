@@ -212,13 +212,12 @@ class SloEngine:
         self.specs = list(specs)
         self.tracer = tracer
         self.windows = tracer.windows
-        self.clock = tracer.clock
         self._breaching: dict[str, bool] = {}
 
     def evaluate(self, now: float | None = None) -> list[SloStatus]:
         """Current status of every spec; emits edge-triggered breaches."""
         if now is None:
-            now = self.clock.now()
+            now = self.tracer.clock.now()
         statuses = [self._evaluate_spec(spec, now) for spec in self.specs]
         for status in statuses:
             was_breaching = self._breaching.get(status.name, False)
@@ -241,7 +240,7 @@ class SloEngine:
     def budgets(self, now: float | None = None) -> dict[str, float]:
         """``{spec name: budget fraction remaining}`` without emitting."""
         if now is None:
-            now = self.clock.now()
+            now = self.tracer.clock.now()
         return {
             spec.name: self._evaluate_spec(spec, now).budget_remaining
             for spec in self.specs

@@ -16,9 +16,9 @@ needs "how many, *lately*".  This module is that substrate:
   threshold), so toy runs and tests see the same numbers a raw list
   would give.
 * :class:`Telemetry` — the hub: named series and sketches created on
-  first use, one shared :class:`~repro.obs.clock.Clock`.  Instrumented
-  code reaches it as ``tracer.windows`` on its
-  :class:`~repro.obs.tracer.Tracer`; the telemetry-off path is one
+  first use, all on the clock of the :class:`~repro.obs.tracer.Tracer`
+  it is attached to.  Instrumented code reaches it as
+  ``tracer.windows``; the telemetry-off path is one
   ``tracer.windows is not None`` check.
 
 The SLO engine (:mod:`repro.obs.slo`) and the health monitor
@@ -433,17 +433,18 @@ class Telemetry:
     sums); ``observe(name, value)`` feeds the same-named series *and* a
     :class:`QuantileSketch` (lifetime percentiles).  Both create the
     metric on first use, like :class:`~repro.obs.metrics.Registry`.
+    Every series runs on ``clock``, which the
+    :class:`~repro.obs.tracer.Tracer` the hub is attached to sets.
     """
 
     def __init__(
         self,
-        clock: Clock | None = None,
         interval: float = 5.0,
         n_buckets: int = 720,
         quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
         exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
     ) -> None:
-        self.clock = clock or MonotonicClock()
+        self.clock: Clock = MonotonicClock()
         self.interval = interval
         self.n_buckets = n_buckets
         self.quantiles = tuple(quantiles)

@@ -12,7 +12,13 @@ counters and histograms in a :class:`~repro.obs.metrics.Registry`::
 It optionally carries the flight recorder (an
 :class:`~repro.obs.events.EventLog`, fed by :meth:`Tracer.emit`) and
 windowed telemetry (a :class:`~repro.obs.timeseries.Telemetry`, read
-and written through ``tracer.windows``); both share the tracer's clock.
+and written through ``tracer.windows``).
+
+``tracer.clock`` is the run's one time axis: spans, events, windows,
+cache TTLs, token buckets, deadlines and portal latencies all read it.
+It is chosen once, at ``Tracer(clock=)`` (a
+:class:`~repro.obs.clock.MonotonicClock` by default); the null tracer
+carries a shared monotonic clock.
 
 Instrumented library code takes one optional ``tracer`` argument;
 ``None`` means the module-level :data:`NULL_TRACER` — a no-op object
@@ -96,8 +102,8 @@ class Tracer:
 
     ``recorder`` is the flight recorder behind :meth:`emit`;
     ``windows`` the telemetry hub the SLO engine reads.  Every part
-    runs on one clock: ``clock`` when given, else the windows' clock,
-    else the recorder's; attach parts before they record.
+    adopts the tracer's clock (``clock``, else a monotonic one);
+    attach parts before they record.
     """
 
     def __init__(
@@ -107,12 +113,10 @@ class Tracer:
         recorder: EventLog | None = None,
         windows: Telemetry | None = None,
     ) -> None:
-        parts = [part for part in (windows, recorder) if part is not None]
-        if clock is None:
-            clock = parts[0].clock if parts else MonotonicClock()
-        for part in parts:
-            part.clock = clock
-        self.clock = clock
+        self.clock = MonotonicClock() if clock is None else clock
+        for part in (windows, recorder):
+            if part is not None:
+                part.clock = self.clock
         self.registry = Registry() if registry is None else registry
         self.recorder = recorder
         self.windows = windows
@@ -245,6 +249,7 @@ class NullTracer:
     __slots__ = ()
     recorder = None
     windows = None
+    clock = MonotonicClock()
 
     @property
     def enabled(self) -> bool:

@@ -19,13 +19,14 @@ Fault kinds:
 * **truncated / garbled** — the fetch succeeds but the served text is
   cut short or corrupted (a byte-mangling proxy or aborted transfer);
 * **flapping host** — a whole host goes down and comes back on a fixed
-  period of the simulated tick clock (:class:`HostDownError` while
-  down).
+  period of simulated time (:class:`HostDownError` while down).
 
-Time is simulated ticks, never the wall clock: the web owns a tick
-counter advanced by each fetch and by the retrying fetcher's backoff
-waits, so flapping-host windows interact with retry schedules exactly
-the same way in every run.
+Time is simulated ticks, never the wall clock: the web owns a
+:class:`~repro.obs.clock.FakeClock` (``web.clock``) advanced by each
+fetch and by the retrying fetcher's backoff waits, so flapping-host
+windows interact with retry schedules exactly the same way in every
+run.  It is the network's own clock, separate from the run's tracer
+clock, so fault schedules never depend on wall time.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Mapping
 from urllib.parse import urlparse
 
 from repro.corpus.web import FRONT_PAGE_URL, Page, SyntheticWeb
+from repro.obs.clock import FakeClock
 
 
 # -- failures ------------------------------------------------------------------
@@ -262,22 +264,14 @@ class FaultyWeb:
         #: known-good by default: a dead seed yields a trivially empty
         #: crawl, which degrades nothing and therefore tests nothing.
         self.immune = frozenset(immune)
-        #: Simulated tick clock; fetches and client backoff advance it.
-        self.now = 0.0
+        #: Simulated network time; fetches and client backoff advance it.
+        self.clock = FakeClock()
         self._plans: dict[str, _FaultPlan] = {}
         self._attempts: Counter[str] = Counter()
         #: URLs actually served in degraded (truncated/garbled) form.
         self.degraded_served: set[str] = set()
         #: Fault kinds raised so far, by reason.
         self.stats: Counter[str] = Counter()
-
-    # -- clock -----------------------------------------------------------------
-
-    def advance(self, ticks: float) -> None:
-        """Advance simulated time (the retrying client's waits)."""
-        if ticks < 0:
-            raise ValueError("ticks must be >= 0")
-        self.now += ticks
 
     # -- fault plan ------------------------------------------------------------
 
@@ -331,7 +325,7 @@ class FaultyWeb:
         """Whether a flaky host is in a down window right now."""
         if not self.host_is_flaky(host):
             return False
-        return int(self.now // self.profile.flap_period) % 2 == 1
+        return int(self.clock.now() // self.profile.flap_period) % 2 == 1
 
     def is_degraded(self, url: str) -> bool:
         """Whether ``url``'s content is served truncated/garbled."""
@@ -345,10 +339,9 @@ class FaultyWeb:
         The k-th fetch of a URL behaves identically across runs with
         the same seed and profile: dead links always fail; transient
         and slow faults fail the first N attempts then recover; a
-        flapping host fails whenever the tick clock sits in a down
-        window.
+        flapping host fails whenever ``clock`` sits in a down window.
         """
-        self.advance(1.0)
+        self.clock.advance(1.0)
         page = self.inner.fetch(url)  # propagate KeyError 404s as-is
         attempt = self._attempts[url] = self._attempts[url] + 1
         plan = self.plan_of(url)
@@ -364,7 +357,7 @@ class FaultyWeb:
             raise TransientFetchError(url)
         if attempt <= plan.transient_failures + plan.slow_timeouts:
             self.stats["slow"] += 1
-            self.advance(self.profile.slow_penalty_ticks)
+            self.clock.advance(self.profile.slow_penalty_ticks)
             raise SlowFetchError(url, ticks=self.profile.slow_penalty_ticks)
         if plan.degraded:
             self.degraded_served.add(url)

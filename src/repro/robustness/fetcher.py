@@ -9,8 +9,9 @@ consecutive failures so a down host is not hammered, and records
 permanently failed URLs in a dead-letter queue instead of raising — the
 caller's crawl completes around failures.
 
-All waiting is simulated ticks on the web's tick clock (or an internal
-one for webs without a clock); nothing sleeps.
+All waiting is simulated ticks on the :class:`FaultyWeb`'s
+:class:`~repro.obs.clock.FakeClock` (or the fetcher's own for a plain
+web, which never fails a fetch, so never waits); nothing sleeps.
 
 Every decision is flight-recorded when an event log is attached:
 ``fetch_retry``, ``breaker_open``, ``breaker_close`` and
@@ -25,8 +26,9 @@ from dataclasses import dataclass, field
 from urllib.parse import urlparse
 
 from repro.corpus.web import Page
+from repro.obs.clock import FakeClock
 from repro.obs.tracer import NULL_TRACER, AnyTracer
-from repro.robustness.faults import DeadLinkError, FetchError
+from repro.robustness.faults import DeadLinkError, FaultyWeb, FetchError
 
 
 @dataclass(frozen=True)
@@ -142,18 +144,6 @@ class FetchOutcome:
         return self.page is not None
 
 
-class _TickClock:
-    """Fallback simulated clock for webs without one."""
-
-    __slots__ = ("now",)
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def advance(self, ticks: float) -> None:
-        self.now += ticks
-
-
 class ResilientFetcher:
     """Fetches pages around transient faults, dead links and bad hosts."""
 
@@ -174,18 +164,11 @@ class ResilientFetcher:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self._breakers: dict[str, CircuitBreaker] = {}
         self.dead_letters: list[DeadLetter] = []
-        # Webs with a simulated clock (FaultyWeb) share it, so backoff
-        # waits move flapping-host windows; plain webs get a local one.
-        self._clock = (
-            web if hasattr(web, "advance") and hasattr(web, "now")
-            else _TickClock()
-        )
+        #: Simulated time: a FaultyWeb's clock, so backoff waits move
+        #: flapping-host windows; a plain web's fetches never fail.
+        self.clock = web.clock if isinstance(web, FaultyWeb) else FakeClock()
 
     # -- introspection ---------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self._clock.now
 
     def breaker_of(self, host: str) -> CircuitBreaker:
         breaker = self._breakers.get(host)
@@ -236,7 +219,7 @@ class ResilientFetcher:
         host = urlparse(url).netloc
         breaker = self.breaker_of(host)
         outcome = FetchOutcome(url=url)
-        if not breaker.allow(self.now):
+        if not breaker.allow(self.clock.now()):
             return self._dead_letter(outcome, "breaker_open")
         previous_wait = 0.0
 
@@ -295,7 +278,7 @@ class ResilientFetcher:
     def _wait(
         self, url: str, outcome: FetchOutcome, previous_wait: float
     ) -> float:
-        """Jittered, monotone backoff wait; advances the tick clock."""
+        """Jittered, monotone backoff wait; advances the clock."""
         base = self.policy.backoff(outcome.attempts)
         jitter = self.policy.jitter * _unit(
             self.seed, "jitter", url, outcome.attempts
@@ -304,12 +287,12 @@ class ResilientFetcher:
         # than the previous wait against a struggling host.
         wait = max(base * (1.0 + jitter), previous_wait)
         outcome.wait_ticks += wait
-        self._clock.advance(wait)
+        self.clock.advance(wait)
         return wait
 
     def _record_failure(self, breaker: CircuitBreaker, host: str) -> None:
         was_open = breaker.state == CircuitBreaker.OPEN
-        breaker.record_failure(self.now)
+        breaker.record_failure(self.clock.now())
         if breaker.state == CircuitBreaker.OPEN and not was_open:
             self.tracer.emit(
                 "breaker_open", host=host, failures=breaker.failures

@@ -21,6 +21,12 @@ artifacts into a system that answers analyst traffic:
   closed-loop clients with zipf query popularity, driving
   ``repro serve``, ``repro health`` and ``repro top``.
 
+Every module reads time from the tracer it is given
+(``tracer.clock``): one clock per run, chosen at
+:class:`~repro.obs.tracer.Tracer`.  A ``Tracer(clock=FakeClock())``
+makes every TTL, token refill, deadline and latency an exact function
+of the ticks a test advances.
+
 See ``docs/SERVING.md`` for the architecture and the overload /
 zero-downtime-swap semantics the serve test suite enforces.
 """
@@ -43,7 +49,6 @@ from repro.serve.cache import (
 from repro.serve.loadgen import (
     LoadGenerator,
     LoadReport,
-    percentile,
     zipf_weights,
 )
 from repro.serve.portal import (
@@ -66,7 +71,6 @@ from repro.serve.replication import (
 )
 from repro.serve.router import HedgedRouter, RouteResult
 from repro.serve.shards import IndexSnapshot, ShardedIndex, shard_of
-from repro.serve.timebase import clock_now, default_clock
 from repro.serve.workers import (
     DEADLINE_EXCEEDED,
     ERROR,
@@ -112,9 +116,6 @@ __all__ = [
     "WorkOutcome",
     "WorkerPool",
     "cache_key",
-    "clock_now",
-    "default_clock",
-    "percentile",
     "shard_of",
     "zipf_weights",
 ]

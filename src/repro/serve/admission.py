@@ -4,7 +4,7 @@ Overload must degrade, never cascade.  Requests pass two gates before
 touching the index:
 
 1. a per-client :class:`TokenBucket` (``rate`` tokens/second on the
-   injected clock, ``burst`` capacity) — one hot client cannot starve
+   tracer's clock, ``burst`` capacity) — one hot client cannot starve
    the rest;
 2. a global bounded admission count (``max_pending`` requests admitted
    but not yet released) — the explicit backpressure valve.  When the
@@ -24,15 +24,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.obs.clock import Clock
 from repro.obs.tracer import NULL_TRACER, AnyTracer
-from repro.serve.timebase import clock_now, default_clock
 
 RATE_LIMITED = "rate_limited"
 QUEUE_FULL = "queue_full"
 
 
 class TokenBucket:
-    """Classic token bucket on an injected (possibly simulated) clock.
+    """Classic token bucket on its controller's (possibly fake) clock.
 
     Starts full.  ``try_acquire`` refills ``rate * elapsed`` tokens
     (capped at ``burst``) and admits iff at least one whole token is
@@ -41,30 +41,28 @@ class TokenBucket:
     pins down.
     """
 
-    def __init__(
-        self, rate: float, burst: float, clock=None
-    ) -> None:
+    def __init__(self, rate: float, burst: float, clock: Clock) -> None:
         if rate <= 0:
             raise ValueError("rate must be positive")
         if burst < 1:
             raise ValueError("burst must be >= 1")
         self.rate = float(rate)
         self.burst = float(burst)
-        self.clock = clock or default_clock()
+        self.clock = clock
         self._tokens = self.burst
-        self._last_refill = clock_now(self.clock)
+        self._last_refill = clock.now()
         self._lock = threading.Lock()
 
     @property
     def tokens(self) -> float:
         """Current balance (refilled to now); for tests/reports."""
         with self._lock:
-            self._refill(clock_now(self.clock))
+            self._refill(self.clock.now())
             return self._tokens
 
     def try_acquire(self, n: float = 1.0) -> bool:
         """Take ``n`` tokens if available; never blocks."""
-        now = clock_now(self.clock)
+        now = self.clock.now()
         with self._lock:
             self._refill(now)
             if self._tokens >= n:
@@ -112,7 +110,6 @@ class AdmissionController:
         rate: float = 50.0,
         burst: float = 20.0,
         max_pending: int = 64,
-        clock=None,
         tracer: AnyTracer | None = None,
         quotas: Mapping[str, float] | None = None,
     ) -> None:
@@ -121,7 +118,6 @@ class AdmissionController:
         self.rate = rate
         self.burst = burst
         self.max_pending = max_pending
-        self.clock = clock or default_clock()
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.quotas = dict(quotas or {})
         for client_id, quota in self.quotas.items():
@@ -167,7 +163,7 @@ class AdmissionController:
             bucket = self._buckets.get(client_id)
             if bucket is None:
                 bucket = TokenBucket(
-                    self.rate, self.burst, clock=self.clock
+                    self.rate, self.burst, self.tracer.clock
                 )
                 self._buckets[client_id] = bucket
             return bucket

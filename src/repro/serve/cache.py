@@ -6,8 +6,9 @@ absorbs most of the read load.  The cache is bounded two ways —
 ``max_entries`` and a cost budget ``max_cost`` (least-recently-used
 entries evicted first) — and every entry carries:
 
-* an **expiry instant** on the injected clock (TTL; monotone on the
-  tick clock, so simulated time drives deterministic expiry tests);
+* an **expiry instant** on the tracer's clock (TTL; a
+  :class:`~repro.obs.clock.FakeClock` tracer drives deterministic
+  expiry tests);
 * the **index generation** it was computed against.  A snapshot swap
   bumps the portal's generation; entries from older generations are
   lazily dropped on access and eagerly dropped by
@@ -27,7 +28,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.obs.tracer import NULL_TRACER, AnyTracer
-from repro.serve.timebase import clock_now, default_clock
 
 #: Returned by :meth:`QueryCache.get` on a miss (``None`` is a value).
 MISS = object()
@@ -66,7 +66,6 @@ class QueryCache:
         max_entries: int = 1024,
         max_cost: float = 65_536.0,
         ttl: float = 30.0,
-        clock=None,
         tracer: AnyTracer | None = None,
     ) -> None:
         if max_entries < 1:
@@ -78,7 +77,6 @@ class QueryCache:
         self.max_entries = max_entries
         self.max_cost = max_cost
         self.ttl = ttl
-        self.clock = clock or default_clock()
         self.tracer = NULL_TRACER if tracer is None else tracer
         self._entries: OrderedDict[object, _Entry] = OrderedDict()
         self._total_cost = 0.0
@@ -109,7 +107,7 @@ class QueryCache:
         Expired and wrong-generation entries are dropped on the way —
         lazy invalidation keeps a hot cache self-cleaning.
         """
-        now = clock_now(self.clock)
+        now = self.tracer.clock.now()
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -156,7 +154,7 @@ class QueryCache:
     ) -> None:
         """Insert/replace; evicts LRU entries to stay within bounds."""
         cost = max(1.0, float(cost))
-        now = clock_now(self.clock)
+        now = self.tracer.clock.now()
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:

@@ -12,8 +12,15 @@ Determinism: each client owns ``random.Random(seed * 10007 + client)``
 and a fixed per-client request budget, so the multiset of (client,
 query) requests is a pure function of ``(seed, n_clients, n_queries,
 queries)`` — identical on every run, so status counts can be compared
-across commits.  Latency percentiles are measured wall time and vary;
-the *workload* does not.
+across commits.
+
+Latencies are the portal's own: each is the ``QueryResponse.latency``
+the portal also observes into ``serve.latency``, on its tracer's clock
+— wall seconds on a monotonic clock, simulated ticks on a replicated
+portal or a :class:`~repro.obs.clock.FakeClock` tracer.  Percentiles
+use :func:`~repro.obs.timeseries.exact_quantile`, the nearest rank the
+telemetry sketches answer below their spill threshold.  They vary with
+the machine; the *workload* does not.
 """
 
 from __future__ import annotations
@@ -21,9 +28,9 @@ from __future__ import annotations
 import gc
 import random
 import threading
-import time
 from dataclasses import dataclass, field
 
+from repro.obs.timeseries import exact_quantile
 from repro.serve.portal import AlertPortal
 
 
@@ -32,17 +39,6 @@ def zipf_weights(n: int, s: float = 1.1) -> list[float]:
     if n < 1:
         raise ValueError("need at least one query")
     return [1.0 / (rank ** s) for rank in range(1, n + 1)]
-
-
-def percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0 < q <= 100)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(
-        0, min(len(sorted_values) - 1,
-               int(round(q / 100.0 * len(sorted_values))) - 1)
-    )
-    return sorted_values[rank]
 
 
 @dataclass
@@ -61,11 +57,11 @@ class LoadReport:
 
     @property
     def p50_ms(self) -> float:
-        return percentile(sorted(self.latencies), 50) * 1000.0
+        return exact_quantile(sorted(self.latencies), 0.5) * 1000.0
 
     @property
     def p99_ms(self) -> float:
-        return percentile(sorted(self.latencies), 99) * 1000.0
+        return exact_quantile(sorted(self.latencies), 0.99) * 1000.0
 
     @property
     def qps(self) -> float:
@@ -152,20 +148,19 @@ class LoadGenerator:
         # latency and alone can push a small sample's p99 past an SLO.
         gc.collect()
         before = self.portal.cache.stats()
+        clock = self.portal.tracer.clock
 
         def client_loop(client: int) -> None:
             client_id = f"client-{client:03d}"
             for query in self.plan(client):
-                started = time.perf_counter()
                 response = self.portal.query(
                     client_id,
                     query,
                     top_k=self.top_k,
                     timeout=self.timeout,
                 )
-                elapsed = time.perf_counter() - started
                 with lock:
-                    latencies.append(elapsed)
+                    latencies.append(response.latency)
                     statuses[response.status] = (
                         statuses.get(response.status, 0) + 1
                     )
@@ -177,12 +172,12 @@ class LoadGenerator:
             )
             for client in range(self.n_clients)
         ]
-        wall_start = time.perf_counter()
+        wall_start = clock.now()
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        wall = time.perf_counter() - wall_start
+        wall = clock.now() - wall_start
 
         after = self.portal.cache.stats()
         lookups = (after.hits - before.hits) + (

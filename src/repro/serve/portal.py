@@ -16,6 +16,10 @@ artifacts, assembled from the serve substrate —
   per-client rate limits and queue backpressure, degrading to stale
   cached results under overload instead of failing.
 
+Every TTL, token refill, deadline and latency reads the clock of the
+portal's tracer, so a ``Tracer(clock=FakeClock())`` puts the whole
+portal on one hand-cranked time axis.
+
 Alert delivery is multi-tenant: analysts :meth:`subscribe` with
 company and driver filters (the paper's driver taxonomy);
 :meth:`poll_alerts` returns each matching alert exactly once per
@@ -37,7 +41,6 @@ from repro.serve.cache import MISS, QueryCache, cache_key
 from repro.serve.replication import ReplicaSet
 from repro.serve.router import HedgedRouter, RouteResult
 from repro.serve.shards import ShardedIndex
-from repro.serve.timebase import clock_now, default_clock
 from repro.serve.workers import OK, WorkerPool
 
 #: QueryResponse.status values.
@@ -112,7 +115,6 @@ class AlertPortal:
         admission: AdmissionController | None = None,
         max_workers: int = 4,
         serve_stale_on_overload: bool = True,
-        clock=None,
         tracer: AnyTracer | None = None,
         text_engine=None,
         n_replicas: int = 1,
@@ -127,7 +129,6 @@ class AlertPortal:
     ) -> None:
         self.store = store
         self.alert_service = alert_service
-        self.clock = clock or default_clock()
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.serve_stale_on_overload = serve_stale_on_overload
         self.shards = ShardedIndex(
@@ -138,11 +139,9 @@ class AlertPortal:
         #: Doc ids present in the currently installed snapshot — what
         #: :meth:`refresh` diffs against to index only the delta.
         self._indexed_doc_ids: set[str] = set()
-        self.cache = cache or QueryCache(
-            clock=self.clock, tracer=self.tracer
-        )
+        self.cache = cache or QueryCache(tracer=self.tracer)
         self.admission = admission or AdmissionController(
-            clock=self.clock, tracer=self.tracer, quotas=quotas
+            tracer=self.tracer, quotas=quotas
         )
         #: The simulated cluster: present only with ``n_replicas > 1``
         #: (a single-replica portal keeps the direct snapshot path and
@@ -164,13 +163,11 @@ class AlertPortal:
                 hedging=hedging,
                 fault_profile=replica_fault_profile,
                 seed=fault_seed,
-                clock=self.clock,
                 tracer=self.tracer,
             )
         self.workers = WorkerPool(
             self._execute_query,
             max_workers=max_workers,
-            clock=self.clock,
             tracer=self.tracer,
         )
         self._subscriptions: dict[str, Subscription] = {}
@@ -239,11 +236,11 @@ class AlertPortal:
     ) -> QueryResponse:
         """Answer one analyst query; never raises.
 
-        ``timeout`` is a per-request deadline in clock seconds; a
-        request picked up past its deadline returns
+        ``timeout`` is a per-request deadline in seconds on the
+        tracer's clock; a request picked up past its deadline returns
         ``deadline_exceeded`` instead of a late answer.
         """
-        started = clock_now(self.clock)
+        started = self.tracer.clock.now()
         self.tracer.count("serve.queries")
         key = cache_key(query, top_k)
 
@@ -392,7 +389,7 @@ class AlertPortal:
         if latency_override is not None:
             latency = latency_override
         else:
-            latency = max(0.0, clock_now(self.clock) - started)
+            latency = max(0.0, self.tracer.clock.now() - started)
         self.tracer.observe("serve.latency_seconds", latency)
         windows = self.tracer.windows
         if windows is not None:

@@ -20,7 +20,7 @@ replicas per shard.  This module simulates that cluster in-process:
   kills/restores by address, and emits ``replica_down`` /
   ``replica_restored`` flight-recorder events.
 * :class:`ChaosMonkey` — a deterministic kill/restore schedule on the
-  injected tick clock, used by the chaos acceptance bench: every
+  router's (simulated) clock, used by the chaos acceptance suite: every
   ``period`` ticks it takes one replica of *every* group down for
   ``down_for`` ticks, rotating through replica indices so each replica
   of each group is exercised.
@@ -331,13 +331,14 @@ class ReplicaSet:
 class ChaosMonkey:
     """Deterministic kill/restore schedule over a replica set.
 
-    Driven inline by the router's tick clock (no threads, no wall
-    time): on every :meth:`tick`, any due kill or restore in the
-    schedule is applied.  Cycle ``k`` (kill at ``start + k * period``,
-    restore ``down_for`` ticks later) takes replica ``k % n_replicas``
-    of **every** group down, so each replica index of each group gets
-    exercised as the clock advances.  With ``n_replicas >= 2`` a
-    majority of every group stays up at all times.
+    Driven inline by the router's clock (no threads; a ``FakeClock``
+    tracer makes it simulated time): on every :meth:`tick`, any due
+    kill or restore in the schedule is applied.  Cycle ``k`` (kill at
+    ``start + k * period``, restore ``down_for`` ticks later) takes
+    replica ``k % n_replicas`` of **every** group down, so each
+    replica index of each group gets exercised as the clock advances.
+    With ``n_replicas >= 2`` a majority of every group stays up at all
+    times.
     """
 
     def __init__(

@@ -35,9 +35,10 @@ draws (a pure function of ``(seed, replica, query)``), optionally
 shaped by a :class:`~repro.robustness.faults.FaultProfile`
 (``dead_rate``/``transient_rate``/``slow_rate`` become per-request
 server faults), and a down replica times out after ``fail_after``
-ticks.  The router advances its injected clock by each query's
-simulated latency, which is what drives chaos schedules, breaker
-cool-offs, and the SLO engine's windows in the acceptance bench.
+ticks.  On a :class:`~repro.obs.clock.FakeClock` tracer the router
+advances the clock by each query's simulated latency, which is what
+drives chaos schedules, breaker cool-offs, and the SLO engine's windows
+in the chaos suites.
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+from repro.obs.clock import FakeClock
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.robustness.fetcher import CircuitBreaker
 from repro.robustness.faults import FaultProfile, _unit
 from repro.search.engine import SearchResult
 from repro.serve.replication import Replica, ReplicaGroup, ReplicaSet
-from repro.serve.timebase import clock_now, default_clock
 
 #: Simulated ticks for replica service times: a healthy replica
 #: answers in ``[_BASE_COST, _BASE_COST + _COST_SPREAD)``.
@@ -108,7 +109,6 @@ class HedgedRouter:
         hedging: bool = True,
         fault_profile: FaultProfile | None = None,
         seed: int = 0,
-        clock=None,
         tracer: AnyTracer | None = None,
         chaos=None,
     ) -> None:
@@ -122,7 +122,6 @@ class HedgedRouter:
         self.hedging = hedging
         self.fault_profile = fault_profile
         self.seed = seed
-        self.clock = clock or default_clock()
         self.tracer = NULL_TRACER if tracer is None else tracer
         #: Optional :class:`~repro.serve.replication.ChaosMonkey`,
         #: ticked inline before each route.
@@ -139,7 +138,8 @@ class HedgedRouter:
     def route(self, query: str, top_k: int = 10) -> RouteResult:
         """Answer one query from the cluster; never raises."""
         with self._lock:
-            now = clock_now(self.clock)
+            clock = self.tracer.clock
+            now = clock.now()
             if self.chaos is not None:
                 self.chaos.tick(now)
             latest = self.replicas.latest_generation
@@ -178,9 +178,8 @@ class HedgedRouter:
 
             if hedges:
                 self.tracer.count("serve.hedged_queries")
-            advance = getattr(self.clock, "advance", None)
-            if advance is not None:
-                advance(duration)
+            if isinstance(clock, FakeClock):
+                clock.advance(duration)
             return RouteResult(
                 results=tuple(merged[:top_k]),
                 generation=target,

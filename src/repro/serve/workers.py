@@ -8,7 +8,7 @@ top of the raw pool:
   share one execution and one result; under a thundering herd of the
   same popular query the index is hit once, not N times;
 * **per-request deadlines** — a request carries an absolute deadline
-  on the injected clock; if a worker picks it up past its deadline the
+  on the tracer's clock; if a worker picks it up past its deadline the
   work is skipped and the caller gets a ``deadline_exceeded`` outcome
   instead of a late answer nobody wants.
 
@@ -24,7 +24,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.obs.tracer import NULL_TRACER, AnyTracer
-from repro.serve.timebase import clock_now, default_clock
 
 OK = "ok"
 DEADLINE_EXCEEDED = "deadline_exceeded"
@@ -53,13 +52,11 @@ class WorkerPool:
         self,
         worker_fn,
         max_workers: int = 4,
-        clock=None,
         tracer: AnyTracer | None = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.worker_fn = worker_fn
-        self.clock = clock or default_clock()
         self.tracer = NULL_TRACER if tracer is None else tracer
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="serve-worker"
@@ -121,7 +118,7 @@ class WorkerPool:
         try:
             if (
                 deadline is not None
-                and clock_now(self.clock) > deadline
+                and self.tracer.clock.now() > deadline
             ):
                 self.tracer.count("serve.deadline_exceeded")
                 return WorkOutcome(

@@ -222,7 +222,7 @@ class StreamProcessor:
             watermark=self.watermark,
         )
         windows = self.tracer.windows
-        batch_started = windows.clock.now() if windows is not None else 0.0
+        batch_started = self.tracer.clock.now()
         with self.tracer.span("stream.batch") as span:
             on_time: list[StreamDocument] = []
             n_late = 0
@@ -266,7 +266,7 @@ class StreamProcessor:
             windows.record("stream.alerts", n=len(alerts))
             windows.observe(
                 "stream.batch_seconds",
-                windows.clock.now() - batch_started,
+                self.tracer.clock.now() - batch_started,
             )
             if self.watermark is not None:
                 # Freshness at ingest: how stale each accepted document

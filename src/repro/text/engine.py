@@ -280,7 +280,7 @@ class AnnotationEngine:
 
     def sentence_terms(self, sentence: str) -> list[str]:
         """Normalized index terms of one sentence (cached; do not mutate)."""
-        return self._sentence_terms.get_or_compute(sentence, _index_terms)
+        return self._sentence_terms.get_or_compute(sentence, text_terms)
 
     def index_terms(self, text: str) -> list[str]:
         """Normalized (lower-cased) index terms (cached; do not mutate).
@@ -297,7 +297,7 @@ class AnnotationEngine:
     def _index_terms_of(self, text: str) -> list[str]:
         split = self.split(text)
         if not split.composes:
-            return _index_terms(text)
+            return text_terms(text)
         terms: list[str] = []
         for sentence in split.sentences:
             terms.extend(self.sentence_terms(sentence))
@@ -375,6 +375,6 @@ def terms_compose(text: str, spans: list[Sentence]) -> bool:
     )
 
 
-def _index_terms(text: str) -> list[str]:
+def text_terms(text: str) -> list[str]:
     """The inverted index's term stream for one text."""
     return [word.lower() for word in tokenize_words(text)]

@@ -11,6 +11,10 @@ import pytest
 from repro.corpus.generator import CorpusConfig
 from repro.corpus.web import build_web
 from repro.evaluation.datasets import DatasetSpec, build_evaluation_dataset
+from repro.obs.clock import FakeClock
+from repro.obs.events import EventLog
+from repro.obs.timeseries import Telemetry
+from repro.obs.tracer import Tracer
 from repro.text.annotator import Annotator
 
 
@@ -37,3 +41,26 @@ def trained_etap(small_dataset):
     if not etap.classifiers:
         etap.train(pure_positive=small_dataset.pure_positive)
     return etap
+
+
+@pytest.fixture
+def fake_clock_cli(monkeypatch):
+    """Run ``repro.cli.main`` on a hand-cranked clock.
+
+    The CLI's one handle becomes a FakeClock :class:`Tracer` with
+    windows (and the flight recorder under ``--record``), so every
+    latency, window and verdict of the run sits on a clock no
+    wall-clock pause can move.  Returns the clock.
+    """
+    clock = FakeClock()
+
+    def handle(args):
+        recording = getattr(args, "record", None)
+        return Tracer(
+            clock=clock,
+            recorder=EventLog(sink=recording) if recording else None,
+            windows=Telemetry(),
+        )
+
+    monkeypatch.setattr("repro.cli._handle", handle)
+    return clock

@@ -78,11 +78,22 @@ class TestShardOf:
 
 
 class TestTokenizeShard:
-    def test_engine_and_engineless_paths_agree(self):
+    def test_engine_and_engineless_paths_agree(self, monkeypatch):
         store, accepted = build_store()
         ordinals = [store.ordinal_of(doc.doc_id) for doc in accepted]
         buffer, offsets = store.flat_texts(ordinals)
+        built = []
+        init = AnnotationEngine.__init__
+
+        def counting_init(engine, *args, **kwargs):
+            built.append(engine)
+            init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(AnnotationEngine, "__init__", counting_init)
         bare = tokenize_shard(0, buffer, offsets, engine=None)
+        # The worker-process path builds no throw-away engine.
+        assert built == []
+        monkeypatch.undo()
         # A shared engine that already cached every split and sentence.
         engine = AnnotationEngine()
         tokenize_shard(0, buffer, offsets, engine=engine)

@@ -28,6 +28,7 @@ from collections import deque
 from pathlib import Path
 
 from repro.obs.clock import FakeClock
+from repro.obs.tracer import Tracer
 from repro.serve.admission import AdmissionController
 
 GOLDEN_PATH = Path(__file__).with_name("fairness_schedule.json")
@@ -54,7 +55,7 @@ def fairness_schedule(quotas: dict | None = QUOTAS) -> dict:
         rate=1e9,
         burst=1e9,
         max_pending=MAX_PENDING,
-        clock=FakeClock(),
+        tracer=Tracer(clock=FakeClock()),
         quotas=quotas,
     )
     in_flight: deque[str] = deque()

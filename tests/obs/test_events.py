@@ -169,7 +169,8 @@ def test_every_event_type_has_an_example():
 class TestRoundTrip:
     @pytest.mark.parametrize("event_type", sorted(EVENT_TYPES))
     def test_emit_to_json_from_json(self, event_type):
-        log = EventLog(run_id="testrun", clock=FakeClock(1.5))
+        log = EventLog(run_id="testrun")
+        Tracer(clock=FakeClock(1.5), recorder=log)
         emitted = log.emit(
             event_type,
             lineage_id="doc-1",
@@ -215,7 +216,8 @@ class TestEmitValidation:
 
     def test_seq_and_clock(self):
         clock = FakeClock()
-        log = EventLog(run_id="r", clock=clock)
+        log = EventLog(run_id="r")
+        Tracer(clock=clock, recorder=log)
         first = log.emit("run_started", command="demo")
         clock.advance(2.0)
         second = log.emit("run_started", command="demo")

@@ -19,7 +19,7 @@ from repro.obs.health import (
     processor_probe,
     worst,
 )
-from repro.obs.slo import SloEngine, SloSpec
+from repro.obs.slo import SloEngine, SloSpec, default_slos
 from repro.obs.timeseries import Telemetry
 from repro.obs.tracer import Tracer
 
@@ -28,7 +28,16 @@ def ok_probe(component):
     return lambda: ComponentHealth(component, STATUS_OK)
 
 
-def make_engine(telemetry, recorder=None):
+def make_tracer(recorder=None):
+    """A FakeClock tracer with 1 s windows: the run's one time axis."""
+    return Tracer(
+        clock=FakeClock(),
+        recorder=recorder,
+        windows=Telemetry(interval=1.0),
+    )
+
+
+def make_monitor(tracer):
     spec = SloSpec(
         name="avail",
         objective="availability",
@@ -37,7 +46,7 @@ def make_engine(telemetry, recorder=None):
         good_series="ok",
         total_series="total",
     )
-    return SloEngine([spec], Tracer(recorder=recorder, windows=telemetry))
+    return HealthMonitor(SloEngine([spec], tracer), tracer=tracer)
 
 
 class TestStatusAlgebra:
@@ -88,11 +97,10 @@ class TestRollup:
         assert "probe failed: boom" in component.reason
 
     def test_paging_slo_forces_component_critical(self):
-        clock = FakeClock()
-        telemetry = Telemetry(clock=clock, interval=1.0)
-        monitor = HealthMonitor(make_engine(telemetry), clock=clock)
+        tracer = make_tracer()
+        monitor = make_monitor(tracer)
         monitor.register("fetch", ok_probe("fetch"))
-        telemetry.record("total", n=10)  # 100% errors -> page
+        tracer.windows.record("total", n=10)  # 100% errors -> page
         report = monitor.rollup()
         assert report.status == STATUS_CRITICAL
         (fetch,) = report.components
@@ -102,17 +110,14 @@ class TestRollup:
         assert slo.breaching
 
     def test_slo_creates_component_without_probe(self):
-        clock = FakeClock()
-        telemetry = Telemetry(clock=clock, interval=1.0)
-        monitor = HealthMonitor(make_engine(telemetry), clock=clock)
-        telemetry.record("total", n=10)
+        tracer = make_tracer()
+        monitor = make_monitor(tracer)
+        tracer.windows.record("total", n=10)
         report = monitor.rollup()
         assert [c.component for c in report.components] == ["fetch"]
 
     def test_slo_never_downgrades_a_probe_verdict(self):
-        clock = FakeClock()
-        telemetry = Telemetry(clock=clock, interval=1.0)
-        monitor = HealthMonitor(make_engine(telemetry), clock=clock)
+        monitor = make_monitor(make_tracer())
         monitor.register(
             "fetch",
             lambda: ComponentHealth("fetch", STATUS_CRITICAL, "down"),
@@ -124,29 +129,39 @@ class TestRollup:
 
     def test_transition_events_are_edge_triggered(self):
         log = EventLog()
-        clock = FakeClock()
-        telemetry = Telemetry(clock=clock, interval=1.0)
-        monitor = HealthMonitor(
-            make_engine(telemetry),
-            tracer=Tracer(recorder=log, windows=telemetry),
-            clock=clock,
-        )
+        tracer = make_tracer(recorder=log)
+        monitor = make_monitor(tracer)
         monitor.rollup()  # first rollup: no previous -> no event
         monitor.rollup()  # steady ok -> no event
         assert log.events("health_transition") == []
 
-        telemetry.record("total", n=10)
+        tracer.windows.record("total", n=10)
         monitor.rollup()  # ok -> critical
         (event,) = log.events("health_transition")
         assert event.payload["status"] == STATUS_CRITICAL
         assert event.payload["previous"] == STATUS_OK
         assert event.payload["reasons"]
 
-        clock.advance(7200.0)  # windows drain -> recovery
+        tracer.clock.advance(7200.0)  # windows drain -> recovery
         monitor.rollup()
         events = log.events("health_transition")
         assert len(events) == 2
         assert events[-1].payload["status"] == STATUS_OK
+
+    def test_rollup_reads_the_windows_on_the_tracer_clock(self):
+        """Failed fetches recorded on a FakeClock tracer page the SLO
+        engine, and the monitor over the same tracer must agree: it
+        evaluates the windows at the tracer's time, not its own."""
+        tracer = Tracer(clock=FakeClock(), windows=Telemetry())
+        tracer.windows.record("fetch.outcomes", n=100)  # no fetch.ok
+        engine = SloEngine(default_slos(), tracer)
+        paged = {s.name for s in engine.evaluate() if s.breaching}
+        assert "fetch-availability" in paged
+        report = HealthMonitor(
+            SloEngine(default_slos(), tracer), tracer=tracer
+        ).rollup()
+        assert report.status == STATUS_CRITICAL
+        assert EXIT_CODES[report.status] == 2
 
     def test_render_and_to_dict(self):
         monitor = HealthMonitor()

@@ -6,16 +6,20 @@ windowed telemetry) must be kept by identity, and ``None`` must map to
 :data:`~repro.obs.tracer.NULL_TRACER` by an ``is None`` test, never by
 truthiness.  Components built from an ``Etap`` inherit ``etap.tracer``,
 so their factories hand the tracer to the Etap.  An inspect-scan makes
-new constructors join the audit.
+new constructors join the audit, and holds the package to one clock:
+the tracer's.
 """
 
 from __future__ import annotations
 
 import inspect
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.cli  # noqa: F401 -- force-import the full package tree
 import repro.queries  # noqa: F401 -- cli imports the planner lazily
 from repro.core.alerts import AlertService
@@ -136,6 +140,20 @@ def test_constructors_keep_fresh_recorders(name, factory):
         )
 
 
+#: Constructors that may take ``clock``: the tracer (where a run picks
+#: its one clock), the primitives it hands the clock to, the clock
+#: itself, and the write-ahead log, built before any tracer exists.
+CLOCK_TAKERS = {
+    "Tracer", "TokenBucket", "TimeSeries", "WriteAheadLog", "FakeClock",
+}
+
+#: Direct reads of the wall clock; only ``repro.obs.clock`` may make them.
+WALL_CLOCK_READ = re.compile(
+    r"\btime\.(perf_counter|monotonic|time)\b"
+    r"|\bfrom time import\b.*\b(perf_counter|monotonic|time)\b"
+)
+
+
 def test_every_recorder_constructor_is_covered():
     """Inspect-scan the package so new constructors join the audit.
 
@@ -143,13 +161,24 @@ def test_every_recorder_constructor_is_covered():
     ``repro`` modules.  A constructor taking ``tracer`` must appear in
     the audit list above (or be one of the tracer's own helpers); no
     signature may take the retired ``event_log`` or ``telemetry``
-    parameters.
+    parameters.  Time has one source per run, the tracer's clock: only
+    :data:`CLOCK_TAKERS` may take ``clock``, and only
+    ``repro.obs.clock`` may read the wall clock.
     """
     audited = {name for name, _ in recorder_keepers()}
     # Internal context managers handed an already-wired tracer.
     exempt = {"_SpanContext", "_TimedContext"}
     found: set[str] = set()
     retired: set[str] = set()
+    clocked: set[str] = set()
+    wall_readers: set[str] = set()
+    package = Path(repro.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if path != package / "obs" / "clock.py" and WALL_CLOCK_READ.search(
+            source
+        ):
+            wall_readers.add(str(path.relative_to(package)))
     for module_name, module in list(sys.modules.items()):
         if not module_name.startswith("repro"):
             continue
@@ -170,6 +199,8 @@ def test_every_recorder_constructor_is_covered():
                 found.add(label)
             if {"event_log", "telemetry"} & set(params):
                 retired.add(label)
+            if inspect.isclass(member) and "clock" in params:
+                clocked.add(label)
     unaudited = found - audited - exempt
     assert not unaudited, (
         f"constructors taking tracer missing from this audit: "
@@ -178,6 +209,14 @@ def test_every_recorder_constructor_is_covered():
     assert not retired, (
         f"signatures taking event_log/telemetry: {sorted(retired)} — "
         "pass the one tracer instead"
+    )
+    assert not clocked - CLOCK_TAKERS, (
+        f"constructors taking clock: {sorted(clocked - CLOCK_TAKERS)} — "
+        "read self.tracer.clock instead"
+    )
+    assert not wall_readers, (
+        f"modules reading the wall clock directly: {sorted(wall_readers)}"
+        " — read the tracer's clock instead"
     )
 
 

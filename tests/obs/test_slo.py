@@ -48,9 +48,9 @@ def availability_spec(**overrides) -> SloSpec:
 
 def fresh_engine(specs, recorder=None):
     clock = FakeClock(start=10_000.0)
-    telemetry = Telemetry(clock=clock, interval=1.0, n_buckets=7200)
+    telemetry = Telemetry(interval=1.0, n_buckets=7200)
     return clock, telemetry, SloEngine(
-        specs, Tracer(recorder=recorder, windows=telemetry)
+        specs, Tracer(clock=clock, recorder=recorder, windows=telemetry)
     )
 
 
@@ -105,11 +105,11 @@ class TestSloSpec:
         assert dl.budget == 0.05
 
     def test_engine_rejects_duplicate_names(self):
-        telemetry = Telemetry(clock=FakeClock())
+        telemetry = Telemetry()
         with pytest.raises(ValueError, match="duplicate"):
             SloEngine(
                 [availability_spec(), availability_spec()],
-                Tracer(windows=telemetry),
+                Tracer(clock=FakeClock(), windows=telemetry),
             )
 
 

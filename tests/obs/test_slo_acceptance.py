@@ -12,15 +12,29 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
+from repro.core.drivers import builtin_drivers
+from repro.obs.clock import FakeClock
 from repro.obs.events import read_events
+from repro.obs.health import EXIT_CODES, HealthMonitor
+from repro.obs.slo import SloEngine, default_slos
+from repro.obs.timeseries import Telemetry
+from repro.obs.tracer import Tracer
+from repro.serve import AlertPortal, LoadGenerator
+
+from tests.serve.test_portal import advance_per_search, build_store
 
 DOCS = ["--docs", "200", "--seed", "7"]
 LOAD = ["--queries", "30", "--clients", "2"]
 
 
 class TestHealthUnderFaults:
-    def test_fault_free_run_is_ok(self, capsys):
+    def test_fault_free_run_is_ok(self, fake_clock_cli, capsys):
+        # On a FakeClock handle no wall-clock pause can push the
+        # latency p99 past its objective; TestLatencyVerdict below
+        # drives that objective through the portal instead.
         code = main(["health", *DOCS, *LOAD])
         assert code == 0
         out = capsys.readouterr().out
@@ -79,7 +93,7 @@ class TestHealthUnderFaults:
         assert slos_first == slos_second
         assert slos_first["fetch-availability"] == ("page", True)
 
-    def test_json_rollup_shape(self, capsys):
+    def test_json_rollup_shape(self, fake_clock_cli, capsys):
         code = main(["health", *DOCS, *LOAD, "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -97,3 +111,39 @@ class TestHealthUnderFaults:
         }
         for status in slos.values():
             assert status["budget_remaining"] >= 0.9
+
+
+class TestLatencyVerdict:
+    """The latency objective, exercised through a FakeClock portal.
+
+    Each uncached search costs a fixed time on the tracer's clock, so
+    the p99 and its burn are exact.  The committed objective (p99 <=
+    0.25 s) warns at burn >= 1 and pages only at the fast-window burn
+    threshold of 2, i.e. at p99 >= 0.5 s.
+    """
+
+    @pytest.mark.parametrize(
+        "search_seconds,status",
+        [(0.3, "degraded"), (0.6, "critical")],
+    )
+    def test_slow_searches_burn_the_latency_budget(
+        self, search_seconds, status
+    ):
+        tracer = Tracer(clock=FakeClock(), windows=Telemetry())
+        portal = AlertPortal(build_store(), tracer=tracer)
+        portal.refresh()
+        advance_per_search(portal, search_seconds)
+        queries = [q for d in builtin_drivers() for q in d.smart_queries]
+        with portal:
+            LoadGenerator(
+                portal, queries, n_clients=1, n_queries=30, seed=7
+            ).run()
+        health = HealthMonitor(
+            SloEngine(default_slos(), tracer), tracer=tracer
+        ).rollup()
+        latency = {s.name: s for s in health.slos}["serve-latency-p99"]
+        assert latency.value_fast == pytest.approx(search_seconds)
+        paged = status == "critical"
+        assert latency.severity == ("page" if paged else "warn")
+        assert health.status == status
+        assert EXIT_CODES[health.status] == (2 if paged else 1)

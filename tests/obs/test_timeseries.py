@@ -23,6 +23,7 @@ from repro.obs.timeseries import (
     TimeSeries,
     exact_quantile,
 )
+from repro.obs.tracer import Tracer
 
 QS = (0.5, 0.9, 0.95, 0.99)
 
@@ -347,8 +348,9 @@ class TestTimeSeries:
 
 class TestTelemetry:
     def test_record_and_observe_create_on_use(self):
-        clock = FakeClock()
-        telemetry = Telemetry(clock=clock, interval=1.0)
+        telemetry = Tracer(
+            clock=FakeClock(), windows=Telemetry(interval=1.0)
+        ).windows
         telemetry.record("fetch.outcomes")
         telemetry.observe("serve.latency", 0.05)
         assert telemetry.series_names == [
@@ -359,26 +361,36 @@ class TestTelemetry:
         assert telemetry.quantile("serve.latency", 0.5) == 0.05
 
     def test_unknown_names_read_empty(self):
-        telemetry = Telemetry(clock=FakeClock())
+        telemetry = Tracer(clock=FakeClock(), windows=Telemetry()).windows
         assert telemetry.window("nope", 10.0).count == 0
         assert telemetry.rate("nope", 10.0) == 0.0
         assert telemetry.quantile("nope", 0.5) == 0.0
 
     def test_snapshot_shape(self):
-        telemetry = Telemetry(clock=FakeClock(), interval=1.0)
+        telemetry = Tracer(
+            clock=FakeClock(), windows=Telemetry(interval=1.0)
+        ).windows
         telemetry.observe("serve.latency", 0.2)
         snap = telemetry.snapshot(windows=(60.0,))
         assert snap["series"]["serve.latency"]["60s"]["count"] == 1
         assert snap["sketches"]["serve.latency"]["count"] == 1
 
     def test_tracer_shares_one_clock_with_its_windows(self):
+        from repro.obs.clock import MonotonicClock
         from repro.obs.events import EventLog
-        from repro.obs.tracer import NULL_TRACER, Tracer
+        from repro.obs.tracer import NULL_TRACER
 
         assert NULL_TRACER.windows is None
+        assert isinstance(NULL_TRACER.clock, MonotonicClock)
         assert Tracer().windows is None
         clock = FakeClock()
-        telemetry = Telemetry(clock=clock)
-        tracer = Tracer(recorder=EventLog(), windows=telemetry)
+        telemetry = Telemetry()
+        tracer = Tracer(clock=clock, recorder=EventLog(), windows=telemetry)
         assert tracer.clock is clock
+        assert telemetry.clock is clock
         assert tracer.recorder.clock is clock
+        # Without a clock the tracer picks a monotonic one and its
+        # parts adopt it; they never lend the tracer theirs.
+        tracer = Tracer(windows=Telemetry())
+        assert isinstance(tracer.clock, MonotonicClock)
+        assert tracer.windows.clock is tracer.clock

@@ -146,11 +146,11 @@ class TestFaultKinds:
         )
         web = FaultyWeb(inner, profile, seed=0)
         url = inner.documents[0].url
-        before = web.now
+        before = web.clock.now()
         with pytest.raises(SlowFetchError):
             web.fetch(url)
         # 1 tick for the fetch + the 5-tick timeout penalty.
-        assert web.now == before + 6.0
+        assert web.clock.now() == before + 6.0
         assert web.fetch(url).url == url
 
     def test_truncated_page_is_shorter_and_marked_degraded(self):
@@ -180,11 +180,11 @@ class TestFaultKinds:
         assert web.host_is_flaky(host)
         assert not web.host_is_down(host)  # t=0: up window
         assert web.fetch(url).url == url
-        web.advance(10.0)  # into the down window
+        web.clock.advance(10.0)  # into the down window
         assert web.host_is_down(host)
         with pytest.raises(HostDownError):
             web.fetch(url)
-        web.advance(10.0)  # back up
+        web.clock.advance(10.0)  # back up
         assert web.fetch(url).url == url
 
     def test_404_stays_a_keyerror(self):
@@ -198,7 +198,7 @@ class TestImmunityAndPassthrough:
         inner = tiny_web()
         profile = FaultProfile(dead_rate=1.0, flaky_host_rate=1.0)
         web = FaultyWeb(inner, profile, seed=0)
-        web.advance(100.0)
+        web.clock.advance(100.0)
         assert web.fetch(FRONT_PAGE_URL).url == FRONT_PAGE_URL
 
     def test_peek_never_faults_and_costs_no_attempt(self):

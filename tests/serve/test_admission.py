@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.clock import FakeClock
+from repro.obs.tracer import Tracer
 from repro.serve.admission import (
     QUEUE_FULL,
     RATE_LIMITED,
@@ -39,9 +40,9 @@ class TestTokenBucket:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TokenBucket(rate=0, burst=1)
+            TokenBucket(rate=0, burst=1, clock=FakeClock())
         with pytest.raises(ValueError):
-            TokenBucket(rate=1, burst=0.5)
+            TokenBucket(rate=1, burst=0.5, clock=FakeClock())
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -71,7 +72,8 @@ class TestTokenBucket:
 class TestAdmissionController:
     def test_admit_release_cycle(self):
         controller = AdmissionController(
-            rate=100.0, burst=10.0, max_pending=2, clock=FakeClock()
+            rate=100.0, burst=10.0, max_pending=2,
+            tracer=Tracer(clock=FakeClock()),
         )
         first = controller.admit("c1")
         second = controller.admit("c1")
@@ -86,7 +88,8 @@ class TestAdmissionController:
     def test_rate_limit_is_per_client(self):
         clock = FakeClock()
         controller = AdmissionController(
-            rate=1.0, burst=2.0, max_pending=100, clock=clock
+            rate=1.0, burst=2.0, max_pending=100,
+            tracer=Tracer(clock=clock),
         )
         assert controller.admit("a") and controller.admit("a")
         rejected = controller.admit("a")
@@ -96,7 +99,8 @@ class TestAdmissionController:
 
     def test_rejection_is_a_value_not_an_exception(self):
         controller = AdmissionController(
-            rate=100.0, burst=100.0, max_pending=0, clock=FakeClock()
+            rate=100.0, burst=100.0, max_pending=0,
+            tracer=Tracer(clock=FakeClock()),
         )
         for _ in range(50):  # bounded: pending never grows
             decision = controller.admit("c")
@@ -105,12 +109,9 @@ class TestAdmissionController:
         assert controller.pending == 0
 
     def test_rejection_counters(self):
-        from repro.obs.tracer import Tracer
-
-        tracer = Tracer()
+        tracer = Tracer(clock=FakeClock())
         controller = AdmissionController(
-            rate=100.0, burst=1.0, max_pending=0,
-            clock=FakeClock(), tracer=tracer,
+            rate=100.0, burst=1.0, max_pending=0, tracer=tracer,
         )
         controller.admit("c")  # queue_full
         controller.admit("c")  # rate_limited
@@ -120,7 +121,7 @@ class TestAdmissionController:
         assert counters[f"serve.rejected[{RATE_LIMITED}]"] == 1
 
     def test_unbalanced_release_raises(self):
-        controller = AdmissionController(clock=FakeClock())
+        controller = AdmissionController(tracer=Tracer(clock=FakeClock()))
         with pytest.raises(RuntimeError):
             controller.release()
 
@@ -133,7 +134,7 @@ class TestAdmissionController:
         """admit/release interleavings keep pending in [0, max]."""
         controller = AdmissionController(
             rate=1e6, burst=1e6, max_pending=max_pending,
-            clock=FakeClock(),
+            tracer=Tracer(clock=FakeClock()),
         )
         held = 0
         for is_admit in ops:
@@ -151,7 +152,7 @@ class TestQuotas:
     def make(self, quotas, max_pending=8):
         return AdmissionController(
             rate=1e9, burst=1e9, max_pending=max_pending,
-            clock=FakeClock(), quotas=quotas,
+            tracer=Tracer(clock=FakeClock()), quotas=quotas,
         )
 
     def test_quota_must_be_a_fraction(self):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.clock import FakeClock
+from repro.obs.tracer import Tracer
 from repro.serve.cache import MISS, QueryCache, cache_key
 
 
@@ -17,7 +18,7 @@ def clock():
 
 class TestBasics:
     def test_miss_then_hit(self, clock):
-        cache = QueryCache(ttl=10.0, clock=clock)
+        cache = QueryCache(ttl=10.0, tracer=Tracer(clock=clock))
         key = cache_key("new ceo", 10)
         assert cache.get(key, generation=1) is MISS
         cache.put(key, ["r1"], generation=1)
@@ -30,7 +31,7 @@ class TestBasics:
         assert cache_key("new ceo", 5) != cache_key("new ceo", 6)
 
     def test_replace_updates_value(self, clock):
-        cache = QueryCache(clock=clock)
+        cache = QueryCache(tracer=Tracer(clock=clock))
         key = cache_key("q", 1)
         cache.put(key, "old", generation=1)
         cache.put(key, "new", generation=1)
@@ -40,7 +41,7 @@ class TestBasics:
 
 class TestTtl:
     def test_expires_exactly_at_ttl(self, clock):
-        cache = QueryCache(ttl=5.0, clock=clock)
+        cache = QueryCache(ttl=5.0, tracer=Tracer(clock=clock))
         key = cache_key("q", 1)
         cache.put(key, "v", generation=1)
         clock.advance(4.999)
@@ -50,7 +51,7 @@ class TestTtl:
         assert cache.stats().expirations == 1
 
     def test_expired_entry_is_dropped(self, clock):
-        cache = QueryCache(ttl=1.0, clock=clock)
+        cache = QueryCache(ttl=1.0, tracer=Tracer(clock=clock))
         key = cache_key("q", 1)
         cache.put(key, "v", generation=1)
         clock.advance(2.0)
@@ -60,7 +61,7 @@ class TestTtl:
 
 class TestLru:
     def test_entry_bound_evicts_oldest(self, clock):
-        cache = QueryCache(max_entries=3, clock=clock)
+        cache = QueryCache(max_entries=3, tracer=Tracer(clock=clock))
         keys = [cache_key(f"q{i}", 1) for i in range(4)]
         for key in keys:
             cache.put(key, "v", generation=1)
@@ -69,7 +70,7 @@ class TestLru:
         assert cache.stats().evictions == 1
 
     def test_recent_access_protects_entry(self, clock):
-        cache = QueryCache(max_entries=3, clock=clock)
+        cache = QueryCache(max_entries=3, tracer=Tracer(clock=clock))
         keys = [cache_key(f"q{i}", 1) for i in range(3)]
         for key in keys:
             cache.put(key, "v", generation=1)
@@ -79,21 +80,23 @@ class TestLru:
         assert cache.get(keys[1], generation=1) is MISS
 
     def test_cost_bound_evicts(self, clock):
-        cache = QueryCache(max_entries=100, max_cost=10.0, clock=clock)
+        cache = QueryCache(
+            max_entries=100, max_cost=10.0, tracer=Tracer(clock=clock)
+        )
         cache.put(cache_key("a", 1), "v", generation=1, cost=6.0)
         cache.put(cache_key("b", 1), "v", generation=1, cost=6.0)
         assert len(cache) == 1
         assert cache.total_cost == 6.0
 
     def test_oversized_entry_not_admitted(self, clock):
-        cache = QueryCache(max_cost=10.0, clock=clock)
+        cache = QueryCache(max_cost=10.0, tracer=Tracer(clock=clock))
         cache.put(cache_key("big", 1), "v", generation=1, cost=11.0)
         assert len(cache) == 0
 
 
 class TestGenerations:
     def test_wrong_generation_is_a_miss(self, clock):
-        cache = QueryCache(clock=clock)
+        cache = QueryCache(tracer=Tracer(clock=clock))
         key = cache_key("q", 1)
         cache.put(key, "v", generation=1)
         assert cache.get(key, generation=2) is MISS
@@ -101,7 +104,7 @@ class TestGenerations:
         assert cache.stats().invalidations == 1
 
     def test_eager_invalidation(self, clock):
-        cache = QueryCache(clock=clock)
+        cache = QueryCache(tracer=Tracer(clock=clock))
         for i in range(5):
             cache.put(cache_key(f"q{i}", 1), "v", generation=1)
         cache.put(cache_key("fresh", 1), "v", generation=2)
@@ -113,7 +116,7 @@ class TestGenerations:
 
 class TestStaleReads:
     def test_stale_ignores_ttl_and_generation(self, clock):
-        cache = QueryCache(ttl=1.0, clock=clock)
+        cache = QueryCache(ttl=1.0, tracer=Tracer(clock=clock))
         key = cache_key("q", 1)
         cache.put(key, "v", generation=1)
         clock.advance(100.0)
@@ -123,7 +126,7 @@ class TestStaleReads:
         assert stats.hits == 0  # stale reads never inflate hit rate
 
     def test_stale_miss(self, clock):
-        cache = QueryCache(clock=clock)
+        cache = QueryCache(tracer=Tracer(clock=clock))
         assert cache.get_stale(cache_key("absent", 1)) is MISS
 
     def test_stale_serve_emits_exactly_one_degraded_read(self, clock):
@@ -131,11 +134,10 @@ class TestStaleReads:
         recorder, so a portal living off expired answers was invisible
         to the degraded-reads SLO.  One stale serve, one event."""
         from repro.obs.events import EventLog
-        from repro.obs.tracer import Tracer
 
-        log = EventLog(clock=clock)
+        log = EventLog()
         cache = QueryCache(
-            ttl=1.0, clock=clock, tracer=Tracer(recorder=log)
+            ttl=1.0, tracer=Tracer(clock=clock, recorder=log)
         )
         key = cache_key("q", 1)
         cache.put(key, "v", generation=1)
@@ -150,20 +152,18 @@ class TestStaleReads:
 
     def test_stale_miss_emits_nothing(self, clock):
         from repro.obs.events import EventLog
-        from repro.obs.tracer import Tracer
 
-        log = EventLog(clock=clock)
-        cache = QueryCache(clock=clock, tracer=Tracer(recorder=log))
+        log = EventLog()
+        cache = QueryCache(tracer=Tracer(clock=clock, recorder=log))
         assert cache.get_stale(cache_key("absent", 1)) is MISS
         assert log.events("degraded_read") == []
 
     def test_fresh_hit_emits_nothing(self, clock):
         from repro.obs.events import EventLog
-        from repro.obs.tracer import Tracer
 
-        log = EventLog(clock=clock)
+        log = EventLog()
         cache = QueryCache(
-            ttl=10.0, clock=clock, tracer=Tracer(recorder=log)
+            ttl=10.0, tracer=Tracer(clock=clock, recorder=log)
         )
         key = cache_key("q", 1)
         cache.put(key, "v", generation=1)
@@ -202,7 +202,7 @@ class TestProperties:
         clock = FakeClock()
         cache = QueryCache(
             max_entries=max_entries, max_cost=1e9, ttl=10.0,
-            clock=clock,
+            tracer=Tracer(clock=clock),
         )
         for op, key_n, generation, step in ops:
             key = cache_key(f"q{key_n}", 1)
@@ -227,7 +227,7 @@ class TestProperties:
     def test_ttl_expiry_monotone_on_tick_clock(self, ttl, steps):
         """Once expired, an entry stays expired as time only advances."""
         clock = FakeClock()
-        cache = QueryCache(ttl=ttl, clock=clock)
+        cache = QueryCache(ttl=ttl, tracer=Tracer(clock=clock))
         key = cache_key("q", 1)
         cache.put(key, "v", generation=1)
         inserted_at = 0.0
@@ -258,7 +258,9 @@ class TestProperties:
     def test_generation_invalidation_empties_stale(self, entries,
                                                    current):
         clock = FakeClock()
-        cache = QueryCache(max_entries=64, ttl=100.0, clock=clock)
+        cache = QueryCache(
+            max_entries=64, ttl=100.0, tracer=Tracer(clock=clock)
+        )
         for key_n, generation in entries:
             cache.put(
                 cache_key(f"q{key_n}", 1), key_n,

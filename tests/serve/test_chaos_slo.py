@@ -36,16 +36,14 @@ CHAOS_QUERIES = [f"{q} v{v}" for v in range(60) for q in BASE_QUERIES]
 
 
 def run_leg(etap, hedging: bool) -> dict:
-    clock = FakeClock()
-    telemetry = Telemetry(clock=clock)
-    tracer = Tracer(windows=telemetry)
+    tracer = Tracer(clock=FakeClock(), windows=Telemetry())
     with AlertPortal.from_etap(
         etap,
         n_shards=2,
         admission=AdmissionController(
-            rate=1e9, burst=float(N_QUERIES), max_pending=64, clock=clock
+            rate=1e9, burst=float(N_QUERIES), max_pending=64,
+            tracer=tracer,
         ),
-        clock=clock,
         tracer=tracer,
         n_replicas=4,
         hedge_after=0.05,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import threading
 
 from repro.obs.clock import FakeClock
+from repro.obs.tracer import Tracer
 from repro.serve import AdmissionController, AlertPortal, QueryCache
 
 from tests.serve.test_stress import build_store, make_alert
@@ -33,16 +34,16 @@ ALERTS_PER_BATCH = 5
 
 
 def test_kill_restore_under_load_keeps_every_invariant():
-    clock = FakeClock()
+    tracer = Tracer(clock=FakeClock())
     portal = AlertPortal(
         build_store(30, "alpha"),
         n_shards=2,
         n_replicas=N_REPLICAS,
-        clock=clock,
+        tracer=tracer,
         admission=AdmissionController(
-            rate=1e9, burst=1e9, max_pending=256, clock=clock
+            rate=1e9, burst=1e9, max_pending=256, tracer=tracer
         ),
-        cache=QueryCache(ttl=1e9, clock=clock),
+        cache=QueryCache(ttl=1e9, tracer=tracer),
         max_workers=4,
     )
     portal.refresh()

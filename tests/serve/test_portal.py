@@ -12,9 +12,11 @@ from repro.obs.export import (
     parse_prometheus_text,
     prometheus_text,
 )
+from repro.obs.timeseries import DEFAULT_EXACT_THRESHOLD, Telemetry
 from repro.obs.tracer import Tracer
 from repro.gather.store import DocumentStore, StoredDocument
 from repro.serve import (
+    DEADLINE_EXCEEDED,
     STATUS_OK,
     STATUS_REJECTED,
     STATUS_STALE,
@@ -22,6 +24,7 @@ from repro.serve import (
     AlertPortal,
     LoadGenerator,
     QueryCache,
+    cache_key,
 )
 
 
@@ -38,17 +41,35 @@ def build_store(n: int = 20) -> DocumentStore:
     return store
 
 
+def advance_per_search(portal, seconds):
+    """Make every uncached query cost ``seconds`` on the portal's clock.
+
+    Wraps the worker function, so cache hits and rejections cost
+    nothing and each search moves the tracer's FakeClock by an exact
+    amount; ``seconds`` may be a function of the query string.
+    """
+    search = portal.workers.worker_fn
+    clock = portal.tracer.clock
+    cost = seconds if callable(seconds) else (lambda query: seconds)
+
+    def timed(key):
+        clock.advance(cost(key.query))
+        return search(key)
+
+    portal.workers.worker_fn = timed
+
+
 @pytest.fixture
 def portal():
-    clock = FakeClock()
+    tracer = Tracer(clock=FakeClock())
     portal = AlertPortal(
         build_store(),
         n_shards=3,
-        clock=clock,
+        tracer=tracer,
         admission=AdmissionController(
-            rate=1000.0, burst=1000.0, max_pending=16, clock=clock
+            rate=1000.0, burst=1000.0, max_pending=16, tracer=tracer
         ),
-        cache=QueryCache(ttl=100.0, clock=clock),
+        cache=QueryCache(ttl=100.0, tracer=tracer),
     )
     portal.refresh()
     yield portal
@@ -95,24 +116,21 @@ class TestQueryPath:
 class TestOverload:
     """Backpressure acceptance: Rejected values, no exceptions."""
 
-    def _overloaded_portal(self, tracer=None, stale=True):
-        clock = FakeClock()
+    def _overloaded_portal(self, tracer, stale=True):
         portal = AlertPortal(
             build_store(),
-            clock=clock,
             serve_stale_on_overload=stale,
             admission=AdmissionController(
-                rate=1000.0, burst=1000.0, max_pending=0,
-                clock=clock, tracer=tracer,
+                rate=1000.0, burst=1000.0, max_pending=0, tracer=tracer,
             ),
-            cache=QueryCache(ttl=100.0, clock=clock),
+            cache=QueryCache(ttl=100.0, tracer=tracer),
             tracer=tracer,
         )
         portal.refresh()
         return portal
 
     def test_queue_full_rejects_without_exceptions(self):
-        tracer = Tracer()
+        tracer = Tracer(clock=FakeClock())
         with self._overloaded_portal(tracer) as portal:
             responses = [
                 portal.query("c", f"merger {i}") for i in range(25)
@@ -123,7 +141,7 @@ class TestOverload:
         assert tracer.registry.counters["serve.rejected"] == 25
 
     def test_rejected_counter_reaches_prometheus_export(self):
-        tracer = Tracer()
+        tracer = Tracer(clock=FakeClock())
         with self._overloaded_portal(tracer) as portal:
             for _ in range(5):
                 portal.query("c", "merger")
@@ -137,15 +155,15 @@ class TestOverload:
         assert samples[("repro_serve_queue_depth", ())] == 0
 
     def test_overload_degrades_to_stale_cache(self):
-        clock = FakeClock()
+        tracer = Tracer(clock=FakeClock())
         admission = AdmissionController(
-            rate=1000.0, burst=1000.0, max_pending=16, clock=clock
+            rate=1000.0, burst=1000.0, max_pending=16, tracer=tracer
         )
         portal = AlertPortal(
             build_store(),
-            clock=clock,
+            tracer=tracer,
             admission=admission,
-            cache=QueryCache(ttl=100.0, clock=clock),
+            cache=QueryCache(ttl=100.0, tracer=tracer),
         )
         portal.refresh()
         with portal:
@@ -162,14 +180,13 @@ class TestOverload:
 
     def test_rejection_events_recorded(self):
         log = EventLog()
-        clock = FakeClock()
+        tracer = Tracer(clock=FakeClock(), recorder=log)
         portal = AlertPortal(
             build_store(),
-            clock=clock,
             admission=AdmissionController(
-                rate=1000.0, burst=1000.0, max_pending=0, clock=clock
+                rate=1000.0, burst=1000.0, max_pending=0, tracer=tracer
             ),
-            tracer=Tracer(recorder=log),
+            tracer=tracer,
         )
         portal.refresh()
         with portal:
@@ -294,6 +311,9 @@ class TestStats:
         assert stats["queue_depth"] == 0
 
     def test_load_report_accounts_for_every_query(self, portal):
+        # Load reports time the run on the portal's clock; a FakeClock
+        # moves only when the searches spend time on it.
+        advance_per_search(portal, 0.001)
         queries = [q for d in builtin_drivers() for q in d.smart_queries]
         report = LoadGenerator(
             portal, queries, n_clients=3, n_queries=40, seed=7
@@ -304,3 +324,63 @@ class TestStats:
         # The zipf mix must make the cache earn its keep.
         assert 0.3 < report["cache_hit_rate"] <= 1.0
         assert len(report["shard_docs"]) == 3
+
+    def test_load_report_percentiles_match_the_latency_sketch(self):
+        """One percentile rule: below the sketch's spill threshold the
+        load report's p50/p99 are the sketch's exact nearest ranks over
+        the same latencies the portal observed."""
+        tracer = Tracer(clock=FakeClock(), windows=Telemetry())
+        portal = AlertPortal(build_store(), tracer=tracer)
+        portal.refresh()
+        advance_per_search(portal, lambda query: len(query) / 1000.0)
+        queries = [q for d in builtin_drivers() for q in d.smart_queries]
+        with portal:
+            report = LoadGenerator(
+                portal, queries, n_clients=1, n_queries=60, seed=7
+            ).run()
+        sketch = tracer.windows.sketch("serve.latency")
+        assert sketch.count == 60 < DEFAULT_EXACT_THRESHOLD
+        assert report.p99_ms == sketch.quantile(0.99) * 1000.0
+        assert report.p50_ms == sketch.quantile(0.5) * 1000.0
+        assert report.p99_ms > 0
+        assert report.wall_seconds == tracer.clock.now()
+
+
+class TestOneClock:
+    """A portal given only a FakeClock tracer runs entirely on it."""
+
+    def test_ttl_refill_deadline_and_latency_share_the_tracer_clock(self):
+        clock = FakeClock()
+        portal = AlertPortal(build_store(), tracer=Tracer(clock=clock))
+        portal.refresh()
+        advance_per_search(portal, 0.3)
+        with portal:
+            # Latency: the search's 0.3 s on the one clock.
+            first = portal.query("c", "merger")
+            assert first.status == STATUS_OK and not first.cached
+            assert first.latency == pytest.approx(0.3)
+
+            # Cache TTL (30 s) runs from the put at t=0.3.
+            clock.advance(29.0)
+            assert portal.query("c", "merger").cached
+            clock.advance(2.0)
+            expired = portal.query("c", "merger")
+            assert not expired.cached
+            assert portal.cache.stats().expirations == 1
+
+            # Token bucket (burst 20, 50 tokens/s) refills on the clock.
+            for _ in range(20):
+                assert portal.query("hot", "merger").status == STATUS_OK
+            limited = portal.query("hot", "merger")
+            assert limited.status == STATUS_STALE
+            assert limited.reason == "rate_limited"
+            clock.advance(0.1)
+            assert portal.query("hot", "merger").status == STATUS_OK
+
+            # Worker deadline: absolute time on the same clock.
+            key = cache_key("acquire", 10)
+            deadline = clock.now() + 1.0
+            assert portal.workers.execute(key, deadline=deadline).ok
+            clock.advance(1.0)
+            late = portal.workers.execute(key, deadline=deadline)
+            assert late.status == DEADLINE_EXCEEDED

@@ -132,10 +132,12 @@ class TestReplicaSet:
             replicas.install_snapshot(snapshot)
 
     def test_kill_restore_emit_events_with_lag(self):
-        log = EventLog(clock=FakeClock())
+        log = EventLog()
         index = ShardedIndex(n_shards=1)
         replicas = ReplicaSet(
-            n_shards=1, n_replicas=2, tracer=Tracer(recorder=log)
+            n_shards=1,
+            n_replicas=2,
+            tracer=Tracer(clock=FakeClock(), recorder=log),
         )
         replicas.install_snapshot(index.rebuild(make_docs(12)))
         replicas.kill(0, 1)

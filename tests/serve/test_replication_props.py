@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.clock import FakeClock
+from repro.obs.tracer import Tracer
 from repro.robustness.faults import get_profile
 from repro.serve.replication import ReplicaSet
 from repro.serve.router import HedgedRouter
@@ -67,7 +68,7 @@ def fresh_router(
         hedging=hedging,
         fault_profile=get_profile("lossy") if faulty else None,
         seed=seed,
-        clock=FakeClock(),
+        tracer=Tracer(clock=FakeClock()),
     )
     return replicas, router
 

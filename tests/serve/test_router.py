@@ -46,7 +46,7 @@ def build_cluster(
     snapshot = index.rebuild(make_docs(n_docs))
     replicas = ReplicaSet(n_shards=n_shards, n_replicas=n_replicas)
     replicas.install_snapshot(snapshot)
-    router_kwargs.setdefault("clock", FakeClock())
+    router_kwargs.setdefault("tracer", Tracer(clock=FakeClock()))
     router = HedgedRouter(replicas, **router_kwargs)
     return index, snapshot, replicas, router
 
@@ -73,16 +73,16 @@ class TestFaultFreeRouting:
 
     def test_advances_the_injected_clock_by_the_latency(self):
         clock = FakeClock()
-        _, _, _, router = build_cluster(clock=clock)
+        _, _, _, router = build_cluster(tracer=Tracer(clock=clock))
         result = router.route(QUERIES[0])
         assert clock.now() == pytest.approx(result.latency)
 
 
 class TestHedging:
     def test_down_primary_hedges_within_budget(self):
-        log = EventLog(clock=FakeClock())
+        log = EventLog()
         _, snapshot, replicas, router = build_cluster(
-            n_shards=1, tracer=Tracer(recorder=log)
+            n_shards=1, tracer=Tracer(clock=FakeClock(), recorder=log)
         )
         query = QUERIES[0]
         victim = primary_index(router, 0, query, 3)
@@ -149,9 +149,9 @@ class TestHedging:
 
 class TestDegradedReads:
     def test_whole_group_down_serves_from_shipping_log(self):
-        log = EventLog(clock=FakeClock())
+        log = EventLog()
         _, snapshot, replicas, router = build_cluster(
-            tracer=Tracer(recorder=log)
+            tracer=Tracer(clock=FakeClock(), recorder=log)
         )
         for index in range(3):
             replicas.kill(0, index)
@@ -169,9 +169,9 @@ class TestDegradedReads:
         assert degraded[0].payload["shard"] == 0
 
     def test_stale_group_pins_the_whole_response_back(self):
-        log = EventLog(clock=FakeClock())
+        log = EventLog()
         index, old_snapshot, replicas, router = build_cluster(
-            n_shards=2, tracer=Tracer(recorder=log)
+            n_shards=2, tracer=Tracer(clock=FakeClock(), recorder=log)
         )
         # Group 0 misses generation 2 entirely, then comes back stale.
         for replica_index in range(3):
@@ -197,9 +197,11 @@ class TestDegradedReads:
 
 class TestBreakers:
     def test_repeated_timeouts_open_the_breaker_and_exclude(self):
-        log = EventLog(clock=FakeClock())
+        log = EventLog()
         _, _, replicas, router = build_cluster(
-            n_shards=1, hedging=False, tracer=Tracer(recorder=log)
+            n_shards=1,
+            hedging=False,
+            tracer=Tracer(clock=FakeClock(), recorder=log),
         )
         query = QUERIES[0]
         victim_index = primary_index(router, 0, query, 3)

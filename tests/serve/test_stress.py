@@ -16,6 +16,7 @@ from repro.core.snippets import Snippet
 from repro.core.training import AnnotatedSnippet
 from repro.gather.store import DocumentStore, StoredDocument
 from repro.obs.clock import FakeClock
+from repro.obs.tracer import Tracer
 from repro.serve import AdmissionController, AlertPortal, QueryCache
 from repro.text.annotator import AnnotatedText
 
@@ -70,16 +71,16 @@ class TestPortalUnderSwap:
         once (the idempotency keys hold under contention), and every
         query must resolve to a whole generation — never an exception.
         """
-        clock = FakeClock()
+        tracer = Tracer(clock=FakeClock())
         store = build_store(40)
         portal = AlertPortal(
             store,
             n_shards=4,
-            clock=clock,
+            tracer=tracer,
             admission=AdmissionController(
-                rate=1e9, burst=1e9, max_pending=256, clock=clock
+                rate=1e9, burst=1e9, max_pending=256, tracer=tracer
             ),
-            cache=QueryCache(ttl=1e9, clock=clock),
+            cache=QueryCache(ttl=1e9, tracer=tracer),
             max_workers=4,
         )
         portal.refresh()
@@ -145,17 +146,17 @@ class TestPortalUnderSwap:
 
     def test_queries_during_swap_see_whole_generations(self):
         """The portal-level view of the shards' atomicity guarantee."""
-        clock = FakeClock()
+        tracer = Tracer(clock=FakeClock())
         portal = AlertPortal(
             build_store(30, "alpha"),
             n_shards=4,
-            clock=clock,
+            tracer=tracer,
             admission=AdmissionController(
-                rate=1e9, burst=1e9, max_pending=256, clock=clock
+                rate=1e9, burst=1e9, max_pending=256, tracer=tracer
             ),
             # Tiny TTL is irrelevant on a fake clock; disable caching
             # effects by keying every query uniquely below instead.
-            cache=QueryCache(ttl=1e9, clock=clock),
+            cache=QueryCache(ttl=1e9, tracer=tracer),
         )
         portal.refresh()
 

@@ -45,14 +45,16 @@ class TestDeadlines:
             ran.append(key)
             return key
 
-        with WorkerPool(worker, clock=clock) as pool:
+        with WorkerPool(worker, tracer=Tracer(clock=clock)) as pool:
             outcome = pool.execute("k", deadline=99.0)
         assert outcome.status == DEADLINE_EXCEEDED
         assert ran == []
 
     def test_future_deadline_runs(self):
         clock = FakeClock(start=100.0)
-        with WorkerPool(lambda key: key, clock=clock) as pool:
+        with WorkerPool(
+            lambda key: key, tracer=Tracer(clock=clock)
+        ) as pool:
             outcome = pool.execute("k", deadline=101.0)
         assert outcome.status == OK
 

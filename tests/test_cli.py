@@ -404,7 +404,9 @@ class TestFlightRecorder:
 
 
 class TestHealthCommand:
-    def test_health_text_rollup(self, capsys):
+    """Verdicts on a FakeClock handle: a GC pause cannot decide p99."""
+
+    def test_health_text_rollup(self, fake_clock_cli, capsys):
         code = main([
             "health", "--docs", "200", "--seed", "7",
             "--queries", "20",
@@ -414,7 +416,9 @@ class TestHealthCommand:
         assert "overall: ok" in out
         assert "fetch-availability" in out
 
-    def test_health_accepts_committed_yaml_config(self, capsys):
+    def test_health_accepts_committed_yaml_config(
+        self, fake_clock_cli, capsys
+    ):
         code = main([
             "health", "--docs", "200", "--seed", "7",
             "--queries", "20", "--slo-config", "configs/slos.yaml",
@@ -456,6 +460,9 @@ class TestReplicatedServe:
         out = capsys.readouterr().out
         assert "killed replica shard0/r1" in out
         assert "ok=60" in out
+        # The router answers in simulated ticks, and the table says so.
+        assert "p50 latency (ms, simulated ticks)" in out
+        assert "p99 latency (ms, simulated ticks)" in out
         groups = out.split("replica groups:")[1].split("serve.* metrics:")[0]
         assert "shard0: 2/3 up" in groups
         assert groups.count("3/3 up") == groups.count("shard") - 1
