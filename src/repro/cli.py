@@ -1083,7 +1083,8 @@ def build_parser() -> argparse.ArgumentParser:
              "rollup ('default' for built-ins, or a yaml/json path)",
     )
     serve.add_argument("--shards", type=int, default=4,
-                       help="index shards (doc-id hash partitioned)")
+                       help="doc-id hash partitions of the index "
+                       "(one replica group each with --replicas > 1)")
     serve.add_argument(
         "--workers", type=int, default=1,
         help="shard-owning ingestion processes during gathering; "

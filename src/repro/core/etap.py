@@ -113,7 +113,7 @@ class Etap:
         self._web = web
         self.tracer = NULL_TRACER if tracer is None else tracer
         #: The annotate-once engine shared by every stage: gathering,
-        #: training, extraction and serve rebuilds all read annotations,
+        #: training and extraction all read annotations,
         #: sentence splits, index terms and abstracted features from its
         #: content-keyed caches instead of recomputing them per stage.
         self.text_engine = text_engine or AnnotationEngine(self.config.ner)

@@ -86,7 +86,7 @@ class DataGatherer:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.store = DocumentStore()
         #: Shared annotate-once engine; downstream stages (training,
-        #: extraction, serve rebuilds) reuse its caches.
+        #: extraction) reuse its caches.
         self.text_engine = text_engine
         #: Ingestion fan-out width.  With ``workers > 1`` the initial
         #: gather partitions accepted documents by content hash and

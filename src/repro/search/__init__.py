@@ -10,7 +10,6 @@ from repro.search.engine import (
     ParsedQuery,
     SearchEngine,
     SearchResult,
-    build_engine_from_pairs,
     parse_query,
 )
 from repro.search.index import InvertedIndex, normalize_term
@@ -28,7 +27,6 @@ __all__ = [
     "SearchResult",
     "best_snippet",
     "bm25",
-    "build_engine_from_pairs",
     "business_relevance",
     "normalize_term",
     "parse_query",

@@ -118,8 +118,19 @@ class SearchEngine:
             text_engine=self.text_engine,
         )
 
-    def search(self, query: str, top_k: int = 10) -> list[SearchResult]:
+    def search(
+        self,
+        query: str,
+        top_k: int = 10,
+        within: "np.ndarray | None" = None,
+    ) -> list[SearchResult]:
         """Run ``query`` and return the ``top_k`` ranked results.
+
+        ``within`` is an optional boolean mask over document ordinals:
+        only the documents it marks can be returned, but they are scored
+        with the whole index's statistics (document count, mean length,
+        document frequencies), so a partition's results are exactly the
+        whole ranking filtered to that partition.
 
         Degenerate queries are answered, never raised on: a query that
         normalizes to zero terms (empty/whitespace/punctuation-only
@@ -131,7 +142,7 @@ class SearchEngine:
         if top_k <= 0:
             return []
         with self.tracer.timed("engine.search_seconds"):
-            results = self._search(query, top_k)
+            results = self._search(query, top_k, within)
         self.tracer.count("engine.searches")
         self.tracer.observe("engine.results_per_search", len(results))
         self.tracer.emit(
@@ -139,7 +150,9 @@ class SearchEngine:
         )
         return results
 
-    def _search(self, query: str, top_k: int) -> list[SearchResult]:
+    def _search(
+        self, query: str, top_k: int, within: "np.ndarray | None"
+    ) -> list[SearchResult]:
         """Score every document over numpy arrays indexed by ordinal.
 
         Each document's score adds its terms' BM25 contributions in
@@ -151,7 +164,7 @@ class SearchEngine:
             return []
         index = self.index
         n_docs = index.n_docs
-        candidates = None
+        candidates = within
         bonus = np.zeros(n_docs)
         for phrase in parsed.phrases:
             docs, counts = index.phrase_matches(phrase)
@@ -196,9 +209,3 @@ class SearchEngine:
             for negated, doc in ranked[:top_k]
         ]
 
-
-def build_engine_from_pairs(pairs: list[tuple[str, str]]) -> SearchEngine:
-    """Build an engine from ``(doc_key, text)`` pairs."""
-    engine = SearchEngine()
-    engine.add_documents((doc_key, text, "") for doc_key, text in pairs)
-    return engine

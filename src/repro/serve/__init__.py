@@ -3,9 +3,9 @@
 The batch pipeline produces alerts in a loop; this package turns its
 artifacts into a system that answers analyst traffic:
 
-* :mod:`repro.serve.shards` — :class:`ShardedIndex`: doc-id-hashed
-  shards behind immutable :class:`IndexSnapshot` generations with an
-  atomic swap, so reads never block re-indexing;
+* :mod:`repro.serve.shards` — :class:`ShardedIndex`: one immutable
+  index per :class:`IndexSnapshot` generation with an atomic swap, so
+  reads never block re-indexing; doc-id-hashed shards partition it;
 * :mod:`repro.serve.cache` — :class:`QueryCache`: TTL'd, size- and
   entry-bounded LRU with generation-wise invalidation and explicit
   stale reads;

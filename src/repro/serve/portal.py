@@ -5,9 +5,11 @@ through a portal.  :class:`AlertPortal` is that layer for this repo:
 an in-process request/response front over the batch pipeline's
 artifacts, assembled from the serve substrate —
 
-* a :class:`~repro.serve.shards.ShardedIndex` (immutable snapshots,
-  atomic swap) answers ad-hoc analyst queries without ever blocking on
-  re-indexing;
+* a :class:`~repro.serve.shards.ShardedIndex` (one immutable index
+  per generation, atomic swap) answers ad-hoc analyst queries without
+  ever blocking on re-indexing.  Over an ETAP, each generation is a
+  clone of the pipeline's own index, so analysts get exactly the
+  ranking ETAP trains from;
 * a :class:`~repro.serve.cache.QueryCache` absorbs repeated queries
   and is invalidated generation-wise on every snapshot swap;
 * a :class:`~repro.serve.workers.WorkerPool` bounds concurrency and
@@ -116,7 +118,7 @@ class AlertPortal:
         max_workers: int = 4,
         serve_stale_on_overload: bool = True,
         tracer: AnyTracer | None = None,
-        text_engine=None,
+        engine=None,
         n_replicas: int = 1,
         hedge_after: float = 0.05,
         fail_after: float = 0.8,
@@ -131,18 +133,21 @@ class AlertPortal:
         self.alert_service = alert_service
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.serve_stale_on_overload = serve_stale_on_overload
-        self.shards = ShardedIndex(
-            n_shards=n_shards,
-            tracer=self.tracer,
-            text_engine=text_engine,
-        )
+        self.shards = ShardedIndex(n_shards=n_shards, tracer=self.tracer)
+        #: The pipeline's :class:`~repro.search.engine.SearchEngine`,
+        #: whose index :meth:`refresh` clones; ``None`` for a bare store.
+        self.engine = engine
         #: Doc ids present in the currently installed snapshot — what
-        #: :meth:`refresh` diffs against to index only the delta.
+        #: :meth:`refresh` diffs a bare store against.
         self._indexed_doc_ids: set[str] = set()
-        self.cache = cache or QueryCache(tracer=self.tracer)
-        self.admission = admission or AdmissionController(
-            tracer=self.tracer, quotas=quotas
+        self.cache = QueryCache() if cache is None else cache
+        self.admission = (
+            AdmissionController(quotas=quotas)
+            if admission is None
+            else admission
         )
+        # Injected parts too run on the portal's tracer and its clock.
+        self.cache.tracer = self.admission.tracer = self.tracer
         #: The simulated cluster: present only with ``n_replicas > 1``
         #: (a single-replica portal keeps the direct snapshot path and
         #: pays no routing overhead).
@@ -180,11 +185,9 @@ class AlertPortal:
 
     @classmethod
     def from_etap(cls, etap, alert_service=None, **kwargs) -> "AlertPortal":
-        """Build a portal over an Etap's store (and optional service)."""
+        """Build a portal serving an Etap's index (and optional service)."""
         kwargs.setdefault("tracer", etap.tracer)
-        kwargs.setdefault(
-            "text_engine", getattr(etap, "text_engine", None)
-        )
+        kwargs.setdefault("engine", etap.engine)
         portal = cls(etap.store, alert_service=alert_service, **kwargs)
         portal.refresh()
         return portal
@@ -196,18 +199,31 @@ class AlertPortal:
         return self.shards.generation
 
     def refresh(self) -> int:
-        """Index the store into a new snapshot; swap atomically.
+        """Install the next generation; swap atomically.
 
-        Incremental by default: when the store has only *grown* since
-        the last refresh (the continuous-monitoring steady state), the
-        new generation is built with :meth:`ShardedIndex.extend` —
-        previous postings carried over, only the delta indexed.  If any
-        previously indexed document vanished from the store, falls back
-        to a full rebuild.  Either way queries in flight finish against
-        the generation they started on, and the cache drops every
-        older-generation entry so nothing stale is ever served as
-        fresh.  Returns the new generation.
+        With the pipeline's engine attached, the generation is a
+        :meth:`~repro.search.index.InvertedIndex.clone` of its index:
+        the arrays are shared, nothing is copied or re-tokenized.  Over
+        a bare store the first refresh builds an index; later ones
+        extend a clone of it with the documents the store gained, or
+        rebuild if any indexed document vanished.  Either way queries
+        in flight finish against the generation they started on, and
+        the cache drops every older-generation entry so nothing stale
+        is ever served as fresh.  Returns the new generation.
         """
+        if self.engine is not None:
+            snapshot = self.shards.install(self.engine.index.clone())
+        else:
+            snapshot = self._index_store()
+        if self.replicas is not None:
+            # Ship the new generation to every up replica; down
+            # replicas catch up on restore.
+            self.replicas.install_snapshot(snapshot)
+        self.cache.invalidate_other_generations(snapshot.generation)
+        return snapshot.generation
+
+    def _index_store(self):
+        """Index a bare store: build once, then extend a clone."""
         current_ids = set(self.store.doc_ids())
         if self._indexed_doc_ids and self._indexed_doc_ids <= current_ids:
             new_ids = sorted(current_ids - self._indexed_doc_ids)
@@ -218,12 +234,7 @@ class AlertPortal:
         else:
             snapshot = self.shards.rebuild_from_store(self.store)
         self._indexed_doc_ids = current_ids
-        if self.replicas is not None:
-            # Ship the new generation to every up replica; down
-            # replicas catch up on restore.
-            self.replicas.install_snapshot(snapshot)
-        self.cache.invalidate_other_generations(snapshot.generation)
-        return snapshot.generation
+        return snapshot
 
     # -- the query path --------------------------------------------------------
 
@@ -278,59 +289,45 @@ class AlertPortal:
                     started=started,
                     latency_override=self._local_latency(),
                 )
-            if isinstance(outcome.value, RouteResult):
-                routed = outcome.value
-                if not routed.degraded:
-                    # A degraded answer is correct for its pinned
-                    # generation but must never become a fresh hit.
-                    self.cache.put(
-                        key,
-                        routed.results,
-                        routed.generation,
-                        cost=1.0 + len(routed.results),
-                    )
-                return self._respond(
-                    client_id,
+            routed = outcome.value
+            if not routed.degraded:
+                # A degraded answer is correct for its pinned
+                # generation but must never become a fresh hit.
+                self.cache.put(
                     key,
-                    STATUS_OK,
-                    results=routed.results,
-                    generation=routed.generation,
-                    started=started,
-                    degraded=routed.degraded,
-                    hedged=routed.hedges,
-                    latency_override=routed.latency,
+                    routed.results,
+                    routed.generation,
+                    cost=1.0 + len(routed.results),
                 )
-            generation, results = outcome.value
-            self.cache.put(
-                key,
-                results,
-                generation,
-                cost=1.0 + len(results),
-            )
             return self._respond(
                 client_id,
                 key,
                 STATUS_OK,
-                results=results,
-                generation=generation,
+                results=routed.results,
+                generation=routed.generation,
                 started=started,
+                degraded=routed.degraded,
+                hedged=routed.hedges,
+                latency_override=routed.latency,
             )
         finally:
             self.admission.release(client_id)
 
-    def _execute_query(self, key):
-        """Worker-side search: one snapshot grabbed once, used fully.
+    def _execute_query(self, key) -> RouteResult:
+        """Worker-side search: one snapshot grabbed once, searched once.
 
         With replicas attached the read goes through the hedged
-        router instead of the local snapshot; the
-        :class:`~repro.serve.router.RouteResult` carries the pinned
-        generation, the degraded flag, and the simulated latency.
+        router instead of the local snapshot, and the
+        :class:`~repro.serve.router.RouteResult` also carries the
+        degraded flag and the simulated latency.
         """
         if self.router is not None:
             return self.router.route(key.query, top_k=key.top_k)
         snapshot = self.shards.snapshot
-        results = tuple(snapshot.search(key.query, top_k=key.top_k))
-        return snapshot.generation, results
+        return RouteResult(
+            tuple(snapshot.search(key.query, top_k=key.top_k)),
+            snapshot.generation,
+        )
 
     def _local_latency(self) -> float | None:
         """Latency override for answers that never left the portal.

@@ -2,7 +2,8 @@
 
 The portal's :class:`~repro.serve.shards.ShardedIndex` publishes
 immutable :class:`~repro.serve.shards.IndexSnapshot` generations; a
-replicated deployment ships each generation's shard engines to N
+replicated deployment ships each generation's shard views (one
+partition, scored with the generation's global statistics) to N
 replicas per shard.  This module simulates that cluster in-process:
 
 * :class:`Replica` — one copy of one shard.  Holds the last few
@@ -25,7 +26,7 @@ replicas per shard.  This module simulates that cluster in-process:
   ``down_for`` ticks, rotating through replica indices so each replica
   of each group is exercised.
 
-Everything here is a value-level simulation — engines are shared
+Everything here is a value-level simulation — shard views are shared
 immutable objects, "shipping" is a reference install — but the control
 plane (state machines, staleness, breaker interplay) is the real
 design, and it is what the chaos suite pins.
@@ -37,8 +38,7 @@ from collections import OrderedDict
 
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.robustness.fetcher import CircuitBreaker
-from repro.search.engine import SearchEngine
-from repro.serve.shards import IndexSnapshot
+from repro.serve.shards import IndexSnapshot, ShardView
 
 REPLICA_UP = "up"
 REPLICA_DOWN = "down"
@@ -66,8 +66,8 @@ class Replica:
         self.shard = shard
         self.history = history
         self.state = REPLICA_UP
-        #: generation -> engine, oldest first, bounded to ``history``.
-        self._engines: OrderedDict[int, SearchEngine] = OrderedDict()
+        #: generation -> shard view, oldest first, bounded to ``history``.
+        self._views: OrderedDict[int, ShardView] = OrderedDict()
         #: The router's health signal for this replica; the router
         #: records successes/failures, the group resets it on restore.
         self.breaker = CircuitBreaker(
@@ -87,29 +87,29 @@ class Replica:
     @property
     def generation(self) -> int:
         """Newest generation installed (0 before any install)."""
-        if not self._engines:
+        if not self._views:
             return 0
-        return next(reversed(self._engines))
+        return next(reversed(self._views))
 
     @property
     def generations(self) -> tuple[int, ...]:
         """Every generation this replica can serve, oldest first."""
-        return tuple(self._engines)
+        return tuple(self._views)
 
     # -- data plane ------------------------------------------------------------
 
-    def install(self, generation: int, engine: SearchEngine) -> None:
+    def install(self, generation: int, view: ShardView) -> None:
         """Ship one generation of this shard onto the replica."""
-        self._engines[generation] = engine
-        self._engines.move_to_end(generation)
-        while len(self._engines) > self.history:
-            self._engines.popitem(last=False)
+        self._views[generation] = view
+        self._views.move_to_end(generation)
+        while len(self._views) > self.history:
+            self._views.popitem(last=False)
 
     def serves(self, generation: int) -> bool:
-        return generation in self._engines
+        return generation in self._views
 
-    def engine_at(self, generation: int) -> SearchEngine | None:
-        return self._engines.get(generation)
+    def view_at(self, generation: int) -> ShardView | None:
+        return self._views.get(generation)
 
 
 class ReplicaGroup:
@@ -140,7 +140,7 @@ class ReplicaGroup:
         #: whether or not any replica was up to take it.  This is the
         #: "generation-tagged cache" degraded reads fall back to — a
         #: whole group down must not make the shard unanswerable.
-        self._shipped: OrderedDict[int, SearchEngine] = OrderedDict()
+        self._shipped: OrderedDict[int, ShardView] = OrderedDict()
         self.history = history
 
     # -- introspection ---------------------------------------------------------
@@ -176,25 +176,25 @@ class ReplicaGroup:
             return 0
         return max(replica.generation for replica in ups)
 
-    def shipped_engine(self, generation: int) -> SearchEngine | None:
+    def shipped_view(self, generation: int) -> ShardView | None:
         """The shipping log's copy of ``generation`` (stale fallback)."""
         return self._shipped.get(generation)
 
     # -- lifecycle -------------------------------------------------------------
 
-    def install(self, generation: int, engine: SearchEngine) -> None:
+    def install(self, generation: int, view: ShardView) -> None:
         """Ship a generation: log it, install on every up replica.
 
         Down replicas miss the install — that is what creates lag —
         and pick the generation up on :meth:`restore`.
         """
-        self._shipped[generation] = engine
+        self._shipped[generation] = view
         self._shipped.move_to_end(generation)
         while len(self._shipped) > self.history:
             self._shipped.popitem(last=False)
         for replica in self.replicas:
             if replica.up:
-                replica.install(generation, engine)
+                replica.install(generation, view)
 
     def kill(self, index: int) -> Replica:
         replica = self.replicas[index]
@@ -264,14 +264,14 @@ class ReplicaSet:
     # -- data plane ------------------------------------------------------------
 
     def install_snapshot(self, snapshot: IndexSnapshot) -> None:
-        """Ship one whole snapshot: engine ``i`` to group ``i``."""
+        """Ship one whole snapshot: shard ``i``'s view to group ``i``."""
         if snapshot.n_shards != self.n_shards:
             raise ValueError(
                 f"snapshot has {snapshot.n_shards} shards; "
                 f"replica set has {self.n_shards}"
             )
-        for shard, engine in enumerate(snapshot.engines):
-            self.groups[shard].install(snapshot.generation, engine)
+        for shard, view in enumerate(snapshot.shards):
+            self.groups[shard].install(snapshot.generation, view)
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -2,9 +2,11 @@
 
 :class:`HedgedRouter` is the read path of the simulated cluster in
 :mod:`repro.serve.replication`: every query scatters to one replica
-per shard group and the per-shard rankings merge exactly as
-:meth:`~repro.serve.shards.IndexSnapshot.search` does.  What the
-router adds is *tail-latency discipline* under faults:
+per shard group, each replica searches its
+:class:`~repro.serve.shards.ShardView` with the generation's global
+BM25 statistics, and the per-shard top-k lists merge into exactly the
+ranking :meth:`~repro.serve.shards.IndexSnapshot.search` returns.  What
+the router adds is *tail-latency discipline* under faults:
 
 * **generation pinning** — before dispatch, the router picks one
   target generation every group can serve (the minimum over groups of
@@ -26,9 +28,11 @@ router adds is *tail-latency discipline* under faults:
   breakered out, or cannot serve the target generation), the router
   answers that shard from the group's shipping log at the *same*
   pinned generation, flags the response ``degraded=True``, and emits a
-  ``degraded_read`` event.  Degraded responses are never silently
-  stale: any response whose generation trails the latest ship is
-  flagged too.
+  ``degraded_read`` event.  A shard that no source can serve at that
+  generation is listed in ``missing_shards``, and the answer is the
+  generation's full ranking restricted to the other shards.  Degraded
+  responses are never silently stale: any response whose generation
+  trails the latest ship is flagged too.
 
 Time is simulated: replica service times are deterministic sha256
 draws (a pure function of ``(seed, replica, query)``), optionally
@@ -74,18 +78,22 @@ class RouteResult:
     hedges: int = 0
     attempts: int = 0
     max_inflight: int = 1
-    latency: float = 0.0
+    #: Simulated ticks; ``None`` for a local read, timed by its caller.
+    latency: float | None = None
+    #: Shards no replica or shipping log could answer at ``generation``.
+    missing_shards: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class _GroupServe:
     """One group's contribution to a routed query."""
 
-    engine: object | None  # None -> every candidate failed
+    view: object | None  # None -> every candidate failed
     duration: float
     attempts: int
-    hedges: int
-    max_inflight: int
+    #: One hedge opens a second in-flight request.
+    hedges: int = 0
+    max_inflight: int = 1
 
 
 @dataclass(frozen=True)
@@ -151,6 +159,7 @@ class HedgedRouter:
                 )
 
             merged: list[SearchResult] = []
+            missing: list[int] = []
             duration = 0.0
             attempts = hedges = 0
             max_inflight = 1
@@ -160,11 +169,11 @@ class HedgedRouter:
                 hedges += serve.hedges
                 max_inflight = max(max_inflight, serve.max_inflight)
                 duration = max(duration, serve.duration)
-                engine = serve.engine
-                if engine is None:
+                view = serve.view
+                if view is None:
                     # The group gave no answer: serve its shard from
                     # the shipping log at the same pinned generation.
-                    engine = group.shipped_engine(target)
+                    view = group.shipped_view(target)
                     degraded = True
                     self.tracer.count("serve.degraded_reads")
                     self.tracer.emit(
@@ -172,8 +181,10 @@ class HedgedRouter:
                         source="replica_group",
                         shard=group.shard,
                     )
-                if engine is not None and top_k > 0:
-                    merged.extend(engine.search(query, top_k=top_k))
+                if view is None:
+                    missing.append(group.shard)
+                elif top_k > 0:
+                    merged.extend(view.search(query, top_k=top_k))
             merged.sort(key=lambda result: (-result.score, result.doc_key))
 
             if hedges:
@@ -188,6 +199,7 @@ class HedgedRouter:
                 attempts=attempts,
                 max_inflight=max_inflight,
                 latency=duration,
+                missing_shards=tuple(missing),
             )
 
     # -- target selection ------------------------------------------------------
@@ -243,23 +255,11 @@ class HedgedRouter:
             elapsed += outcome.duration
             if outcome.ok:
                 self._record_success(replica)
-                return _GroupServe(
-                    engine=replica.engine_at(target),
-                    duration=elapsed,
-                    attempts=attempts,
-                    hedges=0,
-                    max_inflight=1,
-                )
+                return _GroupServe(replica.view_at(target), elapsed, attempts)
             self._record_failure(
                 replica, now + elapsed, outcome.breaker_failure
             )
-        return _GroupServe(
-            engine=None,
-            duration=elapsed,
-            attempts=attempts,
-            hedges=0,
-            max_inflight=1,
-        )
+        return _GroupServe(None, elapsed, attempts)
 
     def _serve_hedged(
         self,
@@ -289,11 +289,9 @@ class HedgedRouter:
             if outcome.ok and outcome.duration <= self.hedge_after:
                 self._record_success(replica)
                 return _GroupServe(
-                    engine=replica.engine_at(target),
+                    view=replica.view_at(target),
                     duration=started + outcome.duration,
                     attempts=attempts,
-                    hedges=0,
-                    max_inflight=1,
                 )
             if not outcome.ok and outcome.duration <= self.hedge_after:
                 started += outcome.duration
@@ -306,13 +304,7 @@ class HedgedRouter:
             break
         if primary is None:
             # Every candidate failed fast (or there were none).
-            return _GroupServe(
-                engine=None,
-                duration=started,
-                attempts=attempts,
-                hedges=0,
-                max_inflight=1,
-            )
+            return _GroupServe(None, started, attempts)
 
         primary_done = started + primary_outcome.duration
         rest = candidates[index:]
@@ -320,20 +312,14 @@ class HedgedRouter:
             # Nobody to hedge to: wait the primary out.
             if primary_outcome.ok:
                 self._record_success(primary)
-                engine = primary.engine_at(target)
+                view = primary.view_at(target)
             else:
                 self._record_failure(
                     primary, now + primary_done,
                     primary_outcome.breaker_failure,
                 )
-                engine = None
-            return _GroupServe(
-                engine=engine,
-                duration=primary_done,
-                attempts=attempts,
-                hedges=0,
-                max_inflight=1,
-            )
+                view = None
+            return _GroupServe(view, primary_done, attempts)
 
         # The primary is slow: launch exactly one hedge track at the
         # deadline.  The track fails over serially, so in-flight
@@ -347,14 +333,14 @@ class HedgedRouter:
             hedge=rest[0].replica_id,
         )
         hedge_done = hedge_started
-        hedge_engine = None
+        hedge_view = None
         for replica in rest:
             outcome = self._attempt(replica, query, target)
             attempts += 1
             hedge_done += outcome.duration
             if outcome.ok:
                 self._record_success(replica)
-                hedge_engine = replica.engine_at(target)
+                hedge_view = replica.view_at(target)
                 break
             self._record_failure(
                 replica, now + hedge_done, outcome.breaker_failure
@@ -370,20 +356,20 @@ class HedgedRouter:
 
         finishes = []
         if primary_outcome.ok:
-            finishes.append((primary_done, primary.engine_at(target)))
-        if hedge_engine is not None:
-            finishes.append((hedge_done, hedge_engine))
+            finishes.append((primary_done, primary.view_at(target)))
+        if hedge_view is not None:
+            finishes.append((hedge_done, hedge_view))
         if not finishes:
             return _GroupServe(
-                engine=None,
+                view=None,
                 duration=max(primary_done, hedge_done),
                 attempts=attempts,
                 hedges=1,
                 max_inflight=2,
             )
-        duration, engine = min(finishes, key=lambda pair: pair[0])
+        duration, view = min(finishes, key=lambda pair: pair[0])
         return _GroupServe(
-            engine=engine,
+            view=view,
             duration=duration,
             attempts=attempts,
             hedges=1,

@@ -1,40 +1,40 @@
-"""Sharded, snapshot-swapped search index for concurrent serving.
+"""One immutable index per serving generation, partitioned into shards.
 
-The batch pipeline owns one :class:`~repro.search.index.InvertedIndex`.
-Its arrays are immutable, but a write installs the next set on the same
-object one attribute at a time, so a serving layer cannot query it while
-ingestion writes.  :class:`ShardedIndex` serves from a separate set of
-indexes instead:
+The pipeline's :class:`~repro.search.index.InvertedIndex` installs each
+write on the same object one attribute at a time, so a serving layer
+cannot query it while ingestion writes.  :class:`ShardedIndex` serves
+immutable generations instead:
 
-* **sharding** — documents are partitioned by a stable hash of the doc
-  key into N :class:`~repro.search.engine.SearchEngine` shards, so a
-  rebuild parallelizes naturally and per-shard postings stay small;
-* **immutable snapshots** — readers only ever see an
-  :class:`IndexSnapshot`, a frozen generation of all N shards.
-  :meth:`ShardedIndex.rebuild` constructs the next generation off to
-  the side and installs it with one atomic reference assignment, so
-  queries in flight keep the generation they started on and new
-  queries see the new one.  Reads never block ingestion and never
-  observe a half-built index (the zero-downtime re-index contract the
-  serve tests pin down).
-
-BM25 statistics (document frequency, average length) are per shard,
-not global — with hash partitioning the shards are statistically
-similar, so merged rankings track the unsharded engine closely; the
-exact same *document set* is returned either way.
+* **one index per generation** — an :class:`IndexSnapshot` holds one
+  index nothing writes again: a clone of the pipeline's index taken
+  after its write returned (:meth:`ShardedIndex.install` copies no
+  array and tokenizes nothing), or one built or extended here.  A query
+  searches it once with the corpus's global BM25 statistics, so the
+  portal ranks exactly as the pipeline's engine does;
+* **atomic swap** — writers build the next generation off to the side
+  and install it with one reference assignment, so queries in flight
+  keep the generation they started on, and reads never block ingestion
+  or observe a half-built index (the zero-downtime re-index contract);
+* **shards as partitions** — a shard is the set of document ordinals
+  whose key :func:`shard_of` maps to it.  Each of
+  :attr:`IndexSnapshot.shards` searches the whole index restricted to
+  its ordinals (distributed IDF); the replicated simulation ships these
+  views, and merging their top-k gives exactly the unsharded top-k.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
+
+import numpy as np
 
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.search.engine import SearchEngine, SearchResult
-from repro.text.engine import AnnotationEngine
+from repro.search.index import InvertedIndex
 
 
 def shard_of(doc_key: str, n_shards: int) -> int:
@@ -50,65 +50,80 @@ def shard_of(doc_key: str, n_shards: int) -> int:
     return int.from_bytes(digest[:4], "big") % n_shards
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSnapshot:
-    """One immutable generation of the sharded index.
+    """One immutable generation: a single index and its partitioning.
 
-    Holds every shard engine of a single rebuild.  Nothing mutates a
-    snapshot after construction; a query resolves entirely within the
-    snapshot it grabbed, which is what makes the swap tear-free.
+    Nothing mutates a snapshot after construction; a query resolves
+    entirely within the snapshot it grabbed, which is what makes the
+    swap tear-free.
     """
 
     generation: int
-    engines: tuple[SearchEngine, ...]
-    n_docs: int
+    engine: SearchEngine
+    n_shards: int
 
     @property
-    def n_shards(self) -> int:
-        return len(self.engines)
+    def n_docs(self) -> int:
+        return self.engine.index.n_docs
+
+    @cached_property
+    def partition(self) -> np.ndarray:
+        """Each document ordinal's shard."""
+        return np.fromiter(
+            (shard_of(key, self.n_shards) for key in self.engine.index.keys),
+            dtype=np.int64,
+            count=self.n_docs,
+        )
 
     def shard_sizes(self) -> list[int]:
-        """Documents per shard (the balance the bench reports)."""
-        return [engine.index.n_docs for engine in self.engines]
+        """Documents per shard (the balance the gauges report)."""
+        counts = np.bincount(self.partition, minlength=self.n_shards)
+        return counts.tolist()
+
+    @cached_property
+    def shards(self) -> tuple["ShardView", ...]:
+        """One view per partition (the unit a replica serves)."""
+        return tuple(
+            ShardView(self.engine, self.partition == shard)
+            for shard in range(self.n_shards)
+        )
 
     def search(self, query: str, top_k: int = 10) -> list[SearchResult]:
-        """Scatter the query to every shard and merge the rankings."""
-        if top_k <= 0:
-            return []
-        merged: list[SearchResult] = []
-        for engine in self.engines:
-            merged.extend(engine.search(query, top_k=top_k))
-        merged.sort(key=lambda result: (-result.score, result.doc_key))
-        return merged[:top_k]
+        """Rank the whole generation once, with global statistics."""
+        return self.engine.search(query, top_k=top_k)
 
 
-def _empty_snapshot() -> IndexSnapshot:
-    return IndexSnapshot(generation=0, engines=(SearchEngine(),), n_docs=0)
+@dataclass(frozen=True, eq=False)
+class ShardView:
+    """One shard of a snapshot: its documents, scored globally."""
+
+    engine: SearchEngine
+    #: Boolean mask over the snapshot's ordinals: this shard's.
+    ordinals: np.ndarray
+
+    def search(self, query: str, top_k: int = 10) -> list[SearchResult]:
+        """The snapshot's ranking restricted to this shard's documents."""
+        return self.engine.search(query, top_k=top_k, within=self.ordinals)
 
 
 class ShardedIndex:
-    """N hash-partitioned engines behind an atomic snapshot pointer.
+    """One index per generation behind an atomic snapshot pointer.
 
-    ``rebuild``, ``extend`` and ``restore`` are the writers; each may run
-    concurrently with any number of readers.  Writers are serialized by
-    a lock so generations advance monotonically.
+    ``install``, ``rebuild``, ``extend`` and ``restore`` are the
+    writers; each may run concurrently with any number of readers.
+    Writers are serialized by a lock so generations advance
+    monotonically.
     """
 
     def __init__(
-        self,
-        n_shards: int = 4,
-        tracer: AnyTracer | None = None,
-        text_engine: AnnotationEngine | None = None,
+        self, n_shards: int = 4, tracer: AnyTracer | None = None
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.n_shards = n_shards
         self.tracer = NULL_TRACER if tracer is None else tracer
-        #: Shared annotate-once engine: every rebuild re-tokenizes the
-        #: same document texts, so with the pipeline's engine attached a
-        #: full rebuild is served from the content-keyed term cache.
-        self.text_engine = text_engine
-        self._snapshot = _empty_snapshot()
+        self._snapshot = IndexSnapshot(0, SearchEngine(), n_shards)
         self._rebuild_lock = threading.Lock()
 
     # -- reads -----------------------------------------------------------------
@@ -129,54 +144,40 @@ class ShardedIndex:
     # -- writes ----------------------------------------------------------------
 
     def _swap_in(
-        self,
-        documents: Iterable[tuple[str, str, str]],
-        generation: int,
-        base: tuple[SearchEngine, ...] = (),
-    ) -> tuple[IndexSnapshot, int]:
-        """Build a generation of ``base`` plus ``documents``; swap it in.
+        self, engine: SearchEngine, generation: int
+    ) -> IndexSnapshot:
+        """Install ``engine`` as ``generation``; call with the lock held.
 
-        Documents are partitioned by :func:`shard_of` and each touched
-        shard takes one batched write, on a clone of its ``base`` engine
-        — or on a fresh engine when ``base`` does not hold ``n_shards``
-        engines (a rebuild, or extending generation 0).  Untouched base
-        shards carry over as they are.  The engines are complete before
-        the snapshot pointer moves, so readers see either the old
-        generation or the whole new one, never a mix.  Returns the
-        snapshot and the number of documents written.  Call with the
-        rebuild lock held.
+        The index is complete before the snapshot pointer moves, so
+        readers see either the old generation or the whole new one.
         """
-        by_shard: dict[int, list[tuple[str, str, str]]] = defaultdict(list)
-        for document in documents:
-            by_shard[shard_of(document[0], self.n_shards)].append(document)
-        fresh = len(base) != self.n_shards
-        engines = (
-            [
-                SearchEngine(text_engine=self.text_engine)
-                for _ in range(self.n_shards)
-            ]
-            if fresh
-            else list(base)
-        )
-        for shard, delta in by_shard.items():
-            if not fresh:
-                engines[shard] = engines[shard].clone()
-            engines[shard].add_documents(delta)
-        snapshot = IndexSnapshot(
-            generation=generation,
-            engines=tuple(engines),
-            n_docs=sum(engine.index.n_docs for engine in engines),
-        )
+        snapshot = IndexSnapshot(generation, engine, self.n_shards)
         self._snapshot = snapshot  # the atomic swap
-        return snapshot, sum(len(delta) for delta in by_shard.values())
+        return snapshot
+
+    def _build(self, documents) -> SearchEngine:
+        engine = SearchEngine()
+        engine.add_documents(documents)
+        return engine
+
+    def install(self, index: InvertedIndex) -> IndexSnapshot:
+        """Serve ``index`` — one nothing writes again, such as a clone of
+        the pipeline's index taken after its write returned — as the
+        next generation."""
+        with self._rebuild_lock:
+            snapshot = self._swap_in(
+                SearchEngine(index), self._snapshot.generation + 1
+            )
+        self._announce_swap(snapshot)
+        return snapshot
 
     def rebuild(
         self, documents: Iterable[tuple[str, str, str]]
     ) -> IndexSnapshot:
         """Index ``(doc_key, text, title)`` triples into a new generation."""
         with self._rebuild_lock, self.tracer.timed("serve.rebuild_seconds"):
-            snapshot, _ = self._swap_in(
-                documents, self._snapshot.generation + 1
+            snapshot = self._swap_in(
+                self._build(documents), self._snapshot.generation + 1
             )
         self._announce_swap(snapshot)
         return snapshot
@@ -186,19 +187,16 @@ class ShardedIndex:
     ) -> IndexSnapshot:
         """Delta-build the next generation: previous snapshot + new docs.
 
-        Only the shards that receive documents are cloned (a
-        :meth:`~repro.search.index.InvertedIndex.clone` shares the
-        arrays, and the write merges the delta into them); shards with
-        no new documents carry over to the new generation as-is.  Readers
-        get the same tear-free swap as :meth:`rebuild` without
-        re-tokenizing the corpus — the path for continuous monitoring,
+        The write goes to a clone of the current index, which shares
+        its arrays and merges the delta into new ones, so only the new
+        documents are tokenized — the path for continuous monitoring,
         where each revisit adds a few pages to a large standing index.
         """
         with self._rebuild_lock, self.tracer.timed("serve.extend_seconds"):
             current = self._snapshot
-            snapshot, n_delta = self._swap_in(
-                documents, current.generation + 1, current.engines
-            )
+            engine = current.engine.clone()
+            n_delta = engine.add_documents(documents)
+            snapshot = self._swap_in(engine, current.generation + 1)
         self.tracer.count("serve.docs_delta_indexed", n_delta)
         self._announce_swap(snapshot)
         return snapshot
@@ -218,7 +216,7 @@ class ShardedIndex:
         if generation < 0:
             raise ValueError("generation must be >= 0")
         with self._rebuild_lock:
-            snapshot, _ = self._swap_in(documents, generation)
+            snapshot = self._swap_in(self._build(documents), generation)
         self._announce_swap(snapshot)
         return snapshot
 

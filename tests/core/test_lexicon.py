@@ -9,7 +9,7 @@ from repro.core.lexicon import (
     induce_lexicon,
     revenue_growth_lexicon,
 )
-from repro.search.engine import build_engine_from_pairs
+from tests.search.helpers import build_engine_from_pairs
 
 
 class TestLexiconScoring:

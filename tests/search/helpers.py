@@ -1,7 +1,8 @@
-"""Shared helpers for tests that compare inverted indexes."""
+"""Shared helpers for tests that build or compare search indexes."""
 
 from __future__ import annotations
 
+from repro.search.engine import SearchEngine
 from repro.search.index import InvertedIndex
 
 
@@ -18,3 +19,10 @@ def by_doc(index: InvertedIndex, term: str) -> dict[str, list[int]]:
 def postings_snapshot(index: InvertedIndex, terms) -> dict:
     """``{term: by_doc(index, term)}`` over ``terms``."""
     return {term: by_doc(index, term) for term in terms}
+
+
+def build_engine_from_pairs(pairs: list[tuple[str, str]]) -> SearchEngine:
+    """An engine over ``(doc_key, text)`` pairs, with empty titles."""
+    engine = SearchEngine()
+    engine.add_documents((doc_key, text, "") for doc_key, text in pairs)
+    return engine

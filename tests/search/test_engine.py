@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.search.engine import (
-    SearchEngine,
-    build_engine_from_pairs,
-    parse_query,
-)
+from repro.search.engine import SearchEngine, parse_query
+from tests.search.helpers import build_engine_from_pairs
 
 
 @pytest.fixture

@@ -384,3 +384,41 @@ class TestOneClock:
             clock.advance(1.0)
             late = portal.workers.execute(key, deadline=deadline)
             assert late.status == DEADLINE_EXCEEDED
+
+    def test_an_empty_injected_cache_is_kept_and_runs_on_the_clock(self):
+        clock = FakeClock()
+        cache = QueryCache(ttl=5.0)
+        assert len(cache) == 0  # falsy, yet it must not be replaced
+        portal = AlertPortal(
+            build_store(), cache=cache, tracer=Tracer(clock=clock)
+        )
+        portal.refresh()
+        with portal:
+            assert portal.cache is cache
+            assert cache.tracer is portal.tracer
+            portal.query("c", "merger")
+            clock.advance(4.0)
+            assert portal.query("c", "merger").cached
+            clock.advance(2.0)
+            assert not portal.query("c", "merger").cached
+            assert cache.stats().expirations == 1
+
+    def test_an_injected_admission_refills_on_the_portal_clock(self):
+        clock = FakeClock()
+        admission = AdmissionController(rate=1.0, burst=1.0)
+        portal = AlertPortal(
+            build_store(),
+            admission=admission,
+            tracer=Tracer(clock=clock),
+            serve_stale_on_overload=False,
+        )
+        portal.refresh()
+        with portal:
+            assert portal.admission is admission
+            assert admission.tracer is portal.tracer
+            assert portal.query("c", "merger").status == STATUS_OK
+            limited = portal.query("c", "merger")
+            assert limited.status == STATUS_REJECTED
+            assert limited.reason == "rate_limited"
+            clock.advance(10.0)
+            assert portal.query("c", "merger").status == STATUS_OK

@@ -46,7 +46,7 @@ class TestReplica:
         replica = Replica("shard0/r0", shard=0)
         assert replica.up and not replica.down
         assert replica.generation == 0
-        assert replica.engine_at(1) is None
+        assert replica.view_at(1) is None
 
     def test_history_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -96,23 +96,23 @@ class TestReplicaGroup:
         assert group.replicas[0].breaker.state == CircuitBreaker.CLOSED
 
     def test_shipping_log_survives_total_outage(self):
-        engine = object()
+        view = object()
         group = ReplicaGroup(shard=0, n_replicas=2)
         group.kill(0)
         group.kill(1)
-        group.install(1, engine)
+        group.install(1, view)
         assert group.all_down
         assert group.best_generation() == 0
         # The generation still shipped: degraded reads have a source.
         assert group.latest_generation == 1
-        assert group.shipped_engine(1) is engine
+        assert group.shipped_view(1) is view
 
     def test_shipping_log_bounded_by_history(self):
         group = ReplicaGroup(shard=0, n_replicas=1, history=2)
         for generation in range(1, 5):
             group.install(generation, object())
-        assert group.shipped_engine(2) is None
-        assert group.shipped_engine(4) is not None
+        assert group.shipped_view(2) is None
+        assert group.shipped_view(4) is not None
 
 
 class TestReplicaSet:
@@ -122,7 +122,7 @@ class TestReplicaSet:
         replicas.install_snapshot(snapshot)
         for shard, group in enumerate(replicas.groups):
             for replica in group.replicas:
-                assert replica.engine_at(1) is snapshot.engines[shard]
+                assert replica.view_at(1) is snapshot.shards[shard]
         assert replicas.latest_generation == 1
 
     def test_shard_count_mismatch_raises(self):

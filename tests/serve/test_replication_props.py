@@ -10,12 +10,15 @@ masks, fault profiles, and seeds:
   no hedges, never degraded;
 * a response that is not flagged ``degraded`` is *exact*: identical
   to the fresh snapshot's own ranking at the latest generation.
-  Degraded reads are always tagged — there is no silent staleness.
+  Degraded reads are always tagged — there is no silent staleness;
+* every answer, degraded or not, is its generation's full ranking
+  restricted to the shards that answered, through any history of
+  snapshot shipping, kills and lagging restores.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.clock import FakeClock
@@ -23,7 +26,7 @@ from repro.obs.tracer import Tracer
 from repro.robustness.faults import get_profile
 from repro.serve.replication import ReplicaSet
 from repro.serve.router import HedgedRouter
-from repro.serve.shards import ShardedIndex
+from repro.serve.shards import ShardedIndex, shard_of
 
 N_SHARDS = 2
 N_REPLICAS = 3
@@ -143,3 +146,118 @@ def test_non_degraded_responses_are_exact(
     if not result.degraded:
         assert result.generation == SNAPSHOT.generation
         assert result.results == reference(query)
+
+
+def history_of_generations(n: int) -> dict:
+    """Generation -> snapshot: an empty generation 0, then ``n``
+    generations, each extending the last with new documents."""
+    index = ShardedIndex(n_shards=N_SHARDS)
+    snapshots = {0: index.snapshot}
+    for generation in range(1, n + 1):
+        snapshot = index.extend(
+            (
+                f"gen{generation}-{i:02d}",
+                f"Acme merger acquisition revenue v{i} "
+                f"{'growth ' * (i % 3)}round {generation}",
+                "",
+            )
+            for i in range(8)
+        )
+        snapshots[generation] = snapshot
+    return snapshots
+
+
+GENERATIONS = history_of_generations(4)
+
+cluster_ops = st.lists(
+    st.one_of(
+        st.just(("ship",)),
+        st.tuples(
+            st.just("kill"),
+            st.integers(0, N_SHARDS - 1),
+            st.integers(0, N_REPLICAS - 1),
+        ),
+        st.tuples(
+            st.just("restore"),
+            st.integers(0, N_SHARDS - 1),
+            st.integers(0, N_REPLICAS - 1),
+            st.booleans(),
+        ),
+    ),
+    max_size=16,
+)
+
+
+def restricted(generation: int, query: str, live: set, top_k: int = 10):
+    """The generation's full ranking, keeping only ``live`` shards."""
+    snapshot = GENERATIONS[generation]
+    return tuple(
+        result
+        for result in snapshot.search(query, top_k=snapshot.n_docs)
+        if shard_of(result.doc_key, N_SHARDS) in live
+    )[:top_k]
+
+
+#: Group 0's only up replica lags at generation 1 while group 1 holds
+#: only generations 3 and 4, so shard 1 has no source at the target.
+LAGGING_GROUP = [
+    ("kill", 0, 0), ("ship",), ("ship",), ("ship",),
+    ("restore", 0, 0, False), ("kill", 0, 1), ("kill", 0, 2),
+]
+
+
+def run_cluster(ops, query, hedging=True, faulty=False, seed=0):
+    """Ship generation 1, apply ``ops``, route ``query`` once."""
+    replicas = ReplicaSet(
+        n_shards=N_SHARDS, n_replicas=N_REPLICAS, history=2
+    )
+    router = HedgedRouter(
+        replicas,
+        hedging=hedging,
+        fault_profile=get_profile("lossy") if faulty else None,
+        seed=seed,
+        tracer=Tracer(clock=FakeClock()),
+    )
+    replicas.install_snapshot(GENERATIONS[1])
+    shipped = 1
+    for op in ops:
+        if op[0] == "ship" and shipped < len(GENERATIONS) - 1:
+            shipped += 1
+            replicas.install_snapshot(GENERATIONS[shipped])
+        elif op[0] == "kill":
+            replicas.kill(op[1], op[2])
+        elif op[0] == "restore":
+            replicas.restore(op[1], op[2], catch_up=op[3])
+    return router.route(query), shipped
+
+
+def test_a_shard_without_a_source_is_left_out_and_flagged():
+    result, _ = run_cluster(LAGGING_GROUP, "merger")
+    assert result.generation == 1
+    assert result.missing_shards == (1,)
+    assert result.degraded
+    assert result.results
+    assert result.results == restricted(1, "merger", {0})
+
+
+@given(
+    ops=cluster_ops,
+    query=st.sampled_from(
+        ["merger", "revenue growth", '"acme merger" v3', "round 2"]
+    ),
+    hedging=st.booleans(),
+    faulty=st.booleans(),
+    seed=seeds,
+)
+@example(
+    ops=LAGGING_GROUP, query="merger", hedging=True, faulty=False, seed=0
+)
+@settings(max_examples=150, deadline=None)
+def test_every_answer_is_the_ranking_restricted_to_live_shards(
+    ops, query, hedging, faulty, seed
+):
+    result, shipped = run_cluster(ops, query, hedging, faulty, seed)
+    live = set(range(N_SHARDS)) - set(result.missing_shards)
+    assert result.results == restricted(result.generation, query, live)
+    if result.missing_shards or result.generation < shipped:
+        assert result.degraded

@@ -1,4 +1,4 @@
-"""ShardedIndex: partitioning, parity, and the atomic snapshot swap."""
+"""ShardedIndex: partitioning, exact parity, and the atomic snapshot swap."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import pytest
 from repro.gather.store import DocumentStore, StoredDocument
 from repro.obs.events import EventLog
 from repro.obs.tracer import Tracer
-from repro.search.engine import build_engine_from_pairs
 from repro.serve.shards import IndexSnapshot, ShardedIndex, shard_of
+from tests.search.helpers import build_engine_from_pairs
 
 
 def make_docs(n: int, marker: str = "alpha"):
@@ -63,10 +63,12 @@ class TestRebuild:
         snapshot = index.rebuild(make_docs(50))
         assert snapshot.n_docs == 50
         assert sum(snapshot.shard_sizes()) == 50
+        keys = snapshot.engine.index.keys
         for doc_key, _, _ in make_docs(50):
+            ordinal = keys.index(doc_key)
             shard = shard_of(doc_key, 4)
-            engine = snapshot.engines[shard]
-            assert engine.index.doc_length(doc_key) > 0
+            assert snapshot.partition[ordinal] == shard
+            assert snapshot.shards[shard].ordinals[ordinal]
 
     def test_rebuild_from_store(self):
         store = DocumentStore()
@@ -106,13 +108,36 @@ class TestSearchParity:
             [(key, text) for key, text, _ in docs]
         )
         index = ShardedIndex(n_shards=4)
-        index.rebuild(docs)
+        snapshot = index.rebuild(docs)
         for query in ('"acme alpha"', "merger", '"number 7"'):
-            flat_keys = {r.doc_key for r in flat.search(query, top_k=100)}
-            shard_keys = {
-                r.doc_key for r in index.search(query, top_k=100)
-            }
-            assert shard_keys == flat_keys
+            for top_k in (5, 100):
+                expected = [
+                    (r.doc_key, r.score)
+                    for r in flat.search(query, top_k=top_k)
+                ]
+                got = [
+                    (r.doc_key, r.score)
+                    for r in index.search(query, top_k=top_k)
+                ]
+                assert got == expected
+                merged = sorted(
+                    (
+                        (r.doc_key, r.score)
+                        for view in snapshot.shards
+                        for r in view.search(query, top_k=top_k)
+                    ),
+                    key=lambda hit: (-hit[1], hit[0]),
+                )
+                assert merged[:top_k] == expected
+
+    def test_shard_view_is_the_ranking_restricted_to_its_keys(self):
+        index = ShardedIndex(n_shards=3)
+        snapshot = index.rebuild(make_docs(40))
+        full = snapshot.search("merger widgets", top_k=100)
+        for shard, view in enumerate(snapshot.shards):
+            assert view.search("merger widgets", top_k=100) == [
+                r for r in full if shard_of(r.doc_key, 3) == shard
+            ]
 
     def test_top_k_truncation_and_order(self):
         index = ShardedIndex(n_shards=4)
