@@ -70,6 +70,13 @@ class TokenBucket:
                 return True
             return False
 
+    def rebase(self, clock: Clock) -> None:
+        """Move to ``clock``, keeping the balance refilled so far."""
+        with self._lock:
+            self._refill(self.clock.now())
+            self.clock = clock
+            self._last_refill = clock.now()
+
     def _refill(self, now: float) -> None:
         elapsed = now - self._last_refill
         if elapsed > 0:
@@ -118,6 +125,8 @@ class AdmissionController:
         self.rate = rate
         self.burst = burst
         self.max_pending = max_pending
+        self._buckets: dict[str, TokenBucket] = {}
+        self._lock = threading.Lock()
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.quotas = dict(quotas or {})
         for client_id, quota in self.quotas.items():
@@ -137,9 +146,19 @@ class AdmissionController:
             )
         self._shared_capacity = max_pending - reserved_total
         self._pending_by_client: Counter[str] = Counter()
-        self._buckets: dict[str, TokenBucket] = {}
         self._pending = 0
-        self._lock = threading.Lock()
+
+    @property
+    def tracer(self) -> AnyTracer:
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer: AnyTracer) -> None:
+        """Switch handles; buckets already made move to its clock."""
+        with self._lock:
+            self._tracer = tracer
+            for bucket in self._buckets.values():
+                bucket.rebase(tracer.clock)
 
     # -- introspection ---------------------------------------------------------
 

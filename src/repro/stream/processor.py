@@ -21,7 +21,10 @@ Each :class:`~repro.stream.source.MicroBatch` flows through:
 5. **WAL batch-commit + periodic checkpoint** — processor state
    (watermark, index generation, idempotency keys, alerts, streamed
    documents, cache stats) lands in an atomic
-   :class:`~repro.core.persistence.CheckpointStore` snapshot.
+   :class:`~repro.core.persistence.CheckpointStore` snapshot.  Each
+   streamed document, alert and late arrival is JSON-encoded once, when
+   it is added; a checkpoint joins those texts instead of re-encoding
+   everything streamed so far.
 
 **Recovery contract** (pinned by ``tests/stream/test_recovery.py``):
 kill the process after *any* WAL record, then :meth:`resume` restores
@@ -37,12 +40,19 @@ twice.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.alerts import idempotency_key
 from repro.core.etap import Etap
-from repro.core.persistence import CheckpointStore, WriteAheadLog
+from repro.core.persistence import (
+    CheckpointStore,
+    WriteAheadLog,
+    encode,
+    encode_array,
+    encode_object,
+)
 from repro.gather.store import StoredDocument
 from repro.stream.source import DocumentStream, MicroBatch, StreamDocument
 
@@ -198,6 +208,12 @@ class StreamProcessor:
         self.streamed_docs: list[str] = []
         #: Keys the recovery WAL scan found already durably emitted.
         self._recovered_keys: frozenset[str] = frozenset()
+        #: The checkpoint's record lists: each record's :func:`encode`
+        #: text, made once when the record is added (see
+        #: :meth:`_state_text`).
+        self._encoded: dict[str, list[str]] = {
+            "alerts": [], "documents": [], "late_arrivals": [],
+        }
 
     # -- lateness ---------------------------------------------------------------
 
@@ -324,6 +340,7 @@ class StreamProcessor:
             watermark=self.watermark if self.watermark is not None else 0,
         )
         self.late_arrivals.append(arrival)
+        self._encoded["late_arrivals"].append(encode(arrival.to_dict()))
         self._wal_append(
             "late_arrival",
             doc_id=arrival.doc_id,
@@ -360,8 +377,7 @@ class StreamProcessor:
             )
             if not self.etap.store.add(stored):
                 continue  # content/url duplicate of an earlier page
-            self._processed.add(document.doc_id)
-            self.streamed_docs.append(document.doc_id)
+            self._add_streamed(document.doc_id)
             fresh.append(document)
         # One write batch keeps the pipeline's engine in sync with the
         # store for search/snippeting; each batch is one generation.
@@ -405,6 +421,7 @@ class StreamProcessor:
                 )
                 minted.append(alert)
                 self.alerts.append(alert)
+                self._encoded["alerts"].append(encode(alert.to_dict()))
                 self._wal_append(
                     "stream_alert",
                     alert_id=key,
@@ -434,60 +451,76 @@ class StreamProcessor:
 
     # -- checkpointing ----------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """The checkpointable processor state (JSON-compatible)."""
+    def _add_streamed(self, doc_id: str) -> None:
+        """Record a streamed document as the checkpoint persists it."""
+        self._processed.add(doc_id)
+        self.streamed_docs.append(doc_id)
+        doc = self.etap.store.get(doc_id)
+        self._encoded["documents"].append(encode({
+            "doc_id": doc.doc_id,
+            "url": doc.url,
+            "title": doc.title,
+            "text": doc.text,
+            "metadata": doc.metadata,
+        }))
+
+    def _wal_seq(self) -> int:
+        """Sequence number of the last WAL record (-1 without a WAL)."""
+        return self.wal.last_seq if self.wal is not None else -1
+
+    def _state_text(self) -> str:
+        """The :func:`encode` text of the checkpointable state.
+
+        Only the scalar fields and the sorted key set are encoded here;
+        the record lists are joined from their encode-once fragments.
+        """
         stats = self.etap.text_engine.stats()
-        store = self.etap.store
-        return {
-            "state_version": STATE_VERSION,
-            "cycle": self.cycle,
-            "watermark": self.watermark,
-            "allowed_lateness": self.allowed_lateness,
-            "generation": self.generation,
-            "emitted_keys": sorted(self.emitted_keys),
-            "alerts": [alert.to_dict() for alert in self.alerts],
-            "late_arrivals": [
-                arrival.to_dict() for arrival in self.late_arrivals
-            ],
-            "documents": [
-                {
-                    "doc_id": doc.doc_id,
-                    "url": doc.url,
-                    "title": doc.title,
-                    "text": doc.text,
-                    "metadata": doc.metadata,
-                }
-                for doc in (store.get(doc_id)
-                            for doc_id in self.streamed_docs)
-            ],
-            "wal_seq": self.wal.last_seq if self.wal is not None else -1,
-            "cache": {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "hit_rate": round(stats.hit_rate, 4),
-            },
+        members = {
+            key: encode(value)
+            for key, value in {
+                "state_version": STATE_VERSION,
+                "cycle": self.cycle,
+                "watermark": self.watermark,
+                "allowed_lateness": self.allowed_lateness,
+                "generation": self.generation,
+                "emitted_keys": sorted(self.emitted_keys),
+                "wal_seq": self._wal_seq(),
+                "cache": {
+                    "hits": stats.hits,
+                    "misses": stats.misses,
+                    "hit_rate": round(stats.hit_rate, 4),
+                },
+            }.items()
         }
+        for key, records in self._encoded.items():
+            members[key] = encode_array(records)
+        return encode_object(members)
+
+    def state_dict(self) -> dict:
+        """The checkpointable processor state (JSON-compatible): the
+        decoded text a checkpoint writes."""
+        return json.loads(self._state_text())
 
     def checkpoint(self) -> None:
         """Write one atomic checkpoint and announce it in the WAL."""
         if self.checkpoints is None:
             raise RuntimeError("no CheckpointStore configured")
-        state = self.state_dict()
-        self.checkpoints.save(self.cycle, state)
+        wal_seq = self._wal_seq()
+        self.checkpoints.save(self.cycle, self._state_text())
         self.tracer.count("stream.checkpoints_written")
         self._wal_append(
             "checkpoint_written",
             checkpoint_id=self.cycle,
             cycle=self.cycle,
             watermark=self.watermark,
-            wal_seq=state["wal_seq"],
+            wal_seq=wal_seq,
         )
         self.tracer.emit(
             "checkpoint_written",
             checkpoint_id=self.cycle,
             cycle=self.cycle,
             watermark=self.watermark,
-            wal_seq=state["wal_seq"],
+            wal_seq=wal_seq,
         )
 
     # -- recovery ---------------------------------------------------------------
@@ -597,6 +630,12 @@ class StreamProcessor:
             LateArrival.from_dict(record)
             for record in state["late_arrivals"]
         ]
+        self._encoded["alerts"] = [
+            encode(alert.to_dict()) for alert in self.alerts
+        ]
+        self._encoded["late_arrivals"] = [
+            encode(arrival.to_dict()) for arrival in self.late_arrivals
+        ]
         restored = []
         for record in state["documents"]:
             stored = StoredDocument(
@@ -608,8 +647,7 @@ class StreamProcessor:
             )
             if self.etap.store.add(stored):
                 restored.append((stored.doc_id, stored.text, stored.title))
-            self._processed.add(stored.doc_id)
-            self.streamed_docs.append(stored.doc_id)
+            self._add_streamed(stored.doc_id)
         self.etap.engine.add_documents(restored)
 
     # -- lifecycle --------------------------------------------------------------

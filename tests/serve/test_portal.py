@@ -422,3 +422,25 @@ class TestOneClock:
             assert limited.reason == "rate_limited"
             clock.advance(10.0)
             assert portal.query("c", "merger").status == STATUS_OK
+
+    def test_a_bucket_made_before_injection_refills_on_the_portal_clock(
+        self,
+    ):
+        admission = AdmissionController(rate=1.0, burst=1.0)
+        assert admission.admit("c")  # the bucket is made, then drained
+        admission.release("c")
+        clock = FakeClock()
+        portal = AlertPortal(
+            build_store(),
+            admission=admission,
+            tracer=Tracer(clock=clock),
+            serve_stale_on_overload=False,
+        )
+        portal.refresh()
+        with portal:
+            assert admission.bucket_of("c").clock is clock
+            limited = portal.query("c", "merger")
+            assert limited.status == STATUS_REJECTED
+            assert limited.reason == "rate_limited"
+            clock.advance(10.0)
+            assert portal.query("c", "merger").status == STATUS_OK
