@@ -18,22 +18,14 @@ from repro.core.drivers import (
     has,
     has_at_least,
     has_keyword,
-    negate,
 )
 from repro.core.etap import Etap, EtapConfig
-from repro.core.export import (
-    export_events_csv,
-    export_events_jsonl,
-    export_leads_csv,
-    export_leads_jsonl,
-)
 from repro.core.feedback import FeedbackLoop, RetrainReport, Verdict
 from repro.core.graph import (
     CentralCompany,
     build_company_graph,
     central_companies,
     deal_pairs,
-    related_companies,
 )
 from repro.core.industry import (
     IndustryProfile,
@@ -52,7 +44,6 @@ from repro.core.ranking import (
     RecencyAdjustedRanker,
     SemanticOrientationRanker,
     TriggerEvent,
-    deduplicate_events,
     make_trigger_events,
     rank_events,
 )
@@ -78,7 +69,6 @@ __all__ = [
     "build_company_graph",
     "central_companies",
     "deal_pairs",
-    "related_companies",
     "CompanyNormalizer",
     "CompanyRanker",
     "CompanyScore",
@@ -105,11 +95,6 @@ __all__ = [
     "any_of",
     "builtin_drivers",
     "canonical_key",
-    "deduplicate_events",
-    "export_events_csv",
-    "export_events_jsonl",
-    "export_leads_csv",
-    "export_leads_jsonl",
     "extract_years",
     "get_driver",
     "get_industry",
@@ -121,7 +106,6 @@ __all__ = [
     "load_classifier",
     "load_classifiers",
     "make_trigger_events",
-    "negate",
     "rank_events",
     "recency_multiplier",
     "resolve",

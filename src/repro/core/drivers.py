@@ -87,17 +87,6 @@ def any_of(*filters: SnippetFilter) -> SnippetFilter:
     return check
 
 
-def negate(inner: SnippetFilter) -> SnippetFilter:
-    def check(annotated: AnnotatedText) -> bool:
-        return not inner(annotated)
-
-    return check
-
-
-def accept_all(_: AnnotatedText) -> bool:
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Driver definitions
 # ---------------------------------------------------------------------------
@@ -283,11 +272,6 @@ _ALL = {**_BUILTIN, **_EXTENDED}
 def builtin_drivers() -> list[SalesDriver]:
     """The three drivers ETAP ships with (section 2)."""
     return [factory() for factory in _BUILTIN.values()]
-
-
-def available_drivers() -> list[SalesDriver]:
-    """Every registered driver: the paper's three plus extensions."""
-    return [factory() for factory in _ALL.values()]
 
 
 def available_driver_ids() -> list[str]:

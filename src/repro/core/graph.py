@@ -4,8 +4,7 @@ Trigger events relate companies: an M&A event links acquirer and
 target; an earnings story may name a rival.  Projecting all extracted
 events onto a company graph gives the sales team a second lens beside
 Equation 2's MRR: centrality finds companies at the heart of current
-activity, and neighborhoods answer "who else is involved with this
-prospect?".
+activity, and a driver's deal pairs read as its current deal sheet.
 """
 
 from __future__ import annotations
@@ -89,19 +88,6 @@ def central_companies(
         )
         for node in ranked[:top]
     ]
-
-
-def related_companies(
-    graph: nx.Graph, company: str, top: int = 5
-) -> list[tuple[str, float]]:
-    """The strongest co-mention neighbours of one company."""
-    if company not in graph:
-        return []
-    neighbours = [
-        (other, graph[company][other]["weight"])
-        for other in graph.neighbors(company)
-    ]
-    return sorted(neighbours, key=lambda item: (-item[1], item[0]))[:top]
 
 
 def deal_pairs(

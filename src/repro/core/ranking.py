@@ -21,7 +21,6 @@ from repro.core.company import CompanyNormalizer
 from repro.core.lexicon import OrientationLexicon
 from repro.core.temporal import score_with_recency
 from repro.core.training import AnnotatedSnippet
-from repro.gather.dedup import NearDuplicateIndex
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 
 
@@ -93,33 +92,6 @@ def rank_events(events: Sequence[TriggerEvent]) -> list[TriggerEvent]:
     return [
         replace(event, rank=position)
         for position, event in enumerate(ordered, start=1)
-    ]
-
-
-def deduplicate_events(
-    events: Sequence[TriggerEvent],
-    threshold: float = 0.7,
-) -> list[TriggerEvent]:
-    """Collapse near-duplicate snippets in a ranked event list.
-
-    The same wire story republished across sites yields near-identical
-    snippets that would occupy several adjacent ranks; an analyst wants
-    each story once.  The highest-ranked copy survives; survivors are
-    re-ranked 1..n.  Events must already be ranked.
-    """
-    index = NearDuplicateIndex(threshold=threshold, shingle_k=2)
-    survivors: list[TriggerEvent] = []
-    ordered = sorted(
-        events, key=lambda e: (e.rank if e.rank is not None else 1 << 30)
-    )
-    for event in ordered:
-        if index.is_near_duplicate(event.text):
-            continue
-        index.add(event.snippet_id, event.text)
-        survivors.append(event)
-    return [
-        replace(event, rank=position)
-        for position, event in enumerate(survivors, start=1)
     ]
 
 

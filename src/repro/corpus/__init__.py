@@ -14,7 +14,6 @@ from repro.corpus.templates import (
     REVENUE_GROWTH,
 )
 from repro.corpus.evolve import LATEST_HUB_URL, WebEvolver
-from repro.corpus.html import extract_body_text, extract_text, page_html
 from repro.corpus.stats import CorpusStats, compute_stats, render_stats
 from repro.corpus.web import FRONT_PAGE_URL, Page, SyntheticWeb, build_web
 
@@ -36,8 +35,5 @@ __all__ = [
     "SyntheticWeb",
     "WebEvolver",
     "build_web",
-    "extract_body_text",
-    "extract_text",
-    "page_html",
     "driver_for_doc_type",
 ]

@@ -292,15 +292,3 @@ BACKGROUND_TOPICS = [
     "community fundraisers", "art exhibitions", "hiking trails",
     "cooking recipes", "book clubs", "photography workshops",
 ]
-
-
-def canonical_org_key(name: str) -> str:
-    """Normalize an organization name for identity comparisons.
-
-    Lower-cases and strips a trailing legal suffix so ``Acme Inc`` and
-    ``Acme Corp`` map to different keys but ``Acme Inc`` and ``acme inc.``
-    map to the same key.  Full variation handling lives in
-    :mod:`repro.core.company`.
-    """
-    cleaned = name.strip().rstrip(".").lower()
-    return " ".join(cleaned.split())

@@ -33,24 +33,14 @@ from repro.evaluation.error_analysis import (
     classify_false_positive,
 )
 from repro.evaluation.report import generate_report, write_report
-from repro.evaluation.significance import (
-    BootstrapInterval,
-    McNemarResult,
-    bootstrap_f1_interval,
-    mcnemar_test,
-)
 from repro.evaluation.reporting import ascii_table, format_float, log_bar_chart
 
 __all__ = [
-    "BootstrapInterval",
     "CompanyRankingResult",
     "CurvePoint",
     "ErrorReport",
-    "McNemarResult",
     "analyze_errors",
     "classify_false_positive",
-    "bootstrap_f1_interval",
-    "mcnemar_test",
     "best_operating_point",
     "precision_recall_curve",
     "render_curve",

@@ -1,4 +1,4 @@
-"""Feature pipeline: RIG analysis, abstraction, selection, vectorizing."""
+"""Feature pipeline: RIG analysis, abstraction, batch vectorizing."""
 
 from repro.features.abstraction import (
     AbstractionAnalyzer,
@@ -8,44 +8,29 @@ from repro.features.abstraction import (
     iv_pairs,
     pa_pairs,
 )
-from repro.features.batch import batch_transform, joint_counts_from_matrix
+from repro.features.batch import batch_transform
 from repro.features.rig import (
     conditional_entropy,
     entropy,
-    information_gain,
     joint_from_pairs,
     marginal_y,
     relative_information_gain,
-)
-from repro.features.selection import (
-    FeatureScore,
-    chi_square_scores,
-    information_gain_scores,
-    mutual_information_scores,
-    select_top_k,
 )
 from repro.features.vectorizer import Vectorizer, VectorizerConfig
 
 __all__ = [
     "AbstractionAnalyzer",
     "AbstractionPolicy",
-    "FeatureScore",
     "RigComparison",
     "Vectorizer",
     "VectorizerConfig",
     "abstract_tokens",
     "batch_transform",
-    "chi_square_scores",
     "conditional_entropy",
     "entropy",
-    "information_gain",
-    "information_gain_scores",
     "iv_pairs",
-    "joint_counts_from_matrix",
     "joint_from_pairs",
     "marginal_y",
-    "mutual_information_scores",
     "pa_pairs",
     "relative_information_gain",
-    "select_top_k",
 ]

@@ -17,7 +17,7 @@ shape, same counts, same canonical CSR layout.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -63,36 +63,3 @@ def batch_transform(
     if binary:
         matrix.data.fill(1.0)
     return matrix
-
-
-def joint_counts_from_matrix(
-    matrix: sparse.spmatrix,
-    labels: Sequence[Hashable],
-    feature_names: Sequence[str],
-) -> dict[str, dict[Hashable, float]]:
-    """Feature-presence/label joint counts for RIG analysis.
-
-    Bridges a batched feature matrix to
-    :func:`repro.features.rig.relative_information_gain`: for each
-    feature, counts how often it is present in a document of each
-    label.  Works column-wise on the CSC layout, so cost is one pass
-    over the nonzeros rather than ``n_docs * n_features``.
-    """
-    if matrix.shape[0] != len(labels):
-        raise ValueError("labels must align with matrix rows")
-    if matrix.shape[1] != len(feature_names):
-        raise ValueError("feature_names must align with matrix columns")
-    labels_array = np.asarray(labels, dtype=object)
-    csc = matrix.tocsc()
-    joint: dict[str, dict[Hashable, float]] = {}
-    indptr = csc.indptr
-    indices = csc.indices
-    for col, name in enumerate(feature_names):
-        row_ids = indices[indptr[col] : indptr[col + 1]]
-        if len(row_ids) == 0:
-            continue
-        counts: dict[Hashable, float] = {}
-        for label in labels_array[row_ids]:
-            counts[label] = counts.get(label, 0.0) + 1.0
-        joint[name] = counts
-    return joint

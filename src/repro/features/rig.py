@@ -100,9 +100,3 @@ def relative_information_gain(
     # Smoothing can push H(Y|X) above H(Y) for uninformative X; the
     # quantity is a *gain*, clamp at zero.
     return max(gain, 0.0)
-
-
-def information_gain(joint: JointCounts, smoothing: float = 0.0) -> float:
-    """Unnormalized mutual information I(X; Y) = H(Y) - H(Y|X), in bits."""
-    h_y = entropy(marginal_y(joint))
-    return max(h_y - conditional_entropy(joint, smoothing=smoothing), 0.0)

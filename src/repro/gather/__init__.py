@@ -4,7 +4,6 @@ from repro.gather.dedup import (
     DuplicatePair,
     MinHasher,
     NearDuplicateIndex,
-    deduplicate_texts,
     jaccard,
     shingles,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "NearDuplicateIndex",
     "StoredDocument",
     "content_hash",
-    "deduplicate_texts",
     "jaccard",
     "shingles",
 ]

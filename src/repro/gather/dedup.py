@@ -193,24 +193,3 @@ class NearDuplicateIndex:
                 if similarity >= self.threshold:
                     return True
         return False
-
-
-def deduplicate_texts(
-    texts: dict[str, str],
-    threshold: float = 0.8,
-    shingle_k: int = 3,
-) -> tuple[list[str], list[DuplicatePair]]:
-    """Greedy near-dedup of a keyed text collection.
-
-    Returns (kept keys in input order, duplicate pairs dropped).
-    """
-    index = NearDuplicateIndex(threshold=threshold, shingle_k=shingle_k)
-    kept: list[str] = []
-    dropped: list[DuplicatePair] = []
-    for key, text in texts.items():
-        pairs = index.add(key, text)
-        if pairs:
-            dropped.append(pairs[0])
-        else:
-            kept.append(key)
-    return kept, dropped

@@ -11,23 +11,12 @@ from repro.ml.calibration import (
 from repro.ml.em_nb import EmNaiveBayes
 from repro.ml.ensemble import VotingEnsemble
 from repro.ml.logreg import LogisticRegression, fit_pu_weighted
-from repro.ml.model_selection import (
-    CvResult,
-    GridSearchResult,
-    cross_validate_f1,
-    grid_search,
-    stratified_kfold_indices,
-)
 from repro.ml.metrics import (
     ConfusionMatrix,
     PrecisionRecallF1,
     accuracy,
-    average_precision,
     confusion_matrix,
-    mean_reciprocal_rank,
-    precision_at_k,
     precision_recall_f1,
-    reciprocal_rank,
 )
 from repro.ml.naive_bayes import BernoulliNaiveBayes, MultinomialNaiveBayes
 from repro.ml.noise import (
@@ -42,11 +31,9 @@ __all__ = [
     "BernoulliNaiveBayes",
     "Classifier",
     "ConfusionMatrix",
-    "CvResult",
     "DenoiseIteration",
     "DenoiseResult",
     "EmNaiveBayes",
-    "GridSearchResult",
     "IterativeNoiseReducer",
     "LinearSvm",
     "LogisticRegression",
@@ -57,18 +44,11 @@ __all__ = [
     "VotingEnsemble",
     "accuracy",
     "brier_score",
-    "average_precision",
     "brodley_friedl_filter",
     "check_fit_inputs",
     "confusion_matrix",
-    "cross_validate_f1",
     "expected_calibration_error",
     "fit_pu_weighted",
-    "grid_search",
-    "mean_reciprocal_rank",
-    "precision_at_k",
     "precision_recall_f1",
-    "reciprocal_rank",
     "reliability_bins",
-    "stratified_kfold_indices",
 ]

@@ -1,9 +1,9 @@
-"""Evaluation metrics: precision/recall/F1 (Table 1), AP, and ranking MRR.
+"""Evaluation metrics: confusion counts and precision/recall/F1 (Table 1).
 
 The F1 measure "is computed as the harmonic mean of the precision and
-recall measures" (section 5.1); the mean-reciprocal-rank variant of
-Equation 2 lives in :mod:`repro.core.ranking` (it aggregates trigger
-events per company), while the classic query-level MRR is provided here.
+recall measures" (section 5.1).  Equation 2's mean reciprocal rank
+aggregates trigger events per company, so it lives in
+:class:`repro.core.ranking.CompanyRanker`.
 """
 
 from __future__ import annotations
@@ -68,55 +68,3 @@ def precision_recall_f1(
 def accuracy(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
     cm = confusion_matrix(y_true, y_pred)
     return (cm.tp + cm.tn) / cm.n if cm.n else 0.0
-
-
-def average_precision(
-    y_true: Sequence[int], scores: Sequence[float]
-) -> float:
-    """Area under the precision-recall curve (step interpolation)."""
-    y_true = np.asarray(y_true, dtype=np.int64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if y_true.shape != scores.shape:
-        raise ValueError("y_true and scores must have the same length")
-    n_pos = int((y_true == 1).sum())
-    if n_pos == 0:
-        return 0.0
-    order = np.argsort(-scores, kind="stable")
-    hits = 0
-    total = 0.0
-    for rank, row in enumerate(order, start=1):
-        if y_true[row] == 1:
-            hits += 1
-            total += hits / rank
-    return total / n_pos
-
-
-def precision_at_k(
-    y_true: Sequence[int], scores: Sequence[float], k: int
-) -> float:
-    """Fraction of the top-k ranked items that are positive."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    y_true = np.asarray(y_true, dtype=np.int64)
-    scores = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")[:k]
-    if order.size == 0:
-        return 0.0
-    return float(y_true[order].mean())
-
-
-def reciprocal_rank(relevant: Sequence[bool]) -> float:
-    """1/rank of the first relevant item in a ranked list (0 if none)."""
-    for rank, is_relevant in enumerate(relevant, start=1):
-        if is_relevant:
-            return 1.0 / rank
-    return 0.0
-
-
-def mean_reciprocal_rank(ranked_lists: Sequence[Sequence[bool]]) -> float:
-    """Classic query-set MRR over per-query relevance lists."""
-    if not ranked_lists:
-        return 0.0
-    return float(
-        np.mean([reciprocal_rank(items) for items in ranked_lists])
-    )

@@ -59,7 +59,6 @@ from repro.obs.health import (
     ComponentHealth,
     HealthMonitor,
     HealthReport,
-    drift_probe,
     fetcher_probe,
     gather_probe,
     portal_probe,
@@ -150,5 +149,4 @@ __all__ = [
     "portal_probe",
     "processor_probe",
     "gather_probe",
-    "drift_probe",
 ]

@@ -4,7 +4,7 @@ The :class:`HealthMonitor` composes two signal sources into one
 answer to "is the system healthy right now?":
 
 * **probes** — callables registered per component (ingest, stream,
-  serve, fetch, drift) that inspect live objects (breaker states,
+  serve, fetch) that inspect live objects (breaker states,
   dead-letter queues, queue depths) and return a
   :class:`ComponentHealth`;
 * **SLOs** — every :class:`~repro.obs.slo.SloStatus` from an attached
@@ -301,24 +301,5 @@ def gather_probe(report) -> Callable[[], ComponentHealth]:
                 details,
             )
         return ComponentHealth("ingest", STATUS_OK, "", details)
-
-    return probe
-
-
-def drift_probe(monitors) -> Callable[[], ComponentHealth]:
-    """Any breached drift monitor degrades the model component."""
-
-    def probe() -> ComponentHealth:
-        breached = [
-            name for name, monitor in sorted(monitors.items())
-            if getattr(monitor, "breached", False)
-        ]
-        details = {"monitors": len(monitors), "breached": breached}
-        if breached:
-            return ComponentHealth(
-                "drift", STATUS_DEGRADED,
-                "drift detected: " + ", ".join(breached), details,
-            )
-        return ComponentHealth("drift", STATUS_OK, "", details)
 
     return probe

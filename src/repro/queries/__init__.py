@@ -38,7 +38,6 @@ from repro.queries.planner import (
     Portfolio,
     PortfolioPlanner,
     SelectedQuery,
-    plan_driver,
 )
 from repro.queries.recipes import (
     Recipe,
@@ -66,7 +65,6 @@ __all__ = [
     "StoreGroundTruth",
     "default_lexicons",
     "load_recipe",
-    "plan_driver",
     "run_recipe",
     "validate_recipe_data",
 ]

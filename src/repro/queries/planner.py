@@ -18,7 +18,7 @@ portfolio toward queries that found *validated* leads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.obs.tracer import NULL_TRACER
 from repro.queries.evaluate import CandidateEvaluation, seed_evaluations
@@ -272,28 +272,3 @@ class PortfolioPlanner:
                 portfolio.precision_at_budget, 4
             ),
         )
-
-
-def plan_driver(
-    driver,
-    generator,
-    evaluator,
-    config: PlannerConfig | None = None,
-    weights: FeedbackWeights | None = None,
-    tracer=None,
-) -> tuple[Portfolio, Portfolio, list[CandidateEvaluation]]:
-    """Generate, evaluate, and plan one driver end to end.
-
-    Returns ``(planned, baseline, evaluations)`` so callers can report
-    the planner's lift over the hand-written seeds.
-    """
-    candidates = generator.generate(driver)
-    evaluations = evaluator.evaluate_all(candidates)
-    planner = PortfolioPlanner(
-        config=config,
-        weights=weights,
-        tracer=tracer,
-    )
-    planned = planner.plan(driver.driver_id, evaluations)
-    baseline = planner.baseline(driver.driver_id, evaluations)
-    return planned, baseline, evaluations

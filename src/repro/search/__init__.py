@@ -14,7 +14,6 @@ from repro.search.engine import (
 )
 from repro.search.index import InvertedIndex, normalize_term
 from repro.search.scoring import bm25
-from repro.search.snippeting import ResultSnippet, best_snippet
 
 __all__ = [
     "BUSINESS_KEYWORDS",
@@ -22,10 +21,8 @@ __all__ = [
     "FocusedCrawler",
     "InvertedIndex",
     "ParsedQuery",
-    "ResultSnippet",
     "SearchEngine",
     "SearchResult",
-    "best_snippet",
     "bm25",
     "business_relevance",
     "normalize_term",

@@ -8,7 +8,8 @@ entries evicted first) — and every entry carries:
 
 * an **expiry instant** on the tracer's clock (TTL; a
   :class:`~repro.obs.clock.FakeClock` tracer drives deterministic
-  expiry tests);
+  expiry tests).  Setting :attr:`QueryCache.tracer` moves every entry
+  to the new clock with the TTL it had left;
 * the **index generation** it was computed against.  A snapshot swap
   bumps the portal's generation; entries from older generations are
   lazily dropped on access and eagerly dropped by
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 
@@ -77,11 +78,24 @@ class QueryCache:
         self.max_entries = max_entries
         self.max_cost = max_cost
         self.ttl = ttl
-        self.tracer = NULL_TRACER if tracer is None else tracer
+        self._tracer = NULL_TRACER if tracer is None else tracer
         self._entries: OrderedDict[object, _Entry] = OrderedDict()
         self._total_cost = 0.0
         self._lock = threading.Lock()
         self._stats = CacheStats()
+
+    @property
+    def tracer(self) -> AnyTracer:
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer: AnyTracer) -> None:
+        """Switch handles; entries keep the TTL they had left."""
+        with self._lock:
+            shift = tracer.clock.now() - self._tracer.clock.now()
+            self._tracer = tracer
+            for entry in self._entries.values():
+                entry.expires_at += shift
 
     # -- introspection ---------------------------------------------------------
 

@@ -380,7 +380,7 @@ class StreamProcessor:
             self._add_streamed(document.doc_id)
             fresh.append(document)
         # One write batch keeps the pipeline's engine in sync with the
-        # store for search/snippeting; each batch is one generation.
+        # store for search and snippets; each batch is one generation.
         self.etap.engine.add_documents(
             [(doc.doc_id, doc.text, doc.title) for doc in fresh]
         )

@@ -7,7 +7,6 @@ from repro.text.engine import (
     CacheStats,
     content_key,
 )
-from repro.text.normalize import normalize_crawl_text
 from repro.text.ner import (
     ENTITY_CATEGORIES,
     Entity,
@@ -17,7 +16,7 @@ from repro.text.ner import (
 from repro.text.pos import OPEN_CLASS_TAGS, TaggedToken, tag, tag_words
 from repro.text.sentences import Sentence, split_sentence_texts, split_sentences
 from repro.text.stem import PorterStemmer, stem
-from repro.text.stopwords import STOPWORDS, is_stopword, remove_stopwords
+from repro.text.stopwords import STOPWORDS, is_stopword
 from repro.text.tokenizer import Token, tokenize, tokenize_words
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "Token",
     "content_key",
     "is_stopword",
-    "normalize_crawl_text",
-    "remove_stopwords",
     "split_sentence_texts",
     "split_sentences",
     "stem",

@@ -32,8 +32,3 @@ STOPWORDS: frozenset[str] = frozenset(
 def is_stopword(token: str) -> bool:
     """True if the (case-insensitive) token is a stop word."""
     return token.lower() in STOPWORDS
-
-
-def remove_stopwords(tokens: list[str]) -> list[str]:
-    """Return ``tokens`` with stop words removed."""
-    return [token for token in tokens if not is_stopword(token)]

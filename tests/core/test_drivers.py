@@ -12,7 +12,6 @@ from repro.core.drivers import (
     has,
     has_at_least,
     has_keyword,
-    negate,
 )
 from repro.corpus.templates import (
     CHANGE_IN_MANAGEMENT,
@@ -56,10 +55,6 @@ class TestCombinators:
     def test_any_of(self, annotate):
         snippet = annotate("Revenue grew 12% in the quarter.")
         assert any_of(has("CURRENCY"), has("PRCNT"))(snippet)
-
-    def test_negate(self, annotate):
-        snippet = annotate("A quiet day in the garden.")
-        assert negate(has("ORG"))(snippet)
 
 
 class TestBuiltinDrivers:

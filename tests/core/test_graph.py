@@ -8,7 +8,6 @@ from repro.core.graph import (
     build_company_graph,
     central_companies,
     deal_pairs,
-    related_companies,
 )
 from repro.core.ranking import make_trigger_events, rank_events
 from repro.core.snippets import Snippet
@@ -93,17 +92,6 @@ class TestCentrality:
         import networkx as nx
 
         assert central_companies(nx.Graph()) == []
-
-
-class TestNeighbourhood:
-    def test_related_sorted_by_weight(self, events_by_driver):
-        graph = build_company_graph(events_by_driver)
-        related = related_companies(graph, "acme")
-        assert related[0][0] == "globex"  # weight 1.5 beats 0.8
-
-    def test_unknown_company(self, events_by_driver):
-        graph = build_company_graph(events_by_driver)
-        assert related_companies(graph, "zork") == []
 
 
 class TestDealPairs:

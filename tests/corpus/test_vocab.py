@@ -34,21 +34,6 @@ class TestPeople:
         assert vocab.build_person_names(80) == vocab.build_person_names(80)
 
 
-class TestCanonicalKey:
-    def test_case_insensitive(self):
-        assert vocab.canonical_org_key("ACME Inc") == (
-            vocab.canonical_org_key("acme inc")
-        )
-
-    def test_strips_trailing_period(self):
-        assert vocab.canonical_org_key("Acme Inc.") == (
-            vocab.canonical_org_key("Acme Inc")
-        )
-
-    def test_collapses_whitespace(self):
-        assert vocab.canonical_org_key("Acme   Inc") == "acme inc"
-
-
 class TestInventories:
     def test_orientation_phrases_disjoint(self):
         positive = set(vocab.POSITIVE_ORIENTATION_PHRASES)

@@ -13,11 +13,10 @@ from collections import Counter
 from typing import Callable, Sequence
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 from scipy import sparse
 
-from repro.features.batch import batch_transform, joint_counts_from_matrix
+from repro.features.batch import batch_transform
 from repro.features.vectorizer import Vectorizer, VectorizerConfig
 
 TOKENS = ["acquire", "ceo", "revenue", "__COMPANY__", "plant", "oov"]
@@ -106,30 +105,3 @@ def test_fitted_vocabulary_is_interned():
     assert all(
         name is sys.intern(name) for name in vectorizer.vocabulary
     )
-
-
-@given(
-    st.lists(st.lists(st.sampled_from(TOKENS), max_size=8), max_size=8)
-)
-def test_joint_counts_match_direct_counting(documents):
-    labels = [row % 2 for row in range(len(documents))]
-    matrix = batch_transform(documents, VOCABULARY, binary=True)
-    names = sorted(VOCABULARY, key=VOCABULARY.__getitem__)
-    joint = joint_counts_from_matrix(matrix, labels, names)
-    expected: dict[str, dict[int, float]] = {}
-    for tokens, label in zip(documents, labels):
-        for token in set(tokens):
-            if token not in VOCABULARY:
-                continue
-            counts = expected.setdefault(token, {})
-            counts[label] = counts.get(label, 0.0) + 1.0
-    assert joint == expected
-
-
-def test_joint_counts_validates_alignment():
-    matrix = batch_transform([["acquire"]], VOCABULARY)
-    names = sorted(VOCABULARY, key=VOCABULARY.__getitem__)
-    with pytest.raises(ValueError):
-        joint_counts_from_matrix(matrix, [0, 1], names)
-    with pytest.raises(ValueError):
-        joint_counts_from_matrix(matrix, [0], names[:-1])

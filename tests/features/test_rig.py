@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.features.rig import (
     conditional_entropy,
     entropy,
-    information_gain,
     joint_from_pairs,
     marginal_y,
     relative_information_gain,
@@ -95,14 +94,6 @@ class TestRig:
         assert relative_information_gain(
             joint_from_pairs(pairs), smoothing=5.0
         ) >= 0.0
-
-    def test_information_gain_matches_rig_times_hy(self):
-        pairs = [("a", 1)] * 6 + [("a", 0)] * 2 + [("b", 0)] * 8
-        joint = joint_from_pairs(pairs)
-        h_y = entropy(marginal_y(joint))
-        assert information_gain(joint) == pytest.approx(
-            relative_information_gain(joint) * h_y
-        )
 
 
 @st.composite

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.gather.dedup import (
     MinHasher,
     NearDuplicateIndex,
-    deduplicate_texts,
     jaccard,
     shingles,
 )
@@ -140,25 +139,6 @@ class TestNearDuplicateIndex:
         index.add("a", ARTICLE)
         index.add("b", UNRELATED)
         assert len(index) == 2
-
-
-class TestDeduplicateTexts:
-    def test_keeps_first_drops_mirror(self):
-        kept, dropped = deduplicate_texts({
-            "a": ARTICLE,
-            "b": MIRRORED,
-            "c": UNRELATED,
-        })
-        assert kept == ["a", "c"]
-        assert len(dropped) == 1
-        assert dropped[0].second == "b"
-
-    def test_no_duplicates(self):
-        kept, dropped = deduplicate_texts({
-            "a": ARTICLE, "c": UNRELATED,
-        })
-        assert kept == ["a", "c"]
-        assert dropped == []
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,4 +1,4 @@
-"""Metric tests: confusion, P/R/F1, AP, P@k, MRR."""
+"""Metric tests: confusion, P/R/F1."""
 
 from __future__ import annotations
 
@@ -7,15 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ml.metrics import (
-    accuracy,
-    average_precision,
-    confusion_matrix,
-    mean_reciprocal_rank,
-    precision_at_k,
-    precision_recall_f1,
-    reciprocal_rank,
-)
+from repro.ml.metrics import accuracy, confusion_matrix, precision_recall_f1
 
 
 class TestConfusion:
@@ -61,55 +53,6 @@ class TestPrf:
         assert accuracy([1, 0, 1, 0], [1, 0, 0, 0]) == 0.75
 
 
-class TestAveragePrecision:
-    def test_perfect_ranking(self):
-        assert average_precision([1, 1, 0, 0], [0.9, 0.8, 0.2, 0.1]) == 1.0
-
-    def test_worst_ranking(self):
-        ap = average_precision([1, 0, 0], [0.1, 0.9, 0.8])
-        assert ap == pytest.approx(1 / 3)
-
-    def test_no_positives(self):
-        assert average_precision([0, 0], [0.5, 0.4]) == 0.0
-
-    def test_known_value(self):
-        # Positives at ranks 1 and 3: (1/1 + 2/3) / 2.
-        ap = average_precision([1, 0, 1], [0.9, 0.5, 0.4])
-        assert ap == pytest.approx((1 + 2 / 3) / 2)
-
-
-class TestPrecisionAtK:
-    def test_basic(self):
-        assert precision_at_k([1, 0, 1, 0], [0.9, 0.8, 0.7, 0.1], 2) == 0.5
-
-    def test_k_beyond_length(self):
-        assert precision_at_k([1, 0], [0.9, 0.1], 10) == 0.5
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            precision_at_k([1], [0.5], 0)
-
-
-class TestMrr:
-    def test_reciprocal_rank_first(self):
-        assert reciprocal_rank([True, False]) == 1.0
-
-    def test_reciprocal_rank_third(self):
-        assert reciprocal_rank([False, False, True]) == pytest.approx(
-            1 / 3
-        )
-
-    def test_reciprocal_rank_none(self):
-        assert reciprocal_rank([False, False]) == 0.0
-
-    def test_mean_over_queries(self):
-        value = mean_reciprocal_rank([[True], [False, True]])
-        assert value == pytest.approx((1.0 + 0.5) / 2)
-
-    def test_empty(self):
-        assert mean_reciprocal_rank([]) == 0.0
-
-
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
                 min_size=1, max_size=60))
 def test_prf_bounds(pairs):
@@ -120,12 +63,3 @@ def test_prf_bounds(pairs):
         assert 0.0 <= value <= 1.0
     low, high = sorted([result.precision, result.recall])
     assert low - 1e-9 <= result.f1 <= high + 1e-9
-
-
-@given(st.lists(st.tuples(st.integers(0, 1),
-                          st.floats(0, 1, allow_nan=False)),
-                min_size=1, max_size=60))
-def test_average_precision_bounds(pairs):
-    y_true = [a for a, _ in pairs]
-    scores = [b for _, b in pairs]
-    assert 0.0 <= average_precision(y_true, scores) <= 1.0

@@ -13,7 +13,6 @@ from repro.obs.health import (
     STATUS_OK,
     ComponentHealth,
     HealthMonitor,
-    drift_probe,
     fetcher_probe,
     gather_probe,
     processor_probe,
@@ -220,14 +219,3 @@ class TestProbeFactories:
         health = gather_probe(LossyReport())()
         assert health.status == STATUS_DEGRADED
         assert "5 failed page(s)" in health.reason
-
-    def test_drift_probe(self):
-        class Monitor:
-            def __init__(self, breached):
-                self.breached = breached
-
-        probe = drift_probe({"pos": Monitor(True), "len": Monitor(False)})
-        health = probe()
-        assert health.status == STATUS_DEGRADED
-        assert health.details["breached"] == ["pos"]
-        assert drift_probe({})().status == STATUS_OK

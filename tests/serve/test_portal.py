@@ -17,6 +17,7 @@ from repro.obs.tracer import Tracer
 from repro.gather.store import DocumentStore, StoredDocument
 from repro.serve import (
     DEADLINE_EXCEEDED,
+    MISS,
     STATUS_OK,
     STATUS_REJECTED,
     STATUS_STALE,
@@ -402,6 +403,16 @@ class TestOneClock:
             clock.advance(2.0)
             assert not portal.query("c", "merger").cached
             assert cache.stats().expirations == 1
+
+    def test_entries_cached_before_injection_expire_on_the_portal_clock(
+        self,
+    ):
+        cache = QueryCache(ttl=1.0)
+        cache.put("k", "v", generation=0)
+        clock = FakeClock()
+        AlertPortal(build_store(), cache=cache, tracer=Tracer(clock=clock))
+        clock.advance(2.0)
+        assert cache.get("k", 0) is MISS
 
     def test_an_injected_admission_refills_on_the_portal_clock(self):
         clock = FakeClock()

@@ -4,17 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.ranking import (
-    deduplicate_events,
-    make_trigger_events,
-    rank_events,
-)
-from repro.core.snippets import Snippet
-from repro.core.training import AnnotatedSnippet
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.corpus.web import build_web
 from repro.gather.pipeline import DataGatherer
-from repro.text.annotator import Annotator
 
 
 class TestMirrorGeneration:
@@ -79,52 +71,3 @@ class TestGatherNearDedup:
         )
         # Nearly all non-mirror documents survive the near-dedup.
         assert report.documents_stored >= 0.9 * n_originals
-
-
-class TestRankedListDedup:
-    def test_duplicate_snippets_collapse(self):
-        annotator = Annotator()
-        texts = [
-            "Acme Inc agreed to acquire Globex Corp for $5 billion "
-            "in a deal announced on Monday by both companies.",
-            # Same story, one word changed.
-            "Acme Inc agreed to acquire Globex Corp for $5 billion "
-            "in a deal announced on Tuesday by both companies.",
-            "Initech Ltd named Mary Jones its new CEO yesterday.",
-        ]
-        items = [
-            AnnotatedSnippet(
-                snippet=Snippet(
-                    doc_id=f"m{i}", index=0, sentences=(text,)
-                ),
-                annotated=annotator.annotate(text),
-            )
-            for i, text in enumerate(texts)
-        ]
-        events = rank_events(
-            make_trigger_events("ma", items, [0.9, 0.8, 0.7])
-        )
-        deduped = deduplicate_events(events)
-        assert len(deduped) == 2
-        # The higher-ranked copy of the duplicated story survives.
-        assert deduped[0].item.snippet.doc_id == "m0"
-        assert [e.rank for e in deduped] == [1, 2]
-
-    def test_no_duplicates_noop(self):
-        annotator = Annotator()
-        items = [
-            AnnotatedSnippet(
-                snippet=Snippet(
-                    doc_id=f"x{i}", index=0, sentences=(text,)
-                ),
-                annotated=annotator.annotate(text),
-            )
-            for i, text in enumerate([
-                "Acme Inc acquired Globex Corp.",
-                "A completely different gardening article entirely.",
-            ])
-        ]
-        events = rank_events(
-            make_trigger_events("ma", items, [0.9, 0.8])
-        )
-        assert len(deduplicate_events(events)) == 2

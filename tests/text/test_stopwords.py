@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.text.stopwords import STOPWORDS, is_stopword, remove_stopwords
+from repro.text.stopwords import STOPWORDS, is_stopword
 
 
 class TestMembership:
@@ -26,16 +26,3 @@ class TestMembership:
 
     def test_all_entries_lowercase(self):
         assert all(word == word.lower() for word in STOPWORDS)
-
-
-class TestRemoval:
-    def test_removes_only_stopwords(self):
-        tokens = ["the", "board", "of", "Acme", "approved", "it"]
-        assert remove_stopwords(tokens) == ["board", "Acme", "approved"]
-
-    def test_empty_list(self):
-        assert remove_stopwords([]) == []
-
-    def test_preserves_order_and_duplicates(self):
-        tokens = ["growth", "the", "growth"]
-        assert remove_stopwords(tokens) == ["growth", "growth"]
