@@ -43,9 +43,7 @@ def bench_ner_quality_sweep(benchmark, medium_dataset):
             etap.store,
             etap.engine,
             text_engine=text_engine,
-            snippet_generator=SnippetGenerator(
-                window=etap.config.snippet_window
-            ),
+            snippet_generator=SnippetGenerator(),
         )
         noisy, _ = training.noisy_positive(
             driver, top_k_per_query=etap.config.top_k_per_query

@@ -15,9 +15,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.etap import Etap
+from repro.core.etap import TRIGGER_THRESHOLD, Etap
 from repro.core.ranking import TriggerEvent
-from repro.gather.dedup import NearDuplicateIndex
 
 
 def idempotency_key(
@@ -68,21 +67,13 @@ class PollReport:
 class AlertService:
     """Watches an ETAP instance's web for new trigger events."""
 
-    def __init__(
-        self,
-        etap: Etap,
-        threshold: float | None = None,
-        suppress_near_duplicates: bool = False,
-    ) -> None:
+    def __init__(self, etap: Etap, threshold: float | None = None) -> None:
         if not etap.classifiers:
             raise ValueError(
                 "the Etap instance must be trained before alerting"
             )
         self.etap = etap
-        self.threshold = (
-            etap.config.trigger_threshold if threshold is None
-            else threshold
-        )
+        self.threshold = TRIGGER_THRESHOLD if threshold is None else threshold
         # The Etap's handle, so the whole alert loop lands in one
         # event stream.
         self.tracer = etap.tracer
@@ -91,11 +82,6 @@ class AlertService:
         # Idempotency: (driver, snippet, companies) identities already
         # alerted, across every poll so far.
         self._emitted_keys: set[str] = set()
-        # One index per driver: the same story syndicated across sites
-        # should alert once, ever.
-        self._seen_alert_text: dict[str, NearDuplicateIndex] | None = (
-            {} if suppress_near_duplicates else None
-        )
 
     def poll(self) -> PollReport:
         """Re-gather and alert on trigger events in new documents.
@@ -128,10 +114,6 @@ class AlertService:
             )
             if not events:
                 continue
-            if self._seen_alert_text is not None:
-                events = self._drop_duplicate_stories(
-                    driver.driver_id, events
-                )
             if self.tracer.recording:
                 self.etap.record_trigger_events(
                     driver.driver_id, events, scores
@@ -165,17 +147,3 @@ class AlertService:
                     text=event.text,
                 )
         return report
-
-    def _drop_duplicate_stories(
-        self, driver_id: str, events: list[TriggerEvent]
-    ) -> list[TriggerEvent]:
-        index = self._seen_alert_text.setdefault(
-            driver_id, NearDuplicateIndex(threshold=0.7, shingle_k=2)
-        )
-        kept = []
-        for event in events:
-            if index.is_near_duplicate(event.text):
-                continue
-            index.add(event.snippet_id, event.text)
-            kept.append(event)
-        return kept

@@ -22,8 +22,8 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.classifier import TriggerEventClassifier, TrainingSummary
 from repro.core.company import CompanyNormalizer
@@ -37,51 +37,41 @@ from repro.core.ranking import (
     make_trigger_events,
     rank_events,
 )
-from repro.core.snippets import SnippetGenerator
 from repro.core.training import (
     AnnotatedSnippet,
     NoisyPositiveReport,
     TrainingDataGenerator,
 )
-from repro.corpus.templates import REVENUE_GROWTH
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.industry import IndustryProfile
 from repro.corpus.web import SyntheticWeb
-from repro.features.abstraction import AbstractionPolicy
 from repro.gather.pipeline import DataGatherer, GatherReport
 from repro.gather.store import DocumentStore
-from repro.ml.noise import ClassifierFactory
-from repro.obs.drift import DriftBaseline, DriftMonitor, DriftThresholds
+from repro.obs.drift import DriftBaseline, DriftMonitor
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.search.engine import SearchEngine
 from repro.text.engine import AnnotationEngine
-from repro.text.ner import NerConfig
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.industry import IndustryProfile
+
+#: Posterior at or above which a snippet is a trigger event.
+TRIGGER_THRESHOLD = 0.5
+#: How many snippets per extraction feed the OOV drift monitor.
+DRIFT_TOKEN_SAMPLE = 500
 
 
 @dataclass
 class EtapConfig:
-    """Tuning knobs for the whole pipeline (paper defaults)."""
+    """The pipeline's corpus-scale settings (paper defaults).
+
+    The paper's fixed parameters live with the components that use
+    them: snippets of three sentences
+    (:class:`~repro.core.snippets.SnippetGenerator`), and two denoising
+    iterations of naive Bayes with pure positives oversampled 3x
+    (:class:`~repro.core.classifier.TriggerEventClassifier`).
+    """
 
     top_k_per_query: int = 200
     negative_sample_size: int = 6000
-    snippet_window: int = 3
-    max_denoise_iter: int = 2
-    oversample_pure: int = 3
-    trigger_threshold: float = 0.5
-    ner: NerConfig = field(default_factory=NerConfig)
-    policy: AbstractionPolicy = field(
-        default_factory=AbstractionPolicy.paper_default
-    )
-    classifier_factory: ClassifierFactory | None = None
-    max_crawl_pages: int = 100_000
-    drift_thresholds: DriftThresholds = field(
-        default_factory=DriftThresholds
-    )
-    #: How many snippets per extraction feed the OOV drift monitor.
-    drift_token_sample: int = 500
     #: Ingestion fan-out width (``--workers`` on the CLI).  With
     #: ``workers > 1`` the initial gather partitions documents by
     #: content hash and each worker *process* owns its shard
@@ -114,19 +104,15 @@ class Etap:
         self.tracer = NULL_TRACER if tracer is None else tracer
         #: The annotate-once engine shared by every stage: gathering,
         #: training and extraction all read annotations,
-        #: sentence splits, index terms and abstracted features from its
-        #: content-keyed caches instead of recomputing them per stage.
-        self.text_engine = text_engine or AnnotationEngine(self.config.ner)
+        #: sentence splits, sentence terms and abstracted features from
+        #: its content-keyed caches instead of recomputing them per stage.
+        self.text_engine = text_engine or AnnotationEngine()
         self.annotator = self.text_engine.annotator
         if engine.text_engine is None:
             engine.text_engine = self.text_engine
         self.training = TrainingDataGenerator(
             store=store,
             engine=engine,
-            snippet_generator=SnippetGenerator(
-                window=self.config.snippet_window,
-                splitter=self.text_engine.sentences,
-            ),
             tracer=self.tracer,
             text_engine=self.text_engine,
         )
@@ -155,10 +141,9 @@ class Etap:
         pipeline degrades gracefully instead of crashing.
         """
         config = config or EtapConfig()
-        text_engine = AnnotationEngine(config.ner)
+        text_engine = AnnotationEngine()
         gatherer = DataGatherer(
             web,
-            max_pages=config.max_crawl_pages,
             tracer=tracer,
             fetcher=fetcher,
             text_engine=text_engine,
@@ -211,10 +196,6 @@ class Etap:
                 self.noisy_reports[driver.driver_id] = report
                 classifier = TriggerEventClassifier(
                     driver_id=driver.driver_id,
-                    policy=self.config.policy,
-                    classifier_factory=self.config.classifier_factory,
-                    max_denoise_iter=self.config.max_denoise_iter,
-                    oversample_pure=self.config.oversample_pure,
                     tracer=self.tracer,
                     text_engine=self.text_engine,
                 )
@@ -292,9 +273,7 @@ class Etap:
         """
         if not self.classifiers:
             raise RuntimeError("train() must run before extraction")
-        threshold = (
-            self.config.trigger_threshold if threshold is None else threshold
-        )
+        threshold = TRIGGER_THRESHOLD if threshold is None else threshold
         with self.tracer.span("extract") as extract_span:
             with self.tracer.span("extract.annotate") as annotate_span:
                 doc_ids = []
@@ -331,9 +310,7 @@ class Etap:
                         classifier = self._classifier(driver_id)
                         token_lists = [
                             classifier.features_of(item)
-                            for item in all_items[
-                                : self.config.drift_token_sample
-                            ]
+                            for item in all_items[:DRIFT_TOKEN_SAMPLE]
                         ]
                     self.record_trigger_events(
                         driver_id, events[driver_id], scores, token_lists
@@ -391,11 +368,9 @@ class Etap:
             driver_id=classifier.driver_id,
             scores=classifier.score(training_items),
             vocabulary=classifier.vectorizer.vocabulary,
-            threshold=self.config.trigger_threshold,
+            threshold=TRIGGER_THRESHOLD,
         )
-        self.drift_monitors[classifier.driver_id] = DriftMonitor(
-            baseline, thresholds=self.config.drift_thresholds
-        )
+        self.drift_monitors[classifier.driver_id] = DriftMonitor(baseline)
 
     def record_trigger_events(
         self,

@@ -15,7 +15,7 @@ failure mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.etap import Etap
@@ -118,13 +118,7 @@ class FeedbackLoop:
         hard_negatives = rejected * 3
 
         classifier = self.etap.classifiers[driver_id]
-        fresh = type(classifier)(
-            driver_id=driver_id,
-            policy=self.etap.config.policy,
-            classifier_factory=self.etap.config.classifier_factory,
-            max_denoise_iter=self.etap.config.max_denoise_iter,
-            oversample_pure=self.etap.config.oversample_pure,
-        )
+        fresh = type(classifier)(driver_id=driver_id)
         fresh.fit(
             noisy_positive=noisy,
             negative=list(negatives) + hard_negatives,

@@ -8,8 +8,8 @@ Three layers of state survive process death here:
   :class:`~repro.core.classifier.TriggerEventClassifier` — abstraction
   policy, vocabulary and model parameters — to a single JSON document,
   and :func:`load_classifier` restores it without retraining.
-  Supported inner models: multinomial / Bernoulli naive Bayes (the
-  defaults), linear SVM and logistic regression.
+  The inner model is the pipeline's multinomial naive Bayes; any
+  other model raises :class:`UnsupportedModelError`.
 * **write-ahead log** — :class:`WriteAheadLog` appends schema-versioned
   JSONL records (the :class:`~repro.obs.events.Event` envelope, with
   ``stream_*`` record types) with a flush+fsync per record, so every
@@ -39,16 +39,9 @@ import numpy as np
 from repro.core.classifier import TriggerEventClassifier
 from repro.features.abstraction import AbstractionPolicy
 from repro.features.vectorizer import Vectorizer, VectorizerConfig
-from repro.ml.logreg import LogisticRegression
-from repro.ml.naive_bayes import BernoulliNaiveBayes, MultinomialNaiveBayes
-from repro.ml.svm import LinearSvm
-from repro.obs.clock import Clock, MonotonicClock
-from repro.obs.events import (
-    EVENT_TYPES,
-    Event,
-    new_run_id,
-    read_events,
-)
+from repro.ml.naive_bayes import MultinomialNaiveBayes
+from repro.obs.clock import MonotonicClock
+from repro.obs.events import EVENT_TYPES, Event, new_run_id
 
 FORMAT_VERSION = 1
 
@@ -65,26 +58,6 @@ def _dump_model(model) -> dict:
             "class_log_prior": model.class_log_prior_.tolist(),
             "feature_log_prob": model.feature_log_prob_.tolist(),
         }
-    if isinstance(model, BernoulliNaiveBayes):
-        return {
-            "kind": "bernoulli_nb",
-            "alpha": model.alpha,
-            "class_log_prior": model.class_log_prior_.tolist(),
-            "log_p": model._log_p.tolist(),
-            "log_q": model._log_q.tolist(),
-        }
-    if isinstance(model, LinearSvm):
-        return {
-            "kind": "linear_svm",
-            "weights": model.weights_.tolist(),
-            "bias": model.bias_,
-        }
-    if isinstance(model, LogisticRegression):
-        return {
-            "kind": "logistic_regression",
-            "weights": model.weights_.tolist(),
-            "bias": model.bias_,
-        }
     raise UnsupportedModelError(
         f"cannot serialize model of type {type(model).__name__}"
     )
@@ -96,25 +69,6 @@ def _load_model(record: dict):
         model = MultinomialNaiveBayes(alpha=record["alpha"])
         model.class_log_prior_ = np.array(record["class_log_prior"])
         model.feature_log_prob_ = np.array(record["feature_log_prob"])
-        model._fitted = True
-        return model
-    if kind == "bernoulli_nb":
-        model = BernoulliNaiveBayes(alpha=record["alpha"])
-        model.class_log_prior_ = np.array(record["class_log_prior"])
-        model._log_p = np.array(record["log_p"])
-        model._log_q = np.array(record["log_q"])
-        model._fitted = True
-        return model
-    if kind == "linear_svm":
-        model = LinearSvm()
-        model.weights_ = np.array(record["weights"])
-        model.bias_ = float(record["bias"])
-        model._fitted = True
-        return model
-    if kind == "logistic_regression":
-        model = LogisticRegression()
-        model.weights_ = np.array(record["weights"])
-        model.bias_ = float(record["bias"])
         model._fitted = True
         return model
     raise UnsupportedModelError(f"unknown model kind {kind!r}")
@@ -242,31 +196,20 @@ class WriteAheadLog:
     """
 
     def __init__(
-        self,
-        path: str | Path,
-        run_id: str | None = None,
-        clock: Clock | None = None,
-        kill_after: int | None = None,
+        self, path: str | Path, kill_after: int | None = None
     ) -> None:
         if kill_after is not None and kill_after < 1:
             raise ValueError("kill_after must be >= 1")
         self.path = Path(path)
-        self.clock = clock or MonotonicClock()
+        self.clock = MonotonicClock()
         self.kill_after = kill_after
         #: Records appended by THIS process (the kill counter).
         self.records_written = 0
-        existing = self.read() if self.path.exists() else []
+        existing = self.read()
         self._seq = existing[-1].seq + 1 if existing else 0
-        self.run_id = run_id or (
-            existing[-1].run_id if existing else new_run_id()
-        )
+        self.run_id = existing[-1].run_id if existing else new_run_id()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = self.path.open("a", encoding="utf-8")
-
-    @property
-    def next_seq(self) -> int:
-        """Sequence number the next appended record will carry."""
-        return self._seq
 
     @property
     def last_seq(self) -> int:
@@ -310,24 +253,21 @@ class WriteAheadLog:
         """Every durable record, oldest first (tolerates a torn tail).
 
         A crash can leave a final partial line (the write that never
-        finished); it is skipped — it was never acknowledged.
+        finished); reading stops there — it was never acknowledged.
         """
         if not self.path.exists():
             return []
-        try:
-            return read_events(self.path)
-        except (ValueError, json.JSONDecodeError):
-            events: list[Event] = []
-            with self.path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        events.append(Event.from_json(line))
-                    except (ValueError, json.JSONDecodeError):
-                        break  # torn tail: everything after is unacked
-            return events
+        events: list[Event] = []
+        with self.path.open("r", encoding="utf-8") as handle:
+            for line in handle:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    events.append(Event.from_json(line))
+                except (ValueError, json.JSONDecodeError):
+                    break  # torn tail: everything after is unacked
+        return events
 
     def flush(self) -> None:
         self._handle.flush()

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.etap import Etap, EtapConfig
 from repro.core.snippets import Snippet, SnippetGenerator
 from repro.core.training import AnnotatedSnippet
-from repro.corpus.generator import CorpusConfig, CorpusGenerator, Document
+from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.corpus.templates import (
     CHANGE_IN_MANAGEMENT,
     MERGERS_ACQUISITIONS,
@@ -150,8 +150,8 @@ def build_evaluation_dataset(
     etap.gather()
 
     holdout = CorpusGenerator(CorpusConfig(seed=spec.seed + 1000))
-    windower = SnippetGenerator(window=spec.config.snippet_window)
-    annotator = Annotator(spec.config.ner)
+    windower = SnippetGenerator()
+    annotator = Annotator()
 
     def annotate(snippets: list[Snippet]) -> list[AnnotatedSnippet]:
         return [

@@ -23,10 +23,8 @@ from repro.search.crawler import FocusedCrawler, PageScorer, business_relevance
 from repro.search.engine import SearchEngine
 from repro.text.engine import AnnotationEngine
 
-#: Default page budget for a gathering crawl.  Shared with
-#: :class:`~repro.core.etap.EtapConfig.max_crawl_pages` so the direct
-#: ``DataGatherer(web)`` path and the ``Etap.from_web`` path honor the
-#: same budget.
+#: Default page budget for a gathering crawl, which the direct
+#: ``DataGatherer(web)`` path and the ``Etap.from_web`` path share.
 DEFAULT_MAX_CRAWL_PAGES = 100_000
 
 #: MinHash similarity at which ``near_dedup`` drops a syndicated copy.

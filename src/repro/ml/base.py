@@ -1,30 +1,15 @@
-"""Common estimator interface for the from-scratch classifiers.
+"""Input checks shared by the from-scratch classifiers.
 
 All classifiers consume a ``scipy.sparse`` document-term matrix and a
 numpy integer label vector (0 = negative/background, 1 = positive/
-trigger), mirroring the two-class formulation of section 3.3.
+trigger), mirroring the two-class formulation of section 3.3, and
+offer ``fit`` / ``predict`` / ``predict_proba`` over it.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 import numpy as np
 from scipy import sparse
-
-
-@runtime_checkable
-class Classifier(Protocol):
-    """fit / predict / predict_proba over sparse count matrices."""
-
-    def fit(self, X: sparse.spmatrix, y: np.ndarray) -> "Classifier":
-        """Train on the given matrix and labels; returns self."""
-
-    def predict(self, X: sparse.spmatrix) -> np.ndarray:
-        """Hard 0/1 labels for each row of X."""
-
-    def predict_proba(self, X: sparse.spmatrix) -> np.ndarray:
-        """(n_rows, 2) array of class probabilities [p(0), p(1)]."""
 
 
 def check_fit_inputs(

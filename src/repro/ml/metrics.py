@@ -63,8 +63,3 @@ def precision_recall_f1(
     else:
         f1 = 2 * precision * recall / (precision + recall)
     return PrecisionRecallF1(precision=precision, recall=recall, f1=f1)
-
-
-def accuracy(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
-    cm = confusion_matrix(y_true, y_pred)
-    return (cm.tp + cm.tn) / cm.n if cm.n else 0.0

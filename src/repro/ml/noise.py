@@ -1,4 +1,4 @@
-"""Noise-tolerant training: ETAP's iterative denoiser + Brodley-Friedl.
+"""Noise-tolerant training: ETAP's iterative denoiser.
 
 Section 3.3.2 trains from three sets — noisy positives ``Pn``, pure
 positives ``Pp`` (oversampled 3x when available) and negatives ``N`` —
@@ -11,9 +11,6 @@ with an iterative scheme "similar to that proposed in [3]":
 3. repeat "until the noisy positive data does not change considerably".
 
 :class:`IterativeNoiseReducer` implements that loop.
-:func:`brodley_friedl_filter` implements the cited method itself
-(Brodley & Friedl 1996): cross-validated ensemble filtering that removes
-training instances the ensemble disagrees with.
 """
 
 from __future__ import annotations
@@ -170,57 +167,3 @@ def _replicate(
     rows = np.repeat(np.arange(X.shape[0]), reps)
     return X[rows], y[rows]
 
-
-def brodley_friedl_filter(
-    X: sparse.spmatrix,
-    y: np.ndarray,
-    classifier_factories: list[ClassifierFactory] | None = None,
-    n_folds: int = 4,
-    consensus: bool = False,
-    seed: int = 29,
-) -> np.ndarray:
-    """Cross-validated ensemble filtering of mislabeled instances [3].
-
-    Each fold is held out; an ensemble trained on the remaining folds
-    votes on the held-out labels.  An instance is flagged as mislabeled
-    when the majority (or, with ``consensus=True``, every member) of the
-    ensemble disagrees with its recorded label.  Returns a boolean keep
-    mask.
-    """
-    X = sparse.csr_matrix(X)
-    y = np.asarray(y, dtype=np.int64)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y disagree on sample count")
-    if n_folds < 2:
-        raise ValueError("n_folds must be >= 2")
-    if classifier_factories is None:
-        classifier_factories = [_default_factory]
-
-    n = X.shape[0]
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    fold_of = np.empty(n, dtype=int)
-    for position, row in enumerate(order):
-        fold_of[row] = position % n_folds
-
-    votes_against = np.zeros(n, dtype=int)
-    for fold in range(n_folds):
-        test_mask = fold_of == fold
-        train_mask = ~test_mask
-        if train_mask.sum() == 0 or test_mask.sum() == 0:
-            continue
-        if len(np.unique(y[train_mask])) < 2:
-            continue  # cannot train a two-class model on one class
-        for factory in classifier_factories:
-            model = factory()
-            model.fit(X[train_mask], y[train_mask])
-            predicted = np.asarray(model.predict(X[test_mask]))
-            disagreement = predicted != y[test_mask]
-            votes_against[np.where(test_mask)[0][disagreement]] += 1
-
-    threshold = (
-        len(classifier_factories)
-        if consensus
-        else (len(classifier_factories) // 2) + 1
-    )
-    return votes_against < threshold

@@ -81,9 +81,9 @@ class SearchEngine:
     ) -> None:
         self.index = index or InvertedIndex()
         self.tracer = NULL_TRACER if tracer is None else tracer
-        #: Shared annotate-once engine: index terms come from its
-        #: content-keyed cache, so a document tokenized anywhere in the
-        #: pipeline is never re-tokenized when it reaches the index.
+        #: Shared annotate-once engine: a document's index terms are
+        #: its sentences' cached terms, so a sentence tokenized anywhere
+        #: in the pipeline is never re-tokenized when it reaches the index.
         self.text_engine = text_engine
 
     def add_documents(

@@ -64,7 +64,6 @@ from repro.serve.portal import (
 from repro.serve.replication import (
     REPLICA_DOWN,
     REPLICA_UP,
-    ChaosMonkey,
     Replica,
     ReplicaGroup,
     ReplicaSet,
@@ -86,7 +85,6 @@ __all__ = [
     "AlertPortal",
     "CacheKey",
     "CacheStats",
-    "ChaosMonkey",
     "DEADLINE_EXCEEDED",
     "ERROR",
     "HedgedRouter",

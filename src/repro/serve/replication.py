@@ -20,11 +20,6 @@ replicas per shard.  This module simulates that cluster in-process:
 * :class:`ReplicaSet` — one group per shard; installs whole snapshots,
   kills/restores by address, and emits ``replica_down`` /
   ``replica_restored`` flight-recorder events.
-* :class:`ChaosMonkey` — a deterministic kill/restore schedule on the
-  router's (simulated) clock, used by the chaos acceptance suite: every
-  ``period`` ticks it takes one replica of *every* group down for
-  ``down_for`` ticks, rotating through replica indices so each replica
-  of each group is exercised.
 
 Everything here is a value-level simulation — shard views are shared
 immutable objects, "shipping" is a reference install — but the control
@@ -326,75 +321,3 @@ class ReplicaSet:
             "latest_generation": self.latest_generation,
             "groups": groups,
         }
-
-
-class ChaosMonkey:
-    """Deterministic kill/restore schedule over a replica set.
-
-    Driven inline by the router's clock (no threads; a ``FakeClock``
-    tracer makes it simulated time): on every :meth:`tick`, any due
-    kill or restore in the schedule is applied.  Cycle ``k`` (kill at
-    ``start + k * period``, restore ``down_for`` ticks later) takes
-    replica ``k % n_replicas`` of **every** group down, so each
-    replica index of each group gets exercised as the clock advances.
-    With ``n_replicas >= 2`` a majority of every group stays up at all
-    times.
-    """
-
-    def __init__(
-        self,
-        replicas: ReplicaSet,
-        period: float = 3.0,
-        down_for: float = 1.5,
-        start: float | None = None,
-    ) -> None:
-        if period <= 0:
-            raise ValueError("period must be positive")
-        if not 0 < down_for < period:
-            raise ValueError("down_for must be in (0, period)")
-        self.replicas = replicas
-        self.period = period
-        self.down_for = down_for
-        self._cycle = 0
-        self._next_kill = period if start is None else start
-        self._restore_at: float | None = None
-        self._victim: int | None = None
-        self.kills = 0
-        self.restores = 0
-
-    @property
-    def victim(self) -> int | None:
-        """Replica index currently held down (None between cycles)."""
-        return self._victim
-
-    def tick(self, now: float) -> None:
-        """Apply every kill/restore due at simulated time ``now``."""
-        while True:
-            if self._victim is not None:
-                if now < self._restore_at:
-                    return
-                for shard in range(self.replicas.n_shards):
-                    self.replicas.restore(shard, self._victim)
-                self.restores += 1
-                self._victim = None
-                self._cycle += 1
-                self._next_kill += self.period
-            elif now >= self._next_kill:
-                victim = self._cycle % self.replicas.n_replicas
-                for shard in range(self.replicas.n_shards):
-                    self.replicas.kill(shard, victim)
-                self.kills += 1
-                self._victim = victim
-                self._restore_at = self._next_kill + self.down_for
-            else:
-                return
-
-    def finish(self) -> None:
-        """Restore anything still down (end-of-run cleanup)."""
-        if self._victim is not None:
-            for shard in range(self.replicas.n_shards):
-                self.replicas.restore(shard, self._victim)
-            self.restores += 1
-            self._victim = None
-            self._cycle += 1
-            self._next_kill += self.period

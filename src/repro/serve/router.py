@@ -41,8 +41,8 @@ shaped by a :class:`~repro.robustness.faults.FaultProfile`
 server faults), and a down replica times out after ``fail_after``
 ticks.  On a :class:`~repro.obs.clock.FakeClock` tracer the router
 advances the clock by each query's simulated latency, which is what
-drives chaos schedules, breaker cool-offs, and the SLO engine's windows
-in the chaos suites.
+drives breaker cool-offs, the SLO engine's windows and the chaos
+suites' kill/restore schedules.
 """
 
 from __future__ import annotations
@@ -118,7 +118,6 @@ class HedgedRouter:
         fault_profile: FaultProfile | None = None,
         seed: int = 0,
         tracer: AnyTracer | None = None,
-        chaos=None,
     ) -> None:
         if hedge_after <= 0:
             raise ValueError("hedge_after must be positive")
@@ -131,14 +130,11 @@ class HedgedRouter:
         self.fault_profile = fault_profile
         self.seed = seed
         self.tracer = NULL_TRACER if tracer is None else tracer
-        #: Optional :class:`~repro.serve.replication.ChaosMonkey`,
-        #: ticked inline before each route.
-        self.chaos = chaos
         #: (replica_id, query) -> request count, for first-request
         #: transient faults.
         self._tries: dict[tuple[str, str], int] = {}
-        #: Serializes routing: breaker state, chaos schedule, and the
-        #: simulated clock advance must move together.
+        #: Serializes routing: breaker state and the simulated clock
+        #: advance must move together.
         self._lock = threading.Lock()
 
     # -- the read path ---------------------------------------------------------
@@ -148,8 +144,6 @@ class HedgedRouter:
         with self._lock:
             clock = self.tracer.clock
             now = clock.now()
-            if self.chaos is not None:
-                self.chaos.tick(now)
             latest = self.replicas.latest_generation
             target = self._target_generation(latest)
             degraded = 0 < target < latest

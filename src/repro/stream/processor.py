@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.alerts import idempotency_key
-from repro.core.etap import Etap
+from repro.core.etap import TRIGGER_THRESHOLD, Etap
 from repro.core.persistence import (
     CheckpointStore,
     WriteAheadLog,
@@ -184,10 +184,7 @@ class StreamProcessor:
         self.checkpoints = checkpoints
         self.allowed_lateness = allowed_lateness
         self.checkpoint_every = checkpoint_every
-        self.threshold = (
-            etap.config.trigger_threshold if threshold is None
-            else threshold
-        )
+        self.threshold = TRIGGER_THRESHOLD if threshold is None else threshold
         #: The Etap's handle: spans, events and windowed telemetry of
         #: the stream land beside the batch pipeline's.
         self.tracer = etap.tracer

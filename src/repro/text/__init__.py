@@ -5,7 +5,6 @@ from repro.text.engine import (
     AnnotationCache,
     AnnotationEngine,
     CacheStats,
-    content_key,
 )
 from repro.text.ner import (
     ENTITY_CATEGORIES,
@@ -36,7 +35,6 @@ __all__ = [
     "Sentence",
     "TaggedToken",
     "Token",
-    "content_key",
     "is_stopword",
     "split_sentence_texts",
     "split_sentences",

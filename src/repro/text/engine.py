@@ -16,9 +16,7 @@ in an LRU-bounded :class:`AnnotationCache`, so
 
 * identical text reaching two stages (or two sales drivers) is
   annotated once;
-* memory stays bounded on unbounded corpora (LRU eviction);
-* a hash collision can never serve the wrong annotation — entries
-  store their full key and verify it on every hit.
+* memory stays bounded on unbounded corpora (LRU eviction).
 
 The engine is thread-safe: parallel ingestion workers warm the caches
 concurrently, and the deterministic merge step consumes the cached
@@ -27,7 +25,6 @@ values in canonical order (see :mod:`repro.gather.ingest`).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -50,11 +47,6 @@ DEFAULT_CAPACITY = 100_000
 _SENTENCE_END_TOKENS = frozenset({".", "!", "?"})
 
 
-def content_key(text: str) -> str:
-    """Stable content hash used as the cache key for ``text``."""
-    return hashlib.sha1(text.encode("utf-8")).hexdigest()
-
-
 @dataclass
 class CacheStats:
     """Hit/miss accounting for one cache (or an aggregate of several)."""
@@ -62,7 +54,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    collisions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -77,32 +68,15 @@ class CacheStats:
             hits=self.hits + other.hits,
             misses=self.misses + other.misses,
             evictions=self.evictions + other.evictions,
-            collisions=self.collisions + other.collisions,
         )
 
 
 class AnnotationCache:
-    """LRU cache for annotation products, keyed by their source.
+    """LRU cache for annotation products, keyed by their source."""
 
-    Values are stored alongside their full key; a lookup whose hash
-    matches but whose key differs (a collision, or a deliberately
-    adversarial key) is treated as a miss and recomputed *without*
-    evicting the resident entry — correctness never depends on SHA-1
-    being collision-free.
-    """
-
-    def __init__(
-        self, capacity: int = DEFAULT_CAPACITY, hashed: bool = True
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = capacity
-        # ``hashed=False`` keys entries by the key itself — right for
-        # short, high-repetition texts (individual sentences) and for a
-        # snippet's sentence tuple, where a SHA-1 would cost more than
-        # the dict probe it guards.  Hashed keys must be strings.
-        self._hashed = hashed
-        self._entries: "OrderedDict[Hashable, tuple[Hashable, object]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
@@ -116,37 +90,23 @@ class AnnotationCache:
         never serialize on annotation work — at worst two threads
         compute the same value and one insert wins.
         """
-        slot = content_key(key) if self._hashed else key
         with self._lock:
-            entry = self._entries.get(slot)
-            if entry is not None:
-                stored_key, value = entry
-                if stored_key == key:
-                    self.stats.hits += 1
-                    self._entries.move_to_end(slot)
-                    return value
-                # Hash collision: the resident entry keeps its slot.
-                self.stats.collisions += 1
-                self.stats.misses += 1
-                collided = True
-            else:
-                self.stats.misses += 1
-                collided = False
+            if key in self._entries:
+                self.stats.hits += 1
+                self._entries.move_to_end(key)
+                return self._entries[key]
+            self.stats.misses += 1
         value = compute(key)
-        if collided:
-            return value
         with self._lock:
-            if slot not in self._entries:
-                self._entries[slot] = (key, value)
+            if key not in self._entries:
+                self._entries[key] = value
                 if len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     self.stats.evictions += 1
             else:
                 # A concurrent compute won the insert race; reuse its
                 # value so every caller observes one canonical object.
-                stored_key, resident = self._entries[slot]
-                if stored_key == key:
-                    value = resident
+                value = self._entries[key]
         return value
 
     def clear(self) -> None:
@@ -180,7 +140,6 @@ class AnnotationEngine:
     Each derived product is cached:
 
     ``sentences``             document text -> its :class:`SentenceSplit`
-    ``index_terms``           document text -> normalized index terms
     ``sentence_terms``        one sentence -> its normalized index terms
     ``sentence_annotations``  one sentence -> its :class:`AnnotatedText`
     ``annotations``           snippet sentences -> :class:`AnnotatedText`
@@ -202,14 +161,13 @@ class AnnotationEngine:
         self.annotator = Annotator(ner_config)
         self.stemmer = PorterStemmer()
         self._splits = AnnotationCache(capacity)
-        self._terms = AnnotationCache(capacity)
-        # Sentence-level caches, keyed by the sentence string itself.
-        # Templated corpora repeat whole sentences far more often than
-        # whole documents, so these are where sharded ingestion wins its
-        # tokenization time back and where snippet annotation reuses.
-        self._sentence_terms = AnnotationCache(capacity, hashed=False)
-        self._sentence_annotations = AnnotationCache(capacity, hashed=False)
-        self._annotations = AnnotationCache(capacity, hashed=False)
+        # Sentence-level caches.  Templated corpora repeat whole
+        # sentences far more often than whole documents, so these are
+        # where sharded ingestion wins its tokenization time back and
+        # where snippet annotation reuses.
+        self._sentence_terms = AnnotationCache(capacity)
+        self._sentence_annotations = AnnotationCache(capacity)
+        self._annotations = AnnotationCache(capacity)
         self._features: dict[object, AnnotationCache] = {}
         self._features_lock = threading.Lock()
         self._capacity = capacity
@@ -283,18 +241,16 @@ class AnnotationEngine:
         return self._sentence_terms.get_or_compute(sentence, text_terms)
 
     def index_terms(self, text: str) -> list[str]:
-        """Normalized (lower-cased) index terms (cached; do not mutate).
+        """Normalized (lower-cased) index terms of a document.
 
         The concatenated (cached) terms of the document's sentences.
-        Sentence-level reuse dwarfs document-level reuse on templated
-        corpora, so a re-index after sharded ingestion runs almost
-        entirely from the sentence-term cache.  When the split does not
-        compose the whole document is tokenized directly — the result
-        is identical either way (see :func:`terms_compose`).
+        A document is indexed once, so only its sentences' terms are
+        cached: sentence-level reuse dwarfs document-level reuse on
+        templated corpora, and a re-index after sharded ingestion runs
+        almost entirely from the sentence-term cache.  When the split
+        does not compose the whole document is tokenized directly — the
+        result is identical either way (see :func:`terms_compose`).
         """
-        return self._terms.get_or_compute(text, self._index_terms_of)
-
-    def _index_terms_of(self, text: str) -> list[str]:
         split = self.split(text)
         if not split.composes:
             return text_terms(text)
@@ -331,7 +287,7 @@ class AnnotationEngine:
         if cache is None:
             with self._features_lock:
                 cache = self._features.setdefault(
-                    key, AnnotationCache(self._capacity, hashed=False)
+                    key, AnnotationCache(self._capacity)
                 )
         return cache
 
@@ -350,7 +306,6 @@ class AnnotationEngine:
             features = features.merged(cache.stats)
         return {
             "sentences": self._splits.stats,
-            "index_terms": self._terms.stats,
             "sentence_terms": self._sentence_terms.stats,
             "sentence_annotations": self._sentence_annotations.stats,
             "annotations": self._annotations.stats,

@@ -128,55 +128,6 @@ class TestAlertService:
             assert alert.text
 
 
-class TestNearDuplicateSuppression:
-    @staticmethod
-    def _alerts_with(suppress: bool) -> list:
-        """Run an identical (seeded) pipeline with/without suppression."""
-        web = build_web(400, CorpusConfig(seed=31))
-        etap = Etap.from_web(
-            web,
-            config=EtapConfig(
-                top_k_per_query=60, negative_sample_size=800
-            ),
-        )
-        etap.gather()
-        etap.train()
-        service = AlertService(
-            etap, threshold=0.9, suppress_near_duplicates=suppress
-        )
-        evolver = WebEvolver(
-            web, CorpusConfig(seed=900, mirror_rate=1.0)
-        )
-        alerts = []
-        for _ in range(2):
-            evolver.advance(40)
-            alerts.extend(service.poll().alerts)
-        return alerts
-
-    def test_syndicated_copies_alert_once(self):
-        plain = self._alerts_with(suppress=False)
-        deduped = self._alerts_with(suppress=True)
-        assert plain, "the mirrored batches must raise alerts at all"
-        # Mirrors double many stories in the plain stream; suppression
-        # removes them.
-        assert len(deduped) < len(plain)
-
-    def test_deduped_stream_has_no_near_identical_texts(self):
-        from repro.gather.dedup import jaccard, shingles
-
-        deduped = self._alerts_with(suppress=True)
-        by_driver: dict[str, list] = {}
-        for alert in deduped:
-            by_driver.setdefault(alert.driver_id, []).append(alert)
-        for alerts in by_driver.values():
-            for i, a in enumerate(alerts):
-                for b in alerts[i + 1:]:
-                    similarity = jaccard(
-                        shingles(a.text, 2), shingles(b.text, 2)
-                    )
-                    assert similarity < 0.95, (a.text, b.text)
-
-
 class TestIdempotency:
     """Satellite pin: alert identity is stable across polls."""
 

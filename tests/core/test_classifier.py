@@ -9,6 +9,7 @@ from repro.core.classifier import TriggerEventClassifier
 from repro.core.snippets import Snippet
 from repro.core.training import AnnotatedSnippet
 from repro.features.abstraction import AbstractionPolicy
+from repro.ml.naive_bayes import MultinomialNaiveBayes
 from repro.ml.svm import LinearSvm
 from repro.text.annotator import Annotator
 from repro.text.ner import NerConfig
@@ -110,6 +111,15 @@ class TestPredict:
 
 
 class TestConfigurations:
+    def test_defaults_match_paper(self):
+        clf = TriggerEventClassifier("x")
+        assert clf._reducer.max_iter == 2  # "after two iterations"
+        assert clf._reducer.oversample_pure == 3  # "... factor of 3"
+        assert clf.policy == AbstractionPolicy.paper_default()
+        assert isinstance(
+            clf._reducer.classifier_factory(), MultinomialNaiveBayes
+        )
+
     def test_custom_classifier_factory(self, train_sets):
         positives, negatives = train_sets
         clf = TriggerEventClassifier(

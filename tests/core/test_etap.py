@@ -106,12 +106,11 @@ class TestTrainedPipeline:
 
 
 class TestConfig:
-    def test_defaults_match_paper(self):
+    def test_defaults_match_paper(self, small_web):
         config = EtapConfig()
-        assert config.snippet_window == 3  # n = 3 (section 3.1)
         assert config.top_k_per_query == 200  # top 200 documents
-        assert config.max_denoise_iter == 2  # "after two iterations"
-        assert config.oversample_pure == 3  # "oversampling ... factor of 3"
+        etap = Etap.from_web(small_web)
+        assert etap.training.snippets.window == 3  # n = 3 (section 3.1)
 
 
 class TestSinceDayFreshnessWindow:

@@ -48,16 +48,18 @@ class TestGather:
 
 
 class TestCrawlBudgetDefaults:
-    """The direct-constructor path and EtapConfig must agree on the
-    default crawl budget (they used to be 5 000 vs 100 000)."""
+    """The direct-constructor path and ``Etap.from_web`` must agree on
+    the default crawl budget (they used to be 5 000 vs 100 000)."""
 
     def test_default_matches_etap_config(self, small_web):
-        from repro.core.etap import EtapConfig
+        from repro.core.etap import Etap
         from repro.gather.pipeline import DEFAULT_MAX_CRAWL_PAGES
 
         gatherer = DataGatherer(small_web)
         assert gatherer.max_pages == DEFAULT_MAX_CRAWL_PAGES
-        assert gatherer.max_pages == EtapConfig().max_crawl_pages
+        assert Etap.from_web(small_web)._gatherer.max_pages == (
+            DEFAULT_MAX_CRAWL_PAGES
+        )
 
     def test_explicit_budget_still_honored(self, small_web):
         gatherer = DataGatherer(small_web, max_pages=25)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ml.metrics import accuracy, confusion_matrix, precision_recall_f1
+from repro.ml.metrics import confusion_matrix, precision_recall_f1
 
 
 class TestConfusion:
@@ -48,9 +47,6 @@ class TestPrf:
         p, r = 0.744, 0.806
         f1 = 2 * p * r / (p + r)
         assert f1 == pytest.approx(0.773, abs=0.002)
-
-    def test_accuracy(self):
-        assert accuracy([1, 0, 1, 0], [1, 0, 0, 0]) == 0.75
 
 
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),

@@ -1,4 +1,4 @@
-"""Noise-tolerant training tests: ETAP iterative denoiser, Brodley-Friedl."""
+"""Noise-tolerant training tests: ETAP's iterative denoiser."""
 
 from __future__ import annotations
 
@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.ml.noise import (
-    IterativeNoiseReducer,
-    brodley_friedl_filter,
-)
+from repro.ml.noise import IterativeNoiseReducer
 
 
 def noisy_pu_setup(seed=13, n_true=60, n_noise=25, n_neg=200):
@@ -105,66 +102,3 @@ class TestIterativeReducer:
         with pytest.raises(ValueError):
             IterativeNoiseReducer(oversample_pure=0)
 
-
-class TestBrodleyFriedl:
-    def test_flags_mislabeled_instances(self):
-        rng = np.random.default_rng(21)
-
-        def topic(kind, n):
-            probs = (
-                [0.30, 0.30, 0.20, 0.07, 0.07, 0.06]
-                if kind == "pos"
-                else [0.06, 0.07, 0.07, 0.20, 0.30, 0.30]
-            )
-            return rng.multinomial(25, probs, size=n).astype(float)
-
-        X = sparse.csr_matrix(np.vstack([
-            topic("pos", 50), topic("neg", 50), topic("neg", 12),
-        ]))
-        # Last 12 rows are negative-topic but labeled positive.
-        y = np.array([1] * 50 + [0] * 50 + [1] * 12)
-        keep = brodley_friedl_filter(X, y, n_folds=4)
-        flagged = ~keep
-        assert flagged[100:].mean() >= 0.7  # mislabeled caught
-        assert flagged[:100].mean() <= 0.15  # clean data kept
-
-    def test_consensus_is_more_conservative(self):
-        from repro.ml.naive_bayes import (
-            BernoulliNaiveBayes,
-            MultinomialNaiveBayes,
-        )
-
-        rng = np.random.default_rng(4)
-        X = sparse.csr_matrix(
-            rng.multinomial(20, [1 / 4] * 4, size=80).astype(float)
-        )
-        y = rng.integers(0, 2, size=80)
-        factories = [MultinomialNaiveBayes, BernoulliNaiveBayes]
-        majority_kept = brodley_friedl_filter(
-            X, y, factories, consensus=False
-        ).sum()
-        consensus_kept = brodley_friedl_filter(
-            X, y, factories, consensus=True
-        ).sum()
-        assert consensus_kept >= majority_kept
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(4)
-        X = sparse.csr_matrix(
-            rng.multinomial(20, [1 / 4] * 4, size=40).astype(float)
-        )
-        y = rng.integers(0, 2, size=40)
-        a = brodley_friedl_filter(X, y, seed=1)
-        b = brodley_friedl_filter(X, y, seed=1)
-        assert np.array_equal(a, b)
-
-    def test_invalid_folds(self):
-        X = sparse.csr_matrix(np.eye(4))
-        y = np.array([0, 1, 0, 1])
-        with pytest.raises(ValueError):
-            brodley_friedl_filter(X, y, n_folds=1)
-
-    def test_shape_mismatch(self):
-        X = sparse.csr_matrix(np.eye(4))
-        with pytest.raises(ValueError):
-            brodley_friedl_filter(X, np.array([0, 1]))

@@ -21,9 +21,8 @@ from repro.obs.slo import SloEngine, load_slo_config
 from repro.obs.timeseries import Telemetry
 from repro.obs.tracer import Tracer
 from repro.robustness.faults import get_profile
-from repro.serve import (
-    AdmissionController, AlertPortal, ChaosMonkey, LoadGenerator,
-)
+from repro.serve import AdmissionController, AlertPortal, LoadGenerator
+from tests.serve.chaos import ChaosMonkey, tick_before_each_route
 
 SLO_CONFIG = Path(__file__).resolve().parents[2] / "configs" / "slos.yaml"
 N_QUERIES = 1200
@@ -56,7 +55,7 @@ def run_leg(etap, hedging: bool) -> dict:
         replica_cool_off=2.0,
     ) as portal:
         monkey = ChaosMonkey(portal.replicas, period=1.0, down_for=0.9)
-        portal.router.chaos = monkey
+        tick_before_each_route(monkey, portal.router)
         report = LoadGenerator(
             portal,
             CHAOS_QUERIES,

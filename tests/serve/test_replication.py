@@ -8,13 +8,9 @@ from repro.obs.clock import FakeClock
 from repro.obs.events import EventLog
 from repro.obs.tracer import Tracer
 from repro.robustness.fetcher import CircuitBreaker
-from repro.serve.replication import (
-    ChaosMonkey,
-    Replica,
-    ReplicaGroup,
-    ReplicaSet,
-)
+from repro.serve.replication import Replica, ReplicaGroup, ReplicaSet
 from repro.serve.shards import ShardedIndex
+from tests.serve.chaos import ChaosMonkey
 
 
 def make_docs(n: int, marker: str = "alpha"):
