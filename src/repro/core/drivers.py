@@ -257,8 +257,8 @@ _BUILTIN = {
     REVENUE_GROWTH: _revenue_growth,
 }
 
-#: Drivers beyond the paper's three, opened via the query-planner rig
-#: (ROADMAP item 3).  ``builtin_drivers()`` deliberately excludes them:
+#: Drivers beyond the paper's three, opened via the query planner
+#: (:mod:`repro.queries.planner`).  ``builtin_drivers()`` deliberately excludes them:
 #: the default pipeline stays bit-identical to the paper reproduction,
 #: and recipes opt in by driver id.
 _EXTENDED = {

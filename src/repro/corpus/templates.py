@@ -29,8 +29,8 @@ REVENUE_GROWTH = "revenue_growth"
 
 ALL_DRIVERS = (MERGERS_ACQUISITIONS, CHANGE_IN_MANAGEMENT, REVENUE_GROWTH)
 
-#: Drivers beyond the paper's three, opened by the query-planner rig
-#: (ROADMAP item 3).  They are additive: nothing in the default corpus
+#: Drivers beyond the paper's three, opened by the query planner
+#: (:mod:`repro.queries.planner`).  They are additive: nothing in the default corpus
 #: mix or ``builtin_drivers()`` changes unless a recipe asks for them.
 FUNDING_ROUNDS = "funding_rounds"
 LAYOFFS = "layoffs"

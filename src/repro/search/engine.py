@@ -153,46 +153,59 @@ class SearchEngine:
     def _search(
         self, query: str, top_k: int, within: "np.ndarray | None"
     ) -> list[SearchResult]:
-        """Score every document over numpy arrays indexed by ordinal.
+        """Score the query's candidate documents over numpy arrays.
 
-        Each document's score adds its terms' BM25 contributions in
-        query-term order and then its phrase bonus, so floating-point
-        results do not depend on how the index was built.
+        A query with quoted phrases can only return the documents that
+        hold every phrase, so those candidates (sorted ordinals, cut to
+        ``within``) are the only documents scored: each term's postings
+        are looked up at the candidates with ``np.searchsorted``.  A
+        query without phrases accumulates every posting into one dense
+        per-ordinal array instead.
+
+        Either way each document's score adds its terms' BM25
+        contributions from 0.0 in query-term order and then its phrase
+        bonus, so floating-point results do not depend on the path or
+        on how the index was built.
         """
         parsed = parse_query(query)
         if not parsed.all_terms:
             return []
         index = self.index
         n_docs = index.n_docs
-        candidates = within
-        bonus = np.zeros(n_docs)
-        for phrase in parsed.phrases:
-            docs, counts = index.phrase_matches(phrase)
-            matched = np.zeros(n_docs, dtype=bool)
-            matched[docs] = True
-            if candidates is not None:
-                matched &= candidates
-            candidates = matched
-            bonus[docs] += PHRASE_BOOST * counts
-        if candidates is not None and not candidates.any():
-            return []
-
-        scores = np.zeros(n_docs)
-        scored = np.zeros(n_docs, dtype=bool)
         avg_length = index.average_doc_length or 1.0
-        for term in parsed.all_terms:
-            docs, tf = index.doc_postings(term)
-            df = len(docs)
-            if candidates is not None:
-                keep = candidates[docs]
-                docs, tf = docs[keep], tf[keep]
-            scores[docs] += bm25(
-                tf, index.lengths[docs], df, n_docs, avg_length
-            )
-            scored[docs] = True
-
-        hits = np.flatnonzero(scored)
-        final = scores[hits] + bonus[hits]
+        if parsed.phrases:
+            hits, bonus = self._phrase_candidates(parsed.phrases, within)
+            if not len(hits):
+                return []
+            final = np.zeros(len(hits))
+            for term in parsed.all_terms:
+                docs, tf = index.doc_postings(term)
+                if not len(docs):
+                    continue
+                at = np.minimum(np.searchsorted(docs, hits), len(docs) - 1)
+                held = docs[at] == hits
+                final[held] += bm25(
+                    tf[at[held]],
+                    index.lengths[hits[held]],
+                    len(docs),
+                    n_docs,
+                    avg_length,
+                )
+            final += bonus
+        else:
+            scores = np.zeros(n_docs)
+            for term in parsed.all_terms:
+                docs, tf = index.doc_postings(term)
+                df = len(docs)
+                if within is not None:
+                    keep = within[docs]
+                    docs, tf = docs[keep], tf[keep]
+                scores[docs] += bm25(
+                    tf, index.lengths[docs], df, n_docs, avg_length
+                )
+            # Every BM25 contribution is positive: scored means nonzero.
+            hits = np.flatnonzero(scores)
+            final = scores[hits]
         if len(hits) > top_k:
             # Every hit tied with the k-th best survives the cut, so the
             # (-score, doc_key) order below decides the boundary.
@@ -209,3 +222,22 @@ class SearchEngine:
             for negated, doc in ranked[:top_k]
         ]
 
+    def _phrase_candidates(
+        self,
+        phrases: tuple[tuple[str, ...], ...],
+        within: "np.ndarray | None",
+    ) -> tuple["np.ndarray", "np.ndarray"]:
+        """Sorted ordinals of the documents holding every phrase (and
+        marked by ``within``), with each one's summed phrase bonus."""
+        docs, counts = self.index.phrase_matches(phrases[0])
+        bonus = PHRASE_BOOST * counts
+        if within is not None:
+            keep = within[docs]
+            docs, bonus = docs[keep], bonus[keep]
+        for phrase in phrases[1:]:
+            matched, counts = self.index.phrase_matches(phrase)
+            docs, at, at_matched = np.intersect1d(
+                docs, matched, assume_unique=True, return_indices=True
+            )
+            bonus = bonus[at] + PHRASE_BOOST * counts[at_matched]
+        return docs, bonus

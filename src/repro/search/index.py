@@ -18,6 +18,11 @@ queries (the paper's *smart queries* such as ``"new ceo"`` and
 Ranked queries read the doc-level postings.  A phrase query turns its
 terms' position postings into sorted ``doc << 32 | position`` keys and
 intersects them with ``np.searchsorted``, starting from the rarest term.
+Its matches are sorted ordinals, so the search engine scores a query
+with phrases only at the documents that hold them: it looks each term's
+doc-level postings up at those candidates with ``np.searchsorted``.  A
+query without phrases adds every posting into one dense per-ordinal
+array.
 
 The arrays are never written in place.  A write batch
 (:meth:`InvertedIndex.add_documents`) stable-sorts only its own tokens

@@ -9,11 +9,13 @@ artifacts into a system that answers analyst traffic:
 * :mod:`repro.serve.cache` — :class:`QueryCache`: TTL'd, size- and
   entry-bounded LRU with generation-wise invalidation and explicit
   stale reads;
-* :mod:`repro.serve.workers` — :class:`WorkerPool`: bounded threads,
-  identical in-flight queries coalesced, per-request deadlines;
+* :mod:`repro.serve.workers` — :class:`WorkerPool`: single-flight
+  execution on the caller's thread, identical in-flight queries
+  coalesced, per-request deadlines;
 * :mod:`repro.serve.admission` — :class:`TokenBucket` rate limiting
-  per client plus a bounded admission queue whose overflow is a
-  ``Rejected`` *value*, never an exception;
+  per client plus a bounded admission queue (the bound on concurrent
+  requests) whose overflow is a ``Rejected`` *value*, never an
+  exception;
 * :mod:`repro.serve.portal` — :class:`AlertPortal`: the facade;
   multi-tenant subscriptions (company/driver filters), ``query()``,
   ``poll_alerts()`` on AlertService idempotency keys;

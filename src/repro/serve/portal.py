@@ -12,11 +12,12 @@ artifacts, assembled from the serve substrate —
   ranking ETAP trains from;
 * a :class:`~repro.serve.cache.QueryCache` absorbs repeated queries
   and is invalidated generation-wise on every snapshot swap;
-* a :class:`~repro.serve.workers.WorkerPool` bounds concurrency and
-  coalesces identical in-flight queries;
-* an :class:`~repro.serve.admission.AdmissionController` applies
-  per-client rate limits and queue backpressure, degrading to stale
-  cached results under overload instead of failing.
+* a :class:`~repro.serve.workers.WorkerPool` runs each cache miss on
+  the caller's thread and coalesces identical in-flight queries;
+* an :class:`~repro.serve.admission.AdmissionController` bounds
+  concurrency: it applies per-client rate limits and queue
+  backpressure, degrading to stale cached results under overload
+  instead of failing.
 
 Every TTL, token refill, deadline and latency reads the clock of the
 portal's tracer, so a ``Tracer(clock=FakeClock())`` puts the whole
@@ -115,7 +116,6 @@ class AlertPortal:
         n_shards: int = 4,
         cache: QueryCache | None = None,
         admission: AdmissionController | None = None,
-        max_workers: int = 4,
         serve_stale_on_overload: bool = True,
         tracer: AnyTracer | None = None,
         engine=None,
@@ -170,11 +170,7 @@ class AlertPortal:
                 seed=fault_seed,
                 tracer=self.tracer,
             )
-        self.workers = WorkerPool(
-            self._execute_query,
-            max_workers=max_workers,
-            tracer=self.tracer,
-        )
+        self.workers = WorkerPool(self._execute_query, tracer=self.tracer)
         self._subscriptions: dict[str, Subscription] = {}
         self._alert_log: list[Alert] = []
         self._known_alert_ids: set[str] = set()
@@ -248,8 +244,8 @@ class AlertPortal:
         """Answer one analyst query; never raises.
 
         ``timeout`` is a per-request deadline in seconds on the
-        tracer's clock; a request picked up past its deadline returns
-        ``deadline_exceeded`` instead of a late answer.
+        tracer's clock; a cache miss that reaches the worker past its
+        deadline returns ``deadline_exceeded`` instead of a late answer.
         """
         started = self.tracer.clock.now()
         self.tracer.count("serve.queries")
@@ -314,7 +310,7 @@ class AlertPortal:
             self.admission.release(client_id)
 
     def _execute_query(self, key) -> RouteResult:
-        """Worker-side search: one snapshot grabbed once, searched once.
+        """A cache miss's search: one snapshot grabbed once, searched once.
 
         With replicas attached the read goes through the hedged
         router instead of the local snapshot, and the

@@ -1,27 +1,32 @@
-"""Query worker pool: bounded threads, coalescing, deadlines.
+"""Query worker: single-flight execution, coalescing, deadlines.
 
-A :class:`WorkerPool` owns a ``ThreadPoolExecutor`` and runs one
-caller-supplied function per request.  Two serving behaviours sit on
-top of the raw pool:
+A :class:`WorkerPool` runs one caller-supplied function per request, on
+the thread that asked for it: a cache-miss query costs one call, not a
+hop to another thread and back.  Two serving behaviours sit on top:
 
 * **request coalescing** — identical in-flight requests (same key)
   share one execution and one result; under a thundering herd of the
-  same popular query the index is hit once, not N times;
+  same popular query the index is hit once, not N times.  The first
+  caller of a key (the leader) runs it; later callers wait for the
+  leader's outcome;
 * **per-request deadlines** — a request carries an absolute deadline
-  on the tracer's clock; if a worker picks it up past its deadline the
-  work is skipped and the caller gets a ``deadline_exceeded`` outcome
-  instead of a late answer nobody wants.
+  on the tracer's clock; a request already past its deadline when it
+  arrives is skipped and the caller gets a ``deadline_exceeded``
+  outcome instead of a late answer nobody wants.
+
+Concurrency is bounded by the callers, not here: the portal's
+:class:`~repro.serve.admission.AdmissionController` admits at most
+``max_pending`` requests at once.
 
 Failures never escape as exceptions: worker errors are captured into
 the :class:`WorkOutcome`, so one poisoned query cannot kill a serving
-thread.
+thread, and a leader always publishes an outcome to its joiners.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 
@@ -32,7 +37,7 @@ ERROR = "error"
 
 @dataclass(frozen=True)
 class WorkOutcome:
-    """What one pooled execution produced (never an exception)."""
+    """What one execution produced (never an exception)."""
 
     status: str  # OK | DEADLINE_EXCEEDED | ERROR
     value: object = None
@@ -45,66 +50,67 @@ class WorkOutcome:
         return self.status == OK
 
 
+class _Flight:
+    """One key's execution in progress: its callers wait on ``done``."""
+
+    __slots__ = ("done", "joiners", "outcome")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.joiners = 1
+        self.outcome: WorkOutcome | None = None
+
+
 class WorkerPool:
-    """Deduplicating thread pool for query/alert work."""
+    """Single-flight executor for query/alert work."""
 
     def __init__(
-        self,
-        worker_fn,
-        max_workers: int = 4,
-        tracer: AnyTracer | None = None,
+        self, worker_fn, tracer: AnyTracer | None = None
     ) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
         self.worker_fn = worker_fn
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="serve-worker"
-        )
-        self._inflight: dict[object, Future] = {}
-        self._joiners: dict[object, int] = {}
+        self._flights: dict[object, _Flight] = {}
         self._lock = threading.Lock()
         self._closed = False
-
-    # -- submission ------------------------------------------------------------
-
-    def submit(self, key: object, deadline: float | None = None) -> Future:
-        """Run ``worker_fn(key)`` on the pool; coalesce duplicate keys.
-
-        Returns a future resolving to a :class:`WorkOutcome`.  A second
-        ``submit`` of the same key while the first is in flight returns
-        the *same* future (the coalesced execution's deadline — that of
-        the first submitter — governs; joiners accepted a shared ride).
-        """
-        if self._closed:
-            raise RuntimeError("worker pool is shut down")
-        with self._lock:
-            existing = self._inflight.get(key)
-            if existing is not None:
-                self._joiners[key] = self._joiners.get(key, 1) + 1
-                self.tracer.count("serve.coalesced")
-                return existing
-            future: Future = self._executor.submit(
-                self._run, key, deadline
-            )
-            self._inflight[key] = future
-            self._joiners[key] = 1
-            return future
 
     def execute(
         self, key: object, deadline: float | None = None
     ) -> WorkOutcome:
-        """Blocking convenience: submit and wait for the outcome."""
-        return self.submit(key, deadline=deadline).result()
+        """Run ``worker_fn(key)`` on this thread; coalesce duplicate keys.
 
-    @property
-    def inflight(self) -> int:
+        A call whose key is already in flight waits for that execution
+        and returns its outcome (the leader's deadline governs; joiners
+        accepted a shared ride).  The deadline is checked on arrival.
+        """
+        if self._closed:
+            raise RuntimeError("worker pool is shut down")
         with self._lock:
-            return len(self._inflight)
+            flight = self._flights.get(key)
+            joined = flight is not None
+            if joined:
+                flight.joiners += 1
+                self.tracer.count("serve.coalesced")
+            else:
+                flight = self._flights[key] = _Flight()
+        if joined:
+            flight.done.wait()
+            return flight.outcome
+        outcome = WorkOutcome(status=ERROR, error="worker interrupted")
+        try:
+            outcome = self._run(key, deadline)
+        finally:
+            # Published even if the worker escaped, so no joiner hangs;
+            # once the key is gone no caller can join this flight.
+            with self._lock:
+                del self._flights[key]
+                if flight.joiners > 1:
+                    outcome = replace(outcome, joiners=flight.joiners)
+                flight.outcome = outcome
+            flight.done.set()
+        return outcome
 
-    def shutdown(self, wait: bool = True) -> None:
+    def shutdown(self) -> None:
         self._closed = True
-        self._executor.shutdown(wait=wait)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -112,36 +118,17 @@ class WorkerPool:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
 
-    # -- execution -------------------------------------------------------------
-
     def _run(self, key: object, deadline: float | None) -> WorkOutcome:
-        try:
-            if (
-                deadline is not None
-                and self.tracer.clock.now() > deadline
-            ):
-                self.tracer.count("serve.deadline_exceeded")
-                return WorkOutcome(
-                    status=DEADLINE_EXCEEDED,
-                    error="deadline passed before execution",
-                    joiners=self._joiner_count(key),
-                )
-            value = self.worker_fn(key)
+        if deadline is not None and self.tracer.clock.now() > deadline:
+            self.tracer.count("serve.deadline_exceeded")
             return WorkOutcome(
-                status=OK, value=value, joiners=self._joiner_count(key)
+                status=DEADLINE_EXCEEDED,
+                error="deadline passed before execution",
             )
+        try:
+            return WorkOutcome(status=OK, value=self.worker_fn(key))
         except Exception as exc:  # worker bugs become outcomes
             self.tracer.count("serve.worker_errors")
             return WorkOutcome(
-                status=ERROR,
-                error=f"{type(exc).__name__}: {exc}",
-                joiners=self._joiner_count(key),
+                status=ERROR, error=f"{type(exc).__name__}: {exc}"
             )
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-                self._joiners.pop(key, None)
-
-    def _joiner_count(self, key: object) -> int:
-        with self._lock:
-            return self._joiners.get(key, 1)

@@ -98,7 +98,7 @@ def recorder_keepers():
     yield "AlertService", lambda t: AlertService(_trained_etap(t))
     yield "ShardedIndex", lambda t: ShardedIndex(n_shards=2, tracer=t)
     yield "WorkerPool", lambda t: _shut_down(
-        WorkerPool(lambda key: key, max_workers=1, tracer=t)
+        WorkerPool(lambda key: key, tracer=t)
     )
     yield "AdmissionController", lambda t: AdmissionController(tracer=t)
     yield "AlertPortal", lambda t: _closed(

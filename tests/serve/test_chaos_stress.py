@@ -44,7 +44,6 @@ def test_kill_restore_under_load_keeps_every_invariant():
             rate=1e9, burst=1e9, max_pending=256, tracer=tracer
         ),
         cache=QueryCache(ttl=1e9, tracer=tracer),
-        max_workers=4,
     )
     portal.refresh()
 

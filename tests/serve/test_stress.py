@@ -81,7 +81,6 @@ class TestPortalUnderSwap:
                 rate=1e9, burst=1e9, max_pending=256, tracer=tracer
             ),
             cache=QueryCache(ttl=1e9, tracer=tracer),
-            max_workers=4,
         )
         portal.refresh()
 
