@@ -27,6 +27,13 @@ from repro.ml.naive_bayes import MultinomialNaiveBayes
 ClassifierFactory = Callable[[], object]
 
 
+#: Convergence threshold: iteration stops once fewer than this fraction
+#: of the noisy positives change their keep/drop status.
+MIN_CHANGE = 0.01
+#: Degenerate-collapse guard: never keep fewer noisy positives.
+MIN_KEPT = 5
+
+
 def _default_factory() -> MultinomialNaiveBayes:
     return MultinomialNaiveBayes()
 
@@ -58,18 +65,16 @@ class IterativeNoiseReducer:
     """The iterative noisy-positive reduction of section 3.3.2.
 
     ``oversample_pure`` replicates the weight of pure positives (the
-    paper uses a factor of 3).  ``min_change`` is the convergence
-    threshold: iteration stops when the fraction of noisy positives whose
-    keep/drop status changed falls below it (or after ``max_iter``).
+    paper uses a factor of 3).  Iteration stops when the fraction of
+    noisy positives whose keep/drop status changed falls below
+    :data:`MIN_CHANGE`, or after ``max_iter`` rounds.
     """
 
     def __init__(
         self,
+        max_iter: int,
         classifier_factory: ClassifierFactory = _default_factory,
-        max_iter: int = 10,
-        min_change: float = 0.01,
         oversample_pure: int = 3,
-        min_kept: int = 5,
     ) -> None:
         if max_iter <= 0:
             raise ValueError("max_iter must be positive")
@@ -77,9 +82,7 @@ class IterativeNoiseReducer:
             raise ValueError("oversample_pure must be >= 1")
         self.classifier_factory = classifier_factory
         self.max_iter = max_iter
-        self.min_change = min_change
         self.oversample_pure = oversample_pure
-        self.min_kept = min_kept
 
     def fit(
         self,
@@ -104,10 +107,10 @@ class IterativeNoiseReducer:
         for iteration in range(1, self.max_iter + 1):
             model = self._train(Pn[kept], N, Pp)
             predictions = np.asarray(model.predict(Pn)).astype(bool)
-            # Never keep fewer than min_kept: degenerate collapse guard.
-            if predictions.sum() < self.min_kept:
+            # Never keep fewer than MIN_KEPT: degenerate collapse guard.
+            if predictions.sum() < MIN_KEPT:
                 scores = model.predict_proba(Pn)[:, 1]
-                top = np.argsort(-scores)[: self.min_kept]
+                top = np.argsort(-scores)[:MIN_KEPT]
                 predictions = np.zeros_like(predictions)
                 predictions[top] = True
             changed = float((predictions != kept).mean())
@@ -120,7 +123,7 @@ class IterativeNoiseReducer:
                     changed_fraction=changed,
                 )
             )
-            if changed < self.min_change:
+            if changed < MIN_CHANGE:
                 break
         # Final model reflects the converged noisy-positive set.
         model = self._train(Pn[kept], N, Pp)

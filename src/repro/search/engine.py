@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.obs.tracer import NULL_TRACER, AnyTracer
-from repro.search.index import InvertedIndex, normalize_term
+from repro.search.index import InvertedIndex, PhraseMemo, normalize_term
 from repro.search.scoring import PHRASE_BOOST, bm25
 from repro.text.engine import AnnotationEngine
 from repro.text.tokenizer import tokenize_words
@@ -156,43 +156,41 @@ class SearchEngine:
         """Score the query's candidate documents over numpy arrays.
 
         A query with quoted phrases can only return the documents that
-        hold every phrase, so those candidates (sorted ordinals, cut to
-        ``within``) are the only documents scored: each term's postings
-        are looked up at the candidates with ``np.searchsorted``.  A
-        query without phrases accumulates every posting into one dense
-        per-ordinal array instead.
+        hold every phrase, so those candidates (sorted ordinals) are the
+        only documents scored: each term's postings are looked up at the
+        candidates with ``np.searchsorted``.  The phrase clause — the
+        candidates, their phrase bonus and the phrase terms' BM25 sum
+        there — is evaluated once per index generation, without
+        ``within``, and kept in the index's ``phrase_memo`` (see
+        :mod:`repro.search.index`: every write replaces the memo).
+        Each query cuts the clause to ``within`` and adds only its loose
+        terms.  A query without phrases accumulates every posting into
+        one dense per-ordinal array instead.
 
         Either way each document's score adds its terms' BM25
-        contributions from 0.0 in query-term order and then its phrase
-        bonus, so floating-point results do not depend on the path or
-        on how the index was built.
+        contributions from 0.0 in query-term order (phrase terms first)
+        and then its phrase bonus, so floating-point results do not
+        depend on the path, on the memo or on how the index was built.
         """
         parsed = parse_query(query)
         if not parsed.all_terms:
             return []
         index = self.index
-        n_docs = index.n_docs
-        avg_length = index.average_doc_length or 1.0
         if parsed.phrases:
-            hits, bonus = self._phrase_candidates(parsed.phrases, within)
+            hits, bonus, final = self._phrase_candidates(parsed.phrases)
+            if within is not None:
+                keep = within[hits]
+                hits, bonus, final = hits[keep], bonus[keep], final[keep]
+            else:
+                final = final.copy()
             if not len(hits):
                 return []
-            final = np.zeros(len(hits))
-            for term in parsed.all_terms:
-                docs, tf = index.doc_postings(term)
-                if not len(docs):
-                    continue
-                at = np.minimum(np.searchsorted(docs, hits), len(docs) - 1)
-                held = docs[at] == hits
-                final[held] += bm25(
-                    tf[at[held]],
-                    index.lengths[hits[held]],
-                    len(docs),
-                    n_docs,
-                    avg_length,
-                )
+            for term in parsed.terms:
+                self._score_at(final, hits, term)
             final += bonus
         else:
+            n_docs = index.n_docs
+            avg_length = index.average_doc_length or 1.0
             scores = np.zeros(n_docs)
             for term in parsed.all_terms:
                 docs, tf = index.doc_postings(term)
@@ -222,22 +220,56 @@ class SearchEngine:
             for negated, doc in ranked[:top_k]
         ]
 
+    def _score_at(
+        self, scores: "np.ndarray", hits: "np.ndarray", term: str
+    ) -> None:
+        """Add ``term``'s BM25 contribution at the sorted ordinals
+        ``hits`` to their ``scores``."""
+        index = self.index
+        docs, tf = index.doc_postings(term)
+        if not len(docs):
+            return
+        at = np.minimum(np.searchsorted(docs, hits), len(docs) - 1)
+        held = docs[at] == hits
+        scores[held] += bm25(
+            tf[at[held]],
+            index.lengths[hits[held]],
+            len(docs),
+            index.n_docs,
+            index.average_doc_length or 1.0,
+        )
+
     def _phrase_candidates(
-        self,
-        phrases: tuple[tuple[str, ...], ...],
-        within: "np.ndarray | None",
-    ) -> tuple["np.ndarray", "np.ndarray"]:
-        """Sorted ordinals of the documents holding every phrase (and
-        marked by ``within``), with each one's summed phrase bonus."""
-        docs, counts = self.index.phrase_matches(phrases[0])
+        self, phrases: tuple[tuple[str, ...], ...]
+    ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+        """The phrase clause: sorted ordinals of the documents holding
+        every phrase, each one's summed phrase bonus, and the BM25 sum
+        of the phrase terms there (added from 0.0 in phrase-term order).
+
+        Memoized per index generation, as read-only arrays.
+        """
+        index = self.index
+        memo = index.phrase_memo
+        clause = memo.get(phrases)
+        if clause is not None:
+            return clause
+        docs, counts = index.phrase_matches(phrases[0])
         bonus = PHRASE_BOOST * counts
-        if within is not None:
-            keep = within[docs]
-            docs, bonus = docs[keep], bonus[keep]
         for phrase in phrases[1:]:
-            matched, counts = self.index.phrase_matches(phrase)
+            matched, counts = index.phrase_matches(phrase)
             docs, at, at_matched = np.intersect1d(
                 docs, matched, assume_unique=True, return_indices=True
             )
             bonus = bonus[at] + PHRASE_BOOST * counts[at_matched]
-        return docs, bonus
+        partial = np.zeros(len(docs))
+        for phrase in phrases:
+            for term in phrase:
+                self._score_at(partial, docs, term)
+        clause = (docs, bonus, partial)
+        # A full memo is replaced, not grown.  Concurrent misses may
+        # add equal clauses; either one serves.
+        if not memo.add(phrases, clause):
+            memo = PhraseMemo(memo.budget)
+            memo.add(phrases, clause)
+            index.phrase_memo = memo
+        return clause

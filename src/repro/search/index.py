@@ -24,6 +24,17 @@ doc-level postings up at those candidates with ``np.searchsorted``.  A
 query without phrases adds every posting into one dense per-ordinal
 array.
 
+A query's phrase clause (its candidates, their phrase bonus and the
+BM25 sum of the phrase terms there) depends only on the phrases and
+the arrays, so the engine evaluates it once per index generation and
+keeps it in ``phrase_memo``, a :class:`PhraseMemo`.  Every write
+replaces the memo with an empty one (never clears it in place), so a
+clone shares its source's memo exactly as long as it shares its
+arrays.  The memo counts each entry as ``max(1, candidates)`` and
+refuses an entry that would take that count past the index's
+doc-level posting count; the engine then starts a new memo, so it
+stays O(index) whatever the traffic.
+
 The arrays are never written in place.  A write batch
 (:meth:`InvertedIndex.add_documents`) stable-sorts only its own tokens
 by term and inserts them at the end of each term's slice: new documents
@@ -47,6 +58,7 @@ tokenized at most once across gather, serve and rebuild.
 from __future__ import annotations
 
 import copy
+import threading
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -117,6 +129,35 @@ def _append_to_slices(starts, columns, terms, rows, n_terms):
     return merged, starts + grown
 
 
+class PhraseMemo(dict):
+    """Evaluated phrase clauses of one index generation, keyed by the
+    normalized phrases.
+
+    Each entry ``(candidates, bonus, partial scores)`` counts as
+    ``max(1, len(candidates))`` cells; ``cells`` is their sum and never
+    exceeds ``budget``, the generation's doc-level posting count.
+    """
+
+    def __init__(self, budget: int) -> None:
+        super().__init__()
+        self.budget = budget
+        self.cells = 0
+        self._lock = threading.Lock()
+
+    def add(self, phrases, clause) -> bool:
+        """Keep ``clause``, made read-only, under ``phrases``; False,
+        keeping nothing, when it would take the memo past its budget."""
+        cells = max(1, len(clause[0]))
+        for array in clause:
+            _frozen(array)
+        with self._lock:
+            if self.cells + cells > self.budget:
+                return False
+            self[phrases] = clause
+            self.cells += cells
+        return True
+
+
 class InvertedIndex:
     """Positional inverted index with batched, replacing writes."""
 
@@ -134,6 +175,7 @@ class InvertedIndex:
         self.run_doc = _frozen(np.zeros(0, dtype=np.int32))
         self.run_tf = _frozen(np.zeros(0, dtype=np.int32))
         self.run_starts = np.zeros(1, dtype=np.int64)
+        self.phrase_memo = PhraseMemo(0)
 
     def _merge(
         self, term_ids, keys, titles, lengths, terms, docs, pos, replaced=()
@@ -203,6 +245,8 @@ class InvertedIndex:
         self.titles = old_titles + titles
         self.lengths = _frozen(np.concatenate((old_lengths, lengths)))
         self.total_terms = int(self.lengths.sum())
+        # Replaced, not cleared: a clone keeps the memo of its arrays.
+        self.phrase_memo = PhraseMemo(len(self.run_doc))
 
     def _sorted_terms(self) -> "np.ndarray":
         return np.repeat(
@@ -318,8 +362,9 @@ class InvertedIndex:
     def clone(self) -> "InvertedIndex":
         """An independent index sharing this one's (immutable) arrays.
 
-        Writes build new arrays, so neither index ever observes the
-        other's later writes.
+        Writes build new arrays and a new phrase memo, so neither index
+        ever observes the other's later writes; until then the two
+        share the memo too.
         """
         return copy.copy(self)
 

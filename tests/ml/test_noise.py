@@ -57,27 +57,25 @@ class TestIterativeReducer:
 
     def test_converges_early_when_stable(self):
         X_noisy, X_negative, _ = noisy_pu_setup()
-        result = IterativeNoiseReducer(
-            max_iter=10, min_change=0.01
-        ).fit(X_noisy, X_negative)
+        result = IterativeNoiseReducer(max_iter=10).fit(X_noisy, X_negative)
         assert result.n_iterations < 10
 
     def test_final_model_is_usable(self):
         X_noisy, X_negative, truth = noisy_pu_setup()
-        result = IterativeNoiseReducer().fit(X_noisy, X_negative)
+        result = IterativeNoiseReducer(max_iter=10).fit(X_noisy, X_negative)
         predictions = result.model.predict(X_noisy)
         assert (predictions[truth] == 1).mean() >= 0.9
 
     def test_pure_positive_oversampling_used(self):
         X_noisy, X_negative, _ = noisy_pu_setup()
         X_pure = X_noisy[:5]
-        result = IterativeNoiseReducer(oversample_pure=3).fit(
+        result = IterativeNoiseReducer(max_iter=10, oversample_pure=3).fit(
             X_noisy, X_negative, X_pure
         )
         assert result.model is not None
 
     def test_min_kept_floor(self):
-        # All-noise positives: the guard keeps at least min_kept rows.
+        # All-noise positives: the guard keeps at least MIN_KEPT rows.
         rng = np.random.default_rng(0)
         X_noisy = sparse.csr_matrix(
             rng.multinomial(20, [1 / 6] * 6, size=12).astype(float)
@@ -85,7 +83,7 @@ class TestIterativeReducer:
         X_negative = sparse.csr_matrix(
             rng.multinomial(20, [1 / 6] * 6, size=200).astype(float)
         )
-        result = IterativeNoiseReducer(min_kept=5).fit(
+        result = IterativeNoiseReducer(max_iter=10).fit(
             X_noisy, X_negative
         )
         assert result.kept_mask.sum() >= 5
@@ -94,11 +92,11 @@ class TestIterativeReducer:
         X = sparse.csr_matrix((0, 4))
         N = sparse.csr_matrix(np.eye(4))
         with pytest.raises(ValueError):
-            IterativeNoiseReducer().fit(X, N)
+            IterativeNoiseReducer(max_iter=10).fit(X, N)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             IterativeNoiseReducer(max_iter=0)
         with pytest.raises(ValueError):
-            IterativeNoiseReducer(oversample_pure=0)
+            IterativeNoiseReducer(max_iter=10, oversample_pure=0)
 

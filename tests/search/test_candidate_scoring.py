@@ -2,63 +2,29 @@
 
 ``SearchEngine._search`` scores a query with quoted phrases only at the
 documents that hold every phrase, and a query without phrases over one
-dense per-ordinal array.  The reference below scores every query the
-dense way: a boolean candidate mask built phrase by phrase (and cut to
-``within``), a per-ordinal bonus array, and every term's postings
-masked to the candidates before they are accumulated.  The engine must
-return exactly the same ``[(doc_key, score)]`` lists, floats compared
-with ``==``, for 0-2 phrases plus loose terms, with and without a
-``within`` mask.
+dense per-ordinal array.  Each query's phrase clause (candidates, phrase
+bonus, the phrase terms' BM25 sum) is evaluated once per index
+generation and kept in the index's phrase memo.  The reference,
+:func:`tests.search.helpers.dense_reference`, scores every query the
+dense way from the index arrays and never reads the memo.  The engine
+must return exactly the same ``[(doc_key, score)]`` lists, floats
+compared with ``==``, for 0-2 phrases plus loose terms, with and without
+a ``within`` mask, on a cold and a warm memo, across writes and clones.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.search.engine import SearchEngine, parse_query
-from repro.search.scoring import PHRASE_BOOST, bm25
+from tests.search.helpers import dense_reference
 
 WORDS = ["acme", "deal", "new", "ceo", "growth", "the", "zork"]
-
-
-def dense_reference(engine: SearchEngine, query: str, top_k: int, within):
-    """Every document masked and scored, the bonus added at the end."""
-    parsed = parse_query(query)
-    index = engine.index
-    n_docs = index.n_docs
-    if top_k <= 0 or not parsed.all_terms:
-        return []
-    candidates = within
-    bonus = np.zeros(n_docs)
-    for phrase in parsed.phrases:
-        docs, counts = index.phrase_matches(phrase)
-        matched = np.zeros(n_docs, dtype=bool)
-        matched[docs] = True
-        if candidates is not None:
-            matched &= candidates
-        candidates = matched
-        bonus[docs] += PHRASE_BOOST * counts
-    scores = np.zeros(n_docs)
-    scored = np.zeros(n_docs, dtype=bool)
-    avg_length = index.average_doc_length or 1.0
-    for term in parsed.all_terms:
-        docs, tf = index.doc_postings(term)
-        df = len(docs)
-        if candidates is not None:
-            keep = candidates[docs]
-            docs, tf = docs[keep], tf[keep]
-        scores[docs] += bm25(tf, index.lengths[docs], df, n_docs, avg_length)
-        scored[docs] = True
-    hits = np.flatnonzero(scored)
-    final = scores[hits] + bonus[hits]
-    ranked = sorted(
-        zip(hits.tolist(), final.tolist()),
-        key=lambda item: (-item[1], index.keys[item[0]]),
-    )
-    return [(index.keys[doc], score) for doc, score in ranked[:top_k]]
-
 
 texts = st.lists(st.sampled_from(WORDS[:-1]), max_size=14)
 corpora = st.dictionaries(
@@ -77,21 +43,151 @@ queries = (
 )
 
 
-@settings(max_examples=400, deadline=None)
-@given(corpora, queries, st.integers(1, 8), st.data())
-def test_search_equals_dense_masked_reference(docs, query, top_k, data):
+def build(docs: dict[str, list[str]]) -> SearchEngine:
     engine = SearchEngine()
     engine.add_documents(
         (key, " ".join(terms), "") for key, terms in docs.items()
     )
+    return engine
+
+
+def draw_within(data, engine: SearchEngine):
     n_docs = engine.index.n_docs
     within = data.draw(
         st.none() | st.lists(st.booleans(), min_size=n_docs, max_size=n_docs)
     )
-    if within is not None:
-        within = np.array(within, dtype=bool)
-    got = [
+    return None if within is None else np.array(within, dtype=bool)
+
+
+def answer(engine: SearchEngine, query: str, top_k: int, within=None):
+    return [
         (hit.doc_key, hit.score)
         for hit in engine.search(query, top_k=top_k, within=within)
     ]
-    assert got == dense_reference(engine, query, top_k, within)
+
+
+def assert_matches_reference(engine, query, top_k, within=None):
+    assert answer(engine, query, top_k, within) == dense_reference(
+        engine, query, top_k, within
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpora, queries, st.integers(1, 8), st.data())
+def test_search_equals_dense_masked_reference(docs, query, top_k, data):
+    engine = build(docs)
+    assert_matches_reference(engine, query, top_k, draw_within(data, engine))
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpora, queries, st.integers(1, 8), st.data())
+def test_warm_memo_serves_another_mask(docs, query, top_k, data):
+    # The first search fills the memo under one mask; the second reads
+    # the same entry under an independently drawn one.
+    engine = build(docs)
+    assert_matches_reference(engine, query, top_k, draw_within(data, engine))
+    phrases = parse_query(query).phrases
+    if phrases and engine.index.run_doc.size:
+        assert phrases in engine.index.phrase_memo
+    assert_matches_reference(engine, query, top_k, draw_within(data, engine))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    corpora,
+    queries,
+    st.integers(1, 8),
+    st.dictionaries(
+        st.sampled_from(["d00", "d03", "d07", "n00", "n01"]),
+        st.lists(st.sampled_from(WORDS + ["fresh"]), max_size=14),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_write_replaces_the_memo(docs, query, top_k, batch):
+    # The batch may replace indexed keys (d..) and add documents (n..)
+    # and the term "fresh", which no earlier generation holds.
+    engine = build(docs)
+    assert_matches_reference(engine, query, top_k)
+    engine.add_documents(
+        (key, " ".join(terms), "") for key, terms in batch.items()
+    )
+    assert_matches_reference(engine, query, top_k)
+    assert_matches_reference(engine, f'"fresh" {query}', top_k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    corpora,
+    queries,
+    st.integers(1, 8),
+    st.dictionaries(
+        st.sampled_from(["d01", "d05", "n00"]),
+        st.lists(st.sampled_from(WORDS), max_size=14),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_clone_and_source_keep_their_own_memo(docs, query, top_k, batch):
+    original = build(docs)
+    assert_matches_reference(original, query, top_k)
+    clone = original.clone()
+    clone.add_documents(
+        (key, " ".join(terms), "") for key, terms in batch.items()
+    )
+    assert_matches_reference(clone, query, top_k)
+    assert_matches_reference(original, query, top_k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(texts, min_size=1, max_size=3),
+    st.lists(st.lists(phrases, min_size=1, max_size=2), max_size=40),
+)
+def test_memo_stays_within_the_doc_level_postings(docs, phrase_sets):
+    engine = build({f"d{i}": terms for i, terms in enumerate(docs)})
+    index = engine.index
+    for phrase_set in phrase_sets:
+        query = " ".join(phrase_set)
+        assert_matches_reference(engine, query, 5)
+        memo = index.phrase_memo
+        cells = sum(max(1, len(hits)) for hits, _, _ in memo.values())
+        assert memo.cells == cells <= len(index.run_doc)
+
+
+def test_concurrent_misses_keep_the_memo_count_exact():
+    # More threads than cores, switching often: a lost update of the
+    # memo's cell count would leave it below the entries' sum.
+    engine = build({
+        f"d{i}": [WORDS[(i + j) % 6] for j in range(8)] for i in range(6)
+    })
+    sent = [f'"{a} {b}"' for a in WORDS for b in WORDS]
+    sent += [f'"{a}" "{b}"' for a in WORDS for b in WORDS]
+    expected = {
+        query: dense_reference(engine, query, 5, None) for query in sent
+    }
+    errors = []
+
+    def client(k: int) -> None:
+        # Overlapping shares: some misses of one key run at once.
+        for query in sent[k::2] + sent[k::3]:
+            if answer(engine, query, 5) != expected[query]:
+                errors.append(query)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=client, args=(k,)) for k in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    memo = engine.index.phrase_memo
+    cells = sum(max(1, len(hits)) for hits, _, _ in memo.values())
+    assert memo.cells == cells <= memo.budget == len(engine.index.run_doc)
