@@ -65,7 +65,7 @@ def parse_query(query: str) -> ParsedQuery:
     terms = tuple(
         normalize_term(word)
         for word in tokenize_words(remainder)
-        if word.isalnum()
+        if word.isalnum() or any(char.isalnum() for char in word)
     )
     return ParsedQuery(tuple(phrases), terms)
 
@@ -153,19 +153,20 @@ class SearchEngine:
     def _search(
         self, query: str, top_k: int, within: "np.ndarray | None"
     ) -> list[SearchResult]:
-        """Score the query's candidate documents over numpy arrays.
+        """Score the query's candidate documents.
 
         A query with quoted phrases can only return the documents that
-        hold every phrase, so those candidates (sorted ordinals) are the
-        only documents scored: each term's postings are looked up at the
-        candidates with ``np.searchsorted``.  The phrase clause — the
-        candidates, their phrase bonus and the phrase terms' BM25 sum
-        there — is evaluated once per index generation, without
-        ``within``, and kept in the index's ``phrase_memo`` (see
+        hold every phrase, so those candidates are the only documents
+        scored, on Python scalars.  The phrase clause — the candidates,
+        their phrase bonus and the phrase terms' BM25 sum there — is
+        evaluated once per index generation, without ``within``, and
+        kept in the index's ``phrase_memo``; so is each loose term's
+        BM25 contribution to every document holding it (see
         :mod:`repro.search.index`: every write replaces the memo).
-        Each query cuts the clause to ``within`` and adds only its loose
-        terms.  A query without phrases accumulates every posting into
-        one dense per-ordinal array instead.
+        Each query cuts the clause to ``within``, adds each loose term
+        from its entry at the candidates that hold it, and sorts the
+        candidates.  A query without phrases accumulates
+        every posting into one dense per-ordinal numpy array instead.
 
         Either way each document's score adds its terms' BM25
         contributions from 0.0 in query-term order (phrase terms first)
@@ -176,41 +177,57 @@ class SearchEngine:
         if not parsed.all_terms:
             return []
         index = self.index
+        keys, titles = index.keys, index.titles
         if parsed.phrases:
-            hits, bonus, final = self._phrase_candidates(parsed.phrases)
+            # The clause is looked up last, so that a memo replaced
+            # because this query's entries overflow it keeps the clause.
+            loose = [self._term_scores(term).get for term in parsed.terms]
+            hits, bonus, partial = self._phrase_candidates(parsed.phrases)
             if within is not None:
-                keep = within[hits]
-                hits, bonus, final = hits[keep], bonus[keep], final[keep]
+                kept = [at for at, doc in enumerate(hits) if within[doc]]
+                hits = [hits[at] for at in kept]
+                bonus = [bonus[at] for at in kept]
+                scores = [partial[at] for at in kept]
             else:
-                final = final.copy()
-            if not len(hits):
+                scores = partial
+            if not hits:
                 return []
-            for term in parsed.terms:
-                self._score_at(final, hits, term)
-            final += bonus
-        else:
-            n_docs = index.n_docs
-            avg_length = index.average_doc_length or 1.0
-            scores = np.zeros(n_docs)
-            for term in parsed.all_terms:
-                docs, tf = index.doc_postings(term)
-                df = len(docs)
-                if within is not None:
-                    keep = within[docs]
-                    docs, tf = docs[keep], tf[keep]
-                scores[docs] += bm25(
-                    tf, index.lengths[docs], df, n_docs, avg_length
-                )
-            # Every BM25 contribution is positive: scored means nonzero.
-            hits = np.flatnonzero(scores)
-            final = scores[hits]
+            for held in loose:
+                # Adding 0.0 where the term is absent keeps a sum as is.
+                scores = [
+                    score + held(doc, 0.0) for score, doc in zip(scores, hits)
+                ]
+            # (-score, doc_key) is the dense path's order; a key is
+            # unique, so the ordinal is never compared.
+            ranked = sorted(
+                (-(score + extra), keys[doc], doc)
+                for score, extra, doc in zip(scores, bonus, hits)
+            )
+            return [
+                SearchResult(key, -negated, titles[doc])
+                for negated, key, doc in ranked[:top_k]
+            ]
+        n_docs = index.n_docs
+        avg_length = index.average_doc_length or 1.0
+        scores = np.zeros(n_docs)
+        for term in parsed.all_terms:
+            docs, tf = index.doc_postings(term)
+            df = len(docs)
+            if within is not None:
+                keep = within[docs]
+                docs, tf = docs[keep], tf[keep]
+            scores[docs] += bm25(
+                tf, index.lengths[docs], df, n_docs, avg_length
+            )
+        # Every BM25 contribution is positive: scored means nonzero.
+        hits = np.flatnonzero(scores)
+        final = scores[hits]
         if len(hits) > top_k:
             # Every hit tied with the k-th best survives the cut, so the
             # (-score, doc_key) order below decides the boundary.
             cut = len(hits) - top_k
             keep = final >= np.partition(final, cut)[cut]
             hits, final = hits[keep], final[keep]
-        keys, titles = index.keys, index.titles
         ranked = sorted(
             zip((-final).tolist(), hits.tolist()),
             key=lambda item: (item[0], keys[item[1]]),
@@ -239,18 +256,35 @@ class SearchEngine:
             index.average_doc_length or 1.0,
         )
 
+    def _term_scores(self, term: str) -> dict[int, float]:
+        """``term``'s BM25 contribution to each document holding it,
+        by ordinal; memoized per index generation."""
+        index = self.index
+        entry = index.phrase_memo.get(term)
+        if entry is None:
+            docs, tf = index.doc_postings(term)
+            values = bm25(
+                tf,
+                index.lengths[docs],
+                len(docs),
+                index.n_docs,
+                index.average_doc_length or 1.0,
+            )
+            entry = dict(zip(docs.tolist(), values.tolist()))
+            self._remember(term, entry, len(entry))
+        return entry
+
     def _phrase_candidates(
         self, phrases: tuple[tuple[str, ...], ...]
-    ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """The phrase clause: sorted ordinals of the documents holding
+    ) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
+        """The phrase clause: ascending ordinals of the documents holding
         every phrase, each one's summed phrase bonus, and the BM25 sum
         of the phrase terms there (added from 0.0 in phrase-term order).
 
-        Memoized per index generation, as read-only arrays.
+        Memoized per index generation; computed with numpy on a miss.
         """
         index = self.index
-        memo = index.phrase_memo
-        clause = memo.get(phrases)
+        clause = index.phrase_memo.get(phrases)
         if clause is not None:
             return clause
         docs, counts = index.phrase_matches(phrases[0])
@@ -265,11 +299,16 @@ class SearchEngine:
         for phrase in phrases:
             for term in phrase:
                 self._score_at(partial, docs, term)
-        clause = (docs, bonus, partial)
-        # A full memo is replaced, not grown.  Concurrent misses may
-        # add equal clauses; either one serves.
-        if not memo.add(phrases, clause):
-            memo = PhraseMemo(memo.budget)
-            memo.add(phrases, clause)
-            index.phrase_memo = memo
+        clause = tuple(
+            tuple(column.tolist()) for column in (docs, bonus, partial)
+        )
+        self._remember(phrases, clause, len(docs))
         return clause
+
+    def _remember(self, key, entry, size: int) -> None:
+        """Keep a memo entry; a full memo is replaced, not grown."""
+        memo = self.index.phrase_memo
+        if not memo.add(key, entry, size):
+            memo = PhraseMemo(memo.budget)
+            memo.add(key, entry, size)
+            self.index.phrase_memo = memo

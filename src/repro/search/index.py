@@ -19,21 +19,26 @@ Ranked queries read the doc-level postings.  A phrase query turns its
 terms' position postings into sorted ``doc << 32 | position`` keys and
 intersects them with ``np.searchsorted``, starting from the rarest term.
 Its matches are sorted ordinals, so the search engine scores a query
-with phrases only at the documents that hold them: it looks each term's
-doc-level postings up at those candidates with ``np.searchsorted``.  A
-query without phrases adds every posting into one dense per-ordinal
-array.
+with phrases only at the documents that hold them: it looks the phrase
+terms' doc-level postings up at those candidates with
+``np.searchsorted``, and each loose term up in its memoized entry (see
+below).  A query without phrases adds every posting into one dense
+per-ordinal array.
 
-A query's phrase clause (its candidates, their phrase bonus and the
-BM25 sum of the phrase terms there) depends only on the phrases and
-the arrays, so the engine evaluates it once per index generation and
-keeps it in ``phrase_memo``, a :class:`PhraseMemo`.  Every write
+A phrase query's per-generation work is kept in ``phrase_memo``, a
+:class:`PhraseMemo`, with two kinds of entry.  A *phrase clause* (the
+query's candidates, their phrase bonus and the BM25 sum of the phrase
+terms there) depends only on the phrases and the arrays.  A *loose
+term's entry* maps each document holding the term to the term's BM25
+contribution there, computed over its whole doc-level posting list, so
+the engine adds a loose term at a query's few candidates with dict
+lookups; building it costs O(df) once per generation.  Every write
 replaces the memo with an empty one (never clears it in place), so a
 clone shares its source's memo exactly as long as it shares its
-arrays.  The memo counts each entry as ``max(1, candidates)`` and
-refuses an entry that would take that count past the index's
-doc-level posting count; the engine then starts a new memo, so it
-stays O(index) whatever the traffic.
+arrays.  The memo counts a clause as ``max(1, candidates)`` cells and a
+term as ``max(1, df)``, and refuses an entry that would take that count
+past the index's doc-level posting count; the engine then starts a new
+memo, so it stays O(index) whatever the traffic.
 
 The arrays are never written in place.  A write batch
 (:meth:`InvertedIndex.add_documents`) stable-sorts only its own tokens
@@ -130,12 +135,16 @@ def _append_to_slices(starts, columns, terms, rows, n_terms):
 
 
 class PhraseMemo(dict):
-    """Evaluated phrase clauses of one index generation, keyed by the
-    normalized phrases.
+    """What phrase queries evaluate once per index generation.
 
-    Each entry ``(candidates, bonus, partial scores)`` counts as
-    ``max(1, len(candidates))`` cells; ``cells`` is their sum and never
-    exceeds ``budget``, the generation's doc-level posting count.
+    A phrase clause, keyed by the normalized phrases, is ``(candidates,
+    bonus, partial scores)``: three tuples of Python values, one item
+    per candidate ordinal.  A loose term's entry, keyed by the
+    normalized term, is ``{ordinal: BM25 contribution}`` over every
+    document holding the term.  ``cells`` sums ``max(1, size)`` over the
+    entries (a clause's size is its candidate count, a term's its
+    document frequency) and never exceeds ``budget``, the generation's
+    doc-level posting count.
     """
 
     def __init__(self, budget: int) -> None:
@@ -144,16 +153,17 @@ class PhraseMemo(dict):
         self.cells = 0
         self._lock = threading.Lock()
 
-    def add(self, phrases, clause) -> bool:
-        """Keep ``clause``, made read-only, under ``phrases``; False,
+    def add(self, key, entry, size: int) -> bool:
+        """Keep ``entry``, of ``size`` items, under ``key``; False,
         keeping nothing, when it would take the memo past its budget."""
-        cells = max(1, len(clause[0]))
-        for array in clause:
-            _frozen(array)
+        cells = max(1, size)
         with self._lock:
+            if key in self:
+                # A concurrent miss stored an equal entry first.
+                return True
             if self.cells + cells > self.budget:
                 return False
-            self[phrases] = clause
+            self[key] = entry
             self.cells += cells
         return True
 

@@ -45,6 +45,13 @@ class TestParseQuery:
         parsed = parse_query('"new ceo" deal')
         assert parsed.all_terms == ("new", "ceo", "deal")
 
+    def test_tokens_with_punctuation_are_terms(self):
+        # Only tokens without any letter or digit are dropped.
+        parsed = parse_query("Acme's state-of-the-art -- U.S. 12% & $4.5 !")
+        assert parsed.terms == (
+            "acme's", "state-of-the-art", "u.s.", "12%", "$4.5"
+        )
+
 
 class TestSearch:
     def test_phrase_restricts_results(self, engine):
@@ -79,6 +86,26 @@ class TestSearch:
         engine = SearchEngine()
         engine.add_document("x", "acme expands", title="Acme grows")
         assert engine.search("acme")[0].title == "Acme grows"
+
+
+@pytest.mark.parametrize(
+    "query", ["state-of-the-art", "Acme's", "12%", "U.S."]
+)
+def test_loose_term_with_punctuation_finds_its_document(query):
+    engine = build_engine_from_pairs(
+        [
+            ("plant", "Acme's state-of-the-art plant in the U.S. grew 12%"),
+            ("other", "Globex opened a plant in May"),
+        ]
+    )
+    assert [hit.doc_key for hit in engine.search(query)] == ["plant"]
+    # With a phrase, the term adds to its document's score only.
+    alone = {hit.doc_key: hit.score for hit in engine.search('"plant"')}
+    mixed = {
+        hit.doc_key: hit.score for hit in engine.search(f'"plant" {query}')
+    }
+    assert mixed["plant"] > alone["plant"]
+    assert mixed["other"] == alone["other"]
 
 
 class TestDegenerateQueries:

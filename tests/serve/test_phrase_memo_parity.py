@@ -2,10 +2,12 @@
 
 Analysts pair each driver's smart queries (quoted phrases) and a few
 loose keywords with company names, so on a cold portal every query
-string is new while its phrases repeat.  The engine evaluates each
-phrase clause once per index generation; a second pass with other
-company names therefore runs entirely on memoized clauses.  Both
-passes, and one query through each shard view, must equal
+string is new while its phrases and company-name terms repeat.  The
+engine evaluates each phrase clause, and each loose term's BM25
+contributions, once per index generation; a second pass with other
+company names therefore runs on memoized clauses, and one with the same
+names in another order on memoized term entries too.  Every pass, and
+one query through each shard view, must equal
 :func:`tests.search.helpers.dense_reference` on the snapshot's index,
 which never reads the memo.
 """
@@ -83,7 +85,14 @@ def test_analyst_mix_equals_reference_cold_and_warm(portal, monkeypatch):
     phrase_sets = {parse_query(query).phrases for query in templates} - {()}
     cold = [f"{t} {org}" for org in orgs[:5] for t in templates]
     assert_match_reference(portal, cold, send(portal, cold))
-    assert set(index.phrase_memo) == phrase_sets
+    # Plus one entry per loose term of a query with phrases.
+    loose = {
+        term
+        for query in cold
+        if parse_query(query).phrases
+        for term in parse_query(query).terms
+    }
+    assert set(index.phrase_memo) == phrase_sets | loose
     # Other company names: new query strings, so the cache misses, but
     # every phrase clause is already memoized.
     warm = [f"{t} {org}" for org in orgs[5:] for t in templates]
@@ -99,6 +108,30 @@ def test_each_shard_view_equals_reference_cut_to_its_mask(portal):
     org = build_org_names(1)[0]
     for shard, view in enumerate(snapshot.shards):
         query = f"{analyst_mix()[shard]} {org}"
+        assert answers(view.search(query, top_k=10)) == dense_reference(
+            snapshot.engine, query, 10, view.ordinals
+        )
+
+
+def test_company_names_read_warm_term_entries(portal, monkeypatch):
+    # serve-cold's phrase queries: a smart query and a company name.
+    # The second pass puts the name first: new query strings (the cache
+    # misses) with the same phrases and loose terms, so it reads every
+    # clause and term entry from the memo.
+    smart = [query for query in analyst_mix() if parse_query(query).phrases]
+    assert len(smart) == 15
+    orgs = build_org_names(20)[10:]
+    first = [f"{t} {org}" for org in orgs for t in smart]
+    assert_match_reference(portal, first, send(portal, first))
+    second = [f"{org} {t}" for org in orgs for t in smart]
+    looked_up = count_calls(monkeypatch, InvertedIndex, "doc_postings")
+    responses = send(portal, second)
+    assert looked_up == []
+    monkeypatch.undo()
+    assert_match_reference(portal, second, responses)
+    snapshot = portal.shards.snapshot
+    for shard, view in enumerate(snapshot.shards):
+        query = second[shard]
         assert answers(view.search(query, top_k=10)) == dense_reference(
             snapshot.engine, query, 10, view.ordinals
         )
