@@ -30,7 +30,7 @@ def _train_and_eval(dataset, policy):
         etap.config.negative_sample_size
     )
     classifier = TriggerEventClassifier(
-        MERGERS_ACQUISITIONS, policy=policy
+        MERGERS_ACQUISITIONS, policy=policy, text_engine=etap.text_engine
     )
     classifier.fit(
         noisy, negatives,

@@ -44,25 +44,28 @@ def bench_classifier_families(benchmark, medium_dataset):
         results = {}
         for name, factory in FACTORIES.items():
             classifier = TriggerEventClassifier(
-                MERGERS_ACQUISITIONS, classifier_factory=factory
+                MERGERS_ACQUISITIONS,
+                classifier_factory=factory,
+                text_engine=etap.text_engine,
             )
             classifier.fit(noisy, negatives, pure_positive=pure)
             predictions = classifier.predict(medium_dataset.test_items)
             results[name] = precision_recall_f1(labels, predictions)
 
         # Lee & Liu weighted LR (PU learning, no denoising loop).
-        reference = TriggerEventClassifier(MERGERS_ACQUISITIONS)
+        reference = TriggerEventClassifier(
+            MERGERS_ACQUISITIONS, text_engine=etap.text_engine
+        )
         reference.fit(noisy, negatives, pure_positive=pure)
         X_pos = reference.vectorizer.transform(
-            [reference.features_of(item) for item in list(noisy) + list(pure)]
+            [item.snippet.sentences for item in list(noisy) + list(pure)]
         )
         X_unlabeled = reference.vectorizer.transform(
-            [reference.features_of(item) for item in negatives]
+            [item.snippet.sentences for item in negatives]
         )
         model = fit_pu_weighted(X_pos, X_unlabeled, unlabeled_weight=0.7)
         X_test = reference.vectorizer.transform(
-            [reference.features_of(item)
-             for item in medium_dataset.test_items]
+            [item.snippet.sentences for item in medium_dataset.test_items]
         )
         results["weighted LR (Lee-Liu PU)"] = precision_recall_f1(
             labels, model.predict(X_test)

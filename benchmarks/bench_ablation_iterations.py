@@ -31,7 +31,9 @@ def bench_iteration_sweep(benchmark, medium_dataset):
         results = {}
         for max_iter in SWEEP:
             classifier = TriggerEventClassifier(
-                CHANGE_IN_MANAGEMENT, max_denoise_iter=max_iter
+                CHANGE_IN_MANAGEMENT,
+                max_denoise_iter=max_iter,
+                text_engine=etap.text_engine,
             )
             classifier.fit(noisy, negatives, pure_positive=pure)
             predictions = classifier.predict(medium_dataset.test_items)

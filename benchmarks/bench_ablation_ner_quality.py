@@ -69,7 +69,9 @@ def bench_ner_quality_sweep(benchmark, medium_dataset):
                 MERGERS_ACQUISITIONS
             ]
         ]
-        classifier = TriggerEventClassifier(MERGERS_ACQUISITIONS)
+        classifier = TriggerEventClassifier(
+            MERGERS_ACQUISITIONS, text_engine=text_engine
+        )
         classifier.fit(noisy, negatives, pure_positive=pure)
         predictions = classifier.predict(test_items)
         # Company attribution: a trigger event without its companies is

@@ -39,6 +39,7 @@ def bench_ngram_ablation(benchmark, medium_dataset):
                 vectorizer_config=VectorizerConfig(
                     min_df=2, ngram_range=ngram_range
                 ),
+                text_engine=etap.text_engine,
             )
             classifier.fit(noisy, negatives, pure_positive=pure)
             predictions = classifier.predict(medium_dataset.test_items)

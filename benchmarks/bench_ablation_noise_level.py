@@ -51,7 +51,9 @@ def bench_query_noise_level(benchmark, medium_dataset):
         noisy, report = etap.training.noisy_positive(
             driver, top_k_per_query=etap.config.top_k_per_query
         )
-        classifier = TriggerEventClassifier(MERGERS_ACQUISITIONS)
+        classifier = TriggerEventClassifier(
+            MERGERS_ACQUISITIONS, text_engine=etap.text_engine
+        )
         classifier.fit(noisy, negatives, pure_positive=pure)
         predictions = classifier.predict(medium_dataset.test_items)
         return {

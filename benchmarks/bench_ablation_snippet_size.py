@@ -37,7 +37,9 @@ def bench_snippet_window_sweep(benchmark, medium_dataset):
         negatives = training.negative_sample(
             etap.config.negative_sample_size
         )
-        classifier = TriggerEventClassifier(REVENUE_GROWTH)
+        classifier = TriggerEventClassifier(
+            REVENUE_GROWTH, text_engine=etap.text_engine
+        )
         classifier.fit(
             noisy, negatives,
             pure_positive=medium_dataset.pure_positive[REVENUE_GROWTH],

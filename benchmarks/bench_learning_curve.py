@@ -34,7 +34,9 @@ def bench_learning_curve(benchmark, medium_dataset):
             noisy, report = etap.training.noisy_positive(
                 driver, top_k_per_query=budget
             )
-            classifier = TriggerEventClassifier(CHANGE_IN_MANAGEMENT)
+            classifier = TriggerEventClassifier(
+                CHANGE_IN_MANAGEMENT, text_engine=etap.text_engine
+            )
             classifier.fit(noisy, negatives, pure_positive=pure)
             predictions = classifier.predict(medium_dataset.test_items)
             results[budget] = (

@@ -238,7 +238,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _load_trained_etap(args: argparse.Namespace) -> Etap:
     workspace = _workspace(args.workspace)
     etap = _load_etap(workspace, _config_from_args(args), args.tracer)
-    classifiers = load_classifiers(workspace / MODELS_DIR)
+    classifiers = load_classifiers(
+        workspace / MODELS_DIR, etap.text_engine
+    )
     if not classifiers:
         raise SystemExit(
             f"no trained classifiers in {workspace / MODELS_DIR}; run "
@@ -630,7 +632,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         tracer=tracer,
     )
     gather_report = etap.gather()
-    classifiers = load_classifiers(models_dir)
+    classifiers = load_classifiers(models_dir, etap.text_engine)
     if classifiers:
         etap.classifiers = classifiers
         print(f"loaded {len(classifiers)} classifiers "

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.training import AnnotatedSnippet
-from repro.features.abstraction import AbstractionPolicy, abstract_tokens
+from repro.features.abstraction import AbstractionPolicy
 from repro.features.vectorizer import Vectorizer, VectorizerConfig
 from repro.ml.noise import (
     ClassifierFactory,
@@ -25,7 +25,6 @@ from repro.ml.noise import (
 )
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.text.engine import AnnotationEngine
-from repro.text.stem import PorterStemmer
 
 
 @dataclass
@@ -64,14 +63,12 @@ class TriggerEventClassifier:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.policy = policy or AbstractionPolicy.paper_default()
         #: Shared annotate-once engine: feature abstraction is cached
-        #: per (snippet content, policy), so a bank of per-driver
-        #: classifiers abstracts each snippet once, not once per driver.
-        self.text_engine = text_engine
-        self._stemmer = (
-            text_engine.stemmer if text_engine else PorterStemmer()
-        )
+        #: per (sentence, policy), so a bank of per-driver classifiers
+        #: abstracts each sentence once, not once per driver.
+        self.text_engine = text_engine or AnnotationEngine()
         self.vectorizer = Vectorizer(
-            vectorizer_config or VectorizerConfig(min_df=2)
+            vectorizer_config or VectorizerConfig(min_df=2),
+            featurize=self._featurize,
         )
         reducer_kwargs = {}
         if classifier_factory is not None:
@@ -87,19 +84,20 @@ class TriggerEventClassifier:
 
     # -- features ----------------------------------------------------------
 
-    def features_of(self, item: AnnotatedSnippet) -> list[str]:
-        if self.text_engine is not None:
-            return self.text_engine.features(
-                item.snippet.sentences, item.annotated, self.policy
-            )
-        return abstract_tokens(
-            item.annotated, self.policy, stemmer=self._stemmer
-        )
+    def _featurize(
+        self, sentences: Sequence[str]
+    ) -> list[tuple[tuple[str, ...], bool]]:
+        return self.text_engine.features(sentences, self.policy)
 
-    def _feature_lists(
-        self, items: Sequence[AnnotatedSnippet]
-    ) -> list[list[str]]:
-        return [self.features_of(item) for item in items]
+    def features_of(self, item: AnnotatedSnippet) -> list[str]:
+        """The snippet's feature tokens, as its matrix row counts them."""
+        return self.vectorizer.tokens(item.snippet.sentences)
+
+    @staticmethod
+    def _sentence_tuples(
+        items: Sequence[AnnotatedSnippet],
+    ) -> list[tuple[str, ...]]:
+        return [item.snippet.sentences for item in items]
 
     # -- training -----------------------------------------------------------
 
@@ -115,20 +113,17 @@ class TriggerEventClassifier:
         if not negative:
             raise ValueError("negative set is empty")
         with self.tracer.span(f"train.fit[{self.driver_id}]") as span:
-            tokens_noisy = self._feature_lists(noisy_positive)
-            tokens_negative = self._feature_lists(negative)
-            tokens_pure = self._feature_lists(pure_positive)
-
-            self.vectorizer.fit(
-                tokens_noisy + tokens_negative + tokens_pure
+            # One product for all three sets: the vocabulary is fit on
+            # their union, and each set is a row range of its matrix.
+            X = self.vectorizer.fit_transform(
+                self._sentence_tuples(noisy_positive)
+                + self._sentence_tuples(negative)
+                + self._sentence_tuples(pure_positive)
             )
-            X_noisy = self.vectorizer.transform(tokens_noisy)
-            X_negative = self.vectorizer.transform(tokens_negative)
-            X_pure = (
-                self.vectorizer.transform(tokens_pure)
-                if tokens_pure
-                else None
-            )
+            n_noisy, n_negative = len(noisy_positive), len(negative)
+            X_noisy = X[:n_noisy]
+            X_negative = X[n_noisy : n_noisy + n_negative]
+            X_pure = X[n_noisy + n_negative :] if pure_positive else None
 
             result = self._reducer.fit(X_noisy, X_negative, X_pure)
             span.add_items(
@@ -166,7 +161,7 @@ class TriggerEventClassifier:
         if not items:
             return np.zeros(0)
         with self.tracer.timed("classifier.score_seconds"):
-            X = self.vectorizer.transform(self._feature_lists(items))
+            X = self.vectorizer.transform(self._sentence_tuples(items))
             probabilities = self._model.predict_proba(X)[:, 1]
         self.tracer.count("classifier.snippets_scored", len(items))
         return probabilities
@@ -221,7 +216,7 @@ class TriggerEventClassifier:
             return []
         # Stay sparse: one snippet touches a handful of features, so
         # contributions are computed over the CSR row's nonzeros only.
-        X = self.vectorizer.transform([self.features_of(item)]).tocsr()
+        X = self.vectorizer.transform([item.snippet.sentences])
         columns = X.indices
         contributions = X.data * weights[columns]
         present = contributions != 0

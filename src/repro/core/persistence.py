@@ -38,10 +38,11 @@ import numpy as np
 
 from repro.core.classifier import TriggerEventClassifier
 from repro.features.abstraction import AbstractionPolicy
-from repro.features.vectorizer import Vectorizer, VectorizerConfig
+from repro.features.vectorizer import VectorizerConfig
 from repro.ml.naive_bayes import MultinomialNaiveBayes
 from repro.obs.clock import MonotonicClock
 from repro.obs.events import EVENT_TYPES, Event, new_run_id
+from repro.text.engine import AnnotationEngine
 
 FORMAT_VERSION = 1
 
@@ -92,30 +93,35 @@ def classifier_to_dict(classifier: TriggerEventClassifier) -> dict:
     }
 
 
-def classifier_from_dict(record: dict) -> TriggerEventClassifier:
-    """Rebuild a classifier saved by :func:`classifier_to_dict`."""
+def classifier_from_dict(
+    record: dict, text_engine: AnnotationEngine | None = None
+) -> TriggerEventClassifier:
+    """Rebuild a classifier saved by :func:`classifier_to_dict`.
+
+    ``text_engine`` is the annotation engine it reads features through
+    (a private one when ``None``).
+    """
     version = record.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(
             f"unsupported classifier format version {version!r}"
         )
+    vec_record = record["vectorizer"]
     classifier = TriggerEventClassifier(
         record["driver_id"],
         policy=AbstractionPolicy(
             abstract_categories=frozenset(record["policy"])
         ),
-    )
-    vec_record = record["vectorizer"]
-    vectorizer = Vectorizer(
-        VectorizerConfig(
+        vectorizer_config=VectorizerConfig(
             min_df=vec_record["min_df"],
             binary=vec_record["binary"],
             max_features=vec_record["max_features"],
-        )
+        ),
+        text_engine=text_engine,
     )
+    vectorizer = classifier.vectorizer
     vectorizer.vocabulary = dict(vec_record["vocabulary"])
     vectorizer._fitted = True
-    classifier.vectorizer = vectorizer
     classifier._model = _load_model(record["model"])
     return classifier
 
@@ -129,10 +135,12 @@ def save_classifier(
     )
 
 
-def load_classifier(path: str | Path) -> TriggerEventClassifier:
+def load_classifier(
+    path: str | Path, text_engine: AnnotationEngine | None = None
+) -> TriggerEventClassifier:
     """Load a classifier written by :func:`save_classifier`."""
     record = json.loads(Path(path).read_text(encoding="utf-8"))
-    return classifier_from_dict(record)
+    return classifier_from_dict(record, text_engine)
 
 
 def save_classifiers(
@@ -151,12 +159,17 @@ def save_classifiers(
 
 def load_classifiers(
     directory: str | Path,
+    text_engine: AnnotationEngine | None = None,
 ) -> dict[str, TriggerEventClassifier]:
-    """Load every ``*.classifier.json`` in ``directory``."""
+    """Load every ``*.classifier.json`` in ``directory``.
+
+    The classifiers share ``text_engine``, so each sentence is
+    featurized once for all of them.
+    """
     directory = Path(directory)
     classifiers = {}
     for path in sorted(directory.glob("*.classifier.json")):
-        classifier = load_classifier(path)
+        classifier = load_classifier(path, text_engine)
         classifiers[classifier.driver_id] = classifier
     return classifiers
 

@@ -27,12 +27,53 @@ from repro.text.annotator import AnnotatedText
 from repro.text.engine import AnnotationEngine
 
 
-@dataclass(frozen=True)
 class AnnotatedSnippet:
-    """A snippet together with its annotation (the classifier's input)."""
+    """A snippet together with its annotation (the classifier's input).
 
-    snippet: Snippet
-    annotated: AnnotatedText
+    The classifier reads only the snippet's sentences: its features are
+    per-sentence products of the annotation engine.  The snippet-level
+    :class:`AnnotatedText` is for readers of entities (the drivers'
+    filters, company extraction, evaluation).  Given ``engine`` instead
+    of ``annotated``, it is composed on first read, from the engine's
+    cached sentence annotations, so a snippet that is only scored never
+    builds one.
+    """
+
+    __slots__ = ("snippet", "_annotated", "_engine")
+
+    def __init__(
+        self,
+        snippet: Snippet,
+        annotated: AnnotatedText | None = None,
+        engine: AnnotationEngine | None = None,
+    ) -> None:
+        if annotated is None and engine is None:
+            raise ValueError("need an annotation or an engine to compose one")
+        self.snippet = snippet
+        self._annotated = annotated
+        self._engine = engine
+
+    @property
+    def annotated(self) -> AnnotatedText:
+        if self._annotated is None:
+            self._annotated = self._engine.annotate(self.snippet.sentences)
+            # Held events must not pin the engine and all its caches.
+            self._engine = None
+        return self._annotated
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AnnotatedSnippet):
+            return NotImplemented
+        return (self.snippet, self.annotated) == (
+            other.snippet,
+            other.annotated,
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.snippet)
+
+    def __repr__(self) -> str:
+        return f"AnnotatedSnippet(snippet={self.snippet!r})"
 
 
 @dataclass
@@ -75,11 +116,8 @@ class TrainingDataGenerator:
     # -- shared plumbing ------------------------------------------------------
 
     def _annotate(self, snippet: Snippet) -> AnnotatedSnippet:
-        """Annotate once, from the snippet's own sentences (cached)."""
-        return AnnotatedSnippet(
-            snippet=snippet,
-            annotated=self.text_engine.annotate(snippet.sentences),
-        )
+        """The snippet, annotated on first read from its own sentences."""
+        return AnnotatedSnippet(snippet, engine=self.text_engine)
 
     def snippets_of_document(self, doc_id: str) -> list[Snippet]:
         """Window one stored document (memoized; snippets are frozen).

@@ -28,7 +28,6 @@ from repro.corpus.templates import (
     REVENUE_GROWTH,
 )
 from repro.corpus.web import build_web
-from repro.text.annotator import Annotator
 
 
 @dataclass
@@ -151,14 +150,10 @@ def build_evaluation_dataset(
 
     holdout = CorpusGenerator(CorpusConfig(seed=spec.seed + 1000))
     windower = SnippetGenerator()
-    annotator = Annotator()
 
     def annotate(snippets: list[Snippet]) -> list[AnnotatedSnippet]:
         return [
-            AnnotatedSnippet(
-                snippet=snippet,
-                annotated=annotator.annotate(snippet.text),
-            )
+            AnnotatedSnippet(snippet, engine=etap.text_engine)
             for snippet in snippets
         ]
 

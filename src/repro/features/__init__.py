@@ -1,4 +1,4 @@
-"""Feature pipeline: RIG analysis, abstraction, batch vectorizing."""
+"""Feature pipeline: RIG analysis, abstraction, sentence-row vectorizing."""
 
 from repro.features.abstraction import (
     AbstractionAnalyzer,
@@ -8,7 +8,6 @@ from repro.features.abstraction import (
     iv_pairs,
     pa_pairs,
 )
-from repro.features.batch import batch_transform
 from repro.features.rig import (
     conditional_entropy,
     entropy,
@@ -25,7 +24,6 @@ __all__ = [
     "Vectorizer",
     "VectorizerConfig",
     "abstract_tokens",
-    "batch_transform",
     "conditional_entropy",
     "entropy",
     "iv_pairs",

@@ -32,14 +32,16 @@ against the shared annotation engine, so the sentence splits it caches
 are the ones the downstream training and extraction stages read.  A
 worker process splits and tokenizes with the engine's module functions
 directly: an engine built there would die with the process, caches and
-all.
+all.  It ships each document's sentence boundaries back beside its
+token stream instead, and the parent seeds its engine's split cache
+from them, so a document is split once at any worker count.
 """
 
 from __future__ import annotations
 
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Sequence
 
@@ -47,7 +49,14 @@ import numpy as np
 
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 from repro.search.index import InvertedIndex
-from repro.text.engine import AnnotationEngine, split_document, text_terms
+from repro.text.engine import (
+    AnnotationEngine,
+    ShippedSplits,
+    split_of_spans,
+    text_key,
+    text_terms,
+)
+from repro.text.sentences import split_sentences
 
 
 def shard_of(fingerprint: str, n_shards: int) -> int:
@@ -78,6 +87,10 @@ class ShardResult:
     sentence_hits: int
     sentence_misses: int
     fallbacks: int
+    #: The shard's document splits, shipped back from a worker process
+    #: so the parent never re-splits; ``None`` for the inline shard,
+    #: which split into the shared engine directly.
+    splits: ShippedSplits | None = None
 
 
 @dataclass
@@ -89,6 +102,8 @@ class IngestResult:
     sentence_hits: int = 0
     sentence_misses: int = 0
     fallbacks: int = 0
+    #: Each worker shard's shipped splits, in shard order.
+    splits: list[ShippedSplits] = field(default_factory=list)
 
 
 def tokenize_shard(
@@ -109,21 +124,35 @@ def tokenize_shard(
     (see :func:`~repro.text.engine.terms_compose`) is tokenized whole.
 
     ``engine`` is the shared annotation engine for the inline
-    (``workers=1``) path; a worker process passes ``None`` and reads
-    the same splits and terms uncached.
+    (``workers=1``) path; a worker process passes ``None``, reads the
+    same splits and terms uncached, and ships each document's sentence
+    boundaries back (:class:`~repro.text.engine.ShippedSplits`).
     """
-    if engine is None:
-        split_of, terms_of = split_document, text_terms
-    else:
-        split_of, terms_of = engine.split, engine.sentence_terms
+    shipped = engine is None
+    terms_of = text_terms if shipped else engine.sentence_terms
+    keys: list[bytes] = []
+    bounds = array("i")
+    split_ptr = array("i", [0])
+    composes: list[bool] = []
     vocab_ids: dict[str, int] = {}
     sentence_memo: dict[str, "np.ndarray"] = {}
     doc_arrays: list[np.ndarray] = []
     hits = misses = fallbacks = 0
     n_docs = len(offsets) - 1
     for j in range(n_docs):
-        text = buffer[offsets[j]:offsets[j + 1]].decode("utf-8")
-        split = split_of(text)
+        data = buffer[offsets[j]:offsets[j + 1]]
+        text = data.decode("utf-8")
+        if shipped:
+            spans = split_sentences(text)
+            split = split_of_spans(text, spans)
+            keys.append(text_key(data))
+            for span in spans:
+                bounds.append(span.start)
+                bounds.append(span.start + len(span.text))
+            split_ptr.append(len(bounds) // 2)
+            composes.append(split.composes)
+        else:
+            split = engine.split(text)
         pieces = split.sentences
         if not split.composes:
             fallbacks += 1
@@ -180,6 +209,14 @@ def tokenize_shard(
         sentence_hits=hits,
         sentence_misses=misses,
         fallbacks=fallbacks,
+        splits=ShippedSplits(
+            keys=keys,
+            bounds=np.frombuffer(bounds, dtype=np.int32),
+            ptr=np.frombuffer(split_ptr, dtype=np.int32),
+            composes=np.array(composes, dtype=bool),
+        )
+        if shipped
+        else None,
     )
 
 
@@ -261,6 +298,10 @@ class ShardedIngester:
             span.add_items(len(accepted))
         with self.tracer.span("ingest.merge"):
             merged = self._merge(shards, results, accepted)
+        merged.splits = [r.splits for r in results if r.splits is not None]
+        if self.text_engine is not None:
+            for splits in merged.splits:
+                self.text_engine.seed_splits(splits)
         for shard_id, docs in enumerate(shards):
             result = results[shard_id]
             self.tracer.count(

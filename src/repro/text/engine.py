@@ -25,10 +25,11 @@ values in canonical order (see :mod:`repro.gather.ingest`).
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, TypeVar
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence, TypeVar
 
 from repro.features.abstraction import AbstractionPolicy, abstract_tokens
 from repro.text.annotator import AnnotatedText, AnnotatedToken, Annotator
@@ -36,6 +37,9 @@ from repro.text.ner import Entity, NerConfig
 from repro.text.sentences import Sentence, split_sentences
 from repro.text.stem import PorterStemmer
 from repro.text.tokenizer import tokenize_words
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 T = TypeVar("T")
 K = TypeVar("K", bound=Hashable)
@@ -45,6 +49,8 @@ K = TypeVar("K", bound=Hashable)
 DEFAULT_CAPACITY = 100_000
 
 _SENTENCE_END_TOKENS = frozenset({".", "!", "?"})
+
+_MISSING = object()
 
 
 @dataclass
@@ -96,7 +102,42 @@ class AnnotationCache:
                 self._entries.move_to_end(key)
                 return self._entries[key]
             self.stats.misses += 1
-        value = compute(key)
+        return self.put(key, compute(key))
+
+    def get_or_compute_many(
+        self, keys: Sequence[K], compute: Callable[[K], T]
+    ) -> list[T]:
+        """:meth:`get_or_compute` for each of ``keys``, in order.
+
+        The hits are read under one lock acquisition; each miss is then
+        computed outside the lock, as in :meth:`get_or_compute`.
+        """
+        values: list = [_MISSING] * len(keys)
+        missing: list[int] = []
+        with self._lock:
+            entries = self._entries
+            for i, key in enumerate(keys):
+                value = entries.get(key, _MISSING)
+                if value is _MISSING:
+                    missing.append(i)
+                else:
+                    entries.move_to_end(key)
+                    values[i] = value
+            self.stats.hits += len(keys) - len(missing)
+            self.stats.misses += len(missing)
+        for i in missing:
+            values[i] = self.put(keys[i], compute(keys[i]))
+        return values
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._entries
+
+    def put(self, key: K, value: T) -> T:
+        """Insert a value computed elsewhere; no hit or miss is counted.
+
+        Returns the cached value, which is ``value`` unless the key was
+        already present.
+        """
         with self._lock:
             if key not in self._entries:
                 self._entries[key] = value
@@ -126,10 +167,42 @@ class SentenceSplit:
 
 def split_document(text: str) -> SentenceSplit:
     """Split ``text`` into sentences and check that they compose."""
-    spans = split_sentences(text)
+    return split_of_spans(text, split_sentences(text))
+
+
+def split_of_spans(text: str, spans: list[Sentence]) -> SentenceSplit:
+    """The :class:`SentenceSplit` of ``text`` from its sentence spans."""
     return SentenceSplit(
         tuple(span.text for span in spans), terms_compose(text, spans)
     )
+
+
+def text_key(data: bytes) -> bytes:
+    """Content key of a document's UTF-8 text, for shipped splits."""
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
+@dataclass(frozen=True)
+class ShippedSplits:
+    """Sentence splits computed in a worker process, as flat arrays.
+
+    Document ``j`` has the sentences ``text[bounds[2*i]:bounds[2*i+1]]``
+    for ``i`` in ``range(ptr[j], ptr[j+1])`` (character offsets), and
+    ``keys[j]`` is :func:`text_key` of its UTF-8 text.
+    """
+
+    keys: list[bytes]
+    bounds: "np.ndarray"  # int32 start/end pairs, doc-major
+    ptr: "np.ndarray"  # int32, len n_docs + 1
+    composes: "np.ndarray"  # bool per document
+
+    def split(self, j: int, text: str) -> SentenceSplit:
+        """Document ``j``'s split, read against its ``text``."""
+        flat = self.bounds[2 * self.ptr[j] : 2 * self.ptr[j + 1]].tolist()
+        return SentenceSplit(
+            tuple(text[start:end] for start, end in zip(flat[::2], flat[1::2])),
+            bool(self.composes[j]),
+        )
 
 
 class AnnotationEngine:
@@ -143,14 +216,16 @@ class AnnotationEngine:
     ``sentence_terms``        one sentence -> its normalized index terms
     ``sentence_annotations``  one sentence -> its :class:`AnnotatedText`
     ``annotations``           snippet sentences -> :class:`AnnotatedText`
-    ``features``              (snippet sentences, policy) -> feature tokens
+    ``features``              (sentence, policy) -> feature tokens, closes
 
     A document is split once.  Its index terms concatenate its
     sentences' terms, its snippets are windows over its sentences, and
     a snippet's annotation concatenates its own sentences' annotations,
-    so no snippet is joined and split again.  The stemmer is shared
-    (and internally memoized), so no two classifiers ever re-stem the
-    same word.
+    so no snippet is joined and split again.  Feature work is per
+    distinct sentence too: a snippet's feature row is the sum of its
+    sentences' rows (see :mod:`repro.features.vectorizer`).  The stemmer
+    is shared (and internally memoized), so no two classifiers ever
+    re-stem the same word.
     """
 
     def __init__(
@@ -161,6 +236,8 @@ class AnnotationEngine:
         self.annotator = Annotator(ner_config)
         self.stemmer = PorterStemmer()
         self._splits = AnnotationCache(capacity)
+        #: text_key -> (shipped splits, document index), until read.
+        self._shipped: dict[bytes, tuple[ShippedSplits, int]] = {}
         # Sentence-level caches.  Templated corpora repeat whole
         # sentences far more often than whole documents, so these are
         # where sharded ingestion wins its tokenization time back and
@@ -176,7 +253,25 @@ class AnnotationEngine:
 
     def split(self, text: str) -> SentenceSplit:
         """The sentence split of a document (cached)."""
+        if self._shipped and text not in self._splits:
+            shipped = self._shipped.pop(text_key(text.encode("utf-8")), None)
+            if shipped is not None:
+                self._splits.put(text, shipped[0].split(shipped[1], text))
         return self._splits.get_or_compute(text, split_document)
+
+    def seed_splits(self, shipped: ShippedSplits) -> None:
+        """Take the document splits a worker process computed.
+
+        A shipped split enters the ``sentences`` cache on the first
+        :meth:`split` of its text, and that read is a hit: the document
+        was split once, in the worker, as an inline shard splits it once
+        into this cache.  Until then it costs only its key and offsets,
+        so a document whose split is never read is never materialized.
+        """
+        for j, key in enumerate(shipped.keys):
+            if len(self._shipped) >= self._capacity:
+                break
+            self._shipped[key] = (shipped, j)
 
     def sentences(self, text: str) -> tuple[str, ...]:
         """Sentence strings of a document, read from its split."""
@@ -220,10 +315,7 @@ class AnnotationEngine:
             )
             for sentence in sentences
         ]
-        if any(
-            not part.tokens or part.tokens[-1].text not in _SENTENCE_END_TOKENS
-            for part in parts[:-1]
-        ):
+        if not all(map(_closes, parts[:-1])):
             return self.annotator.annotate(text)
         tokens: list[AnnotatedToken] = []
         entities: list[Entity] = []
@@ -260,25 +352,31 @@ class AnnotationEngine:
         return terms
 
     def features(
-        self,
-        sentences: tuple[str, ...],
-        annotated: AnnotatedText,
-        policy: AbstractionPolicy,
-    ) -> list[str]:
-        """Abstracted feature tokens for one annotated snippet.
+        self, sentences: Sequence[str], policy: AbstractionPolicy
+    ) -> list[tuple[tuple[str, ...], bool]]:
+        """Per sentence: its abstracted feature tokens, and whether it closes.
 
-        Cached per policy, so a bank of per-driver classifiers sharing
-        one policy abstracts each snippet once instead of once per
-        driver.  ``sentences`` is the snippet's sentence tuple (the
-        cache key); ``annotated`` its annotation, typically from
-        :meth:`annotate`.
+        Cached per (sentence, policy), so a bank of per-driver
+        classifiers sharing one policy abstracts each sentence once
+        instead of once per driver.  A sentence closes when its last
+        token is a ``.``, ``!`` or ``?`` (see :meth:`_compose`); the
+        tokens of a snippet whose sentences close concatenate theirs.
+        With ``policy`` bound this is a
+        :data:`~repro.features.vectorizer.Featurizer`.
         """
-        cache = self._feature_cache(policy)
-        return cache.get_or_compute(
-            sentences,
-            lambda _: abstract_tokens(
-                annotated, policy, stemmer=self.stemmer
-            ),
+        return self._feature_cache(policy).get_or_compute_many(
+            sentences, lambda sentence: self._features_of(sentence, policy)
+        )
+
+    def _features_of(
+        self, sentence: str, policy: AbstractionPolicy
+    ) -> tuple[tuple[str, ...], bool]:
+        annotated = self._sentence_annotations.get_or_compute(
+            sentence, self.annotator.annotate
+        )
+        return (
+            tuple(abstract_tokens(annotated, policy, stemmer=self.stemmer)),
+            _closes(annotated),
         )
 
     def _feature_cache(self, policy: AbstractionPolicy) -> AnnotationCache:
@@ -311,6 +409,12 @@ class AnnotationEngine:
             "annotations": self._annotations.stats,
             "features": features,
         }
+
+
+def _closes(annotated: AnnotatedText) -> bool:
+    """True when annotation cannot look past the end of ``annotated``."""
+    tokens = annotated.tokens
+    return bool(tokens) and tokens[-1].text in _SENTENCE_END_TOKENS
 
 
 def terms_compose(text: str, spans: list[Sentence]) -> bool:

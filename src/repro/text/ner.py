@@ -32,6 +32,11 @@ ENTITY_CATEGORIES = (
 )
 
 
+#: Upper bound on a recognizer's inert-word memo.  The memo is cleared
+#: when it fills, so an unbounded vocabulary cannot grow it further.
+INERT_MEMO_BOUND = 50_000
+
+
 @dataclass(frozen=True, slots=True)
 class Entity:
     """A recognized entity span.
@@ -200,6 +205,8 @@ class NamedEntityRecognizer:
             for name in vocab.FIRST_NAMES
             if _keep_entry(name, self.config.gazetteer_coverage)
         }
+        #: word -> whether :meth:`_inert`; bounded by INERT_MEMO_BOUND.
+        self._inert_memo: dict[str, bool] = {}
 
     # -- numeric / temporal shape rules ------------------------------------
 
@@ -312,6 +319,34 @@ class NamedEntityRecognizer:
                 length += 1
         return None
 
+    def _inert(self, word: str) -> bool:
+        """True when no entity can start at ``word``, whatever follows.
+
+        That is, ``word`` opens no gazetteer entry, no shape rule (see
+        :meth:`_match_shape`) and, with ``pattern_backoff``, no back-off
+        pattern (see :meth:`_match_patterns`).  A pure function of the
+        word and the recognizer's configuration.
+        """
+        lower = word.lower()
+        if lower.rstrip(".") in self._gazetteer._first_max:
+            return False
+        first = word[0]
+        if (
+            (first == "$" and len(word) > 1)
+            or lower in _CURRENCY_CODES
+            or (word.endswith("%") and len(word) > 1)
+            or lower in _PERIOD_BY_FIRST
+            or _is_number(word)
+        ):
+            return False
+        if self.config.pattern_backoff and (
+            lower in self._honorifics
+            or lower in self._first_names
+            or (first.isupper() and word.isalpha())
+        ):
+            return False
+        return True
+
     # -- public API ---------------------------------------------------------
 
     def recognize_words(self, words: list[str]) -> list[Entity]:
@@ -327,9 +362,22 @@ class NamedEntityRecognizer:
         entities: list[Entity] = []
         pattern_backoff = self.config.pattern_backoff
         lookup = self._gazetteer.lookup
+        inert_memo = self._inert_memo
         index = 0
         n_words = len(words)
         while index < n_words:
+            # Most words start no entity in any context; the memo skips
+            # them without running the matchers.
+            word = words[index]
+            inert = inert_memo.get(word)
+            if inert is None:
+                inert = self._inert(word)
+                if len(inert_memo) >= INERT_MEMO_BOUND:
+                    inert_memo.clear()
+                inert_memo[word] = inert
+            if inert:
+                index += 1
+                continue
             match = lookup(stripped, index)
             if match is None:
                 match = self._match_shape(words, lowers, index)

@@ -11,10 +11,10 @@ from repro.core.training import AnnotatedSnippet
 from repro.features.abstraction import AbstractionPolicy
 from repro.ml.naive_bayes import MultinomialNaiveBayes
 from repro.ml.svm import LinearSvm
-from repro.text.annotator import Annotator
+from repro.text.engine import AnnotationEngine
 from repro.text.ner import NerConfig
 
-_annotator = Annotator(NerConfig(gazetteer_coverage=1.0))
+_engine = AnnotationEngine(NerConfig(gazetteer_coverage=1.0))
 _counter = 0
 
 
@@ -24,9 +24,12 @@ def item(text: str) -> AnnotatedSnippet:
     snippet = Snippet(
         doc_id=f"t{_counter}", index=0, sentences=(text,)
     )
-    return AnnotatedSnippet(
-        snippet=snippet, annotated=_annotator.annotate(text)
-    )
+    return AnnotatedSnippet(snippet, engine=_engine)
+
+
+def classifier(driver_id: str, **kwargs) -> TriggerEventClassifier:
+    """A classifier reading features through the items' engine."""
+    return TriggerEventClassifier(driver_id, text_engine=_engine, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +62,7 @@ def train_sets():
 class TestFit:
     def test_fit_and_score_separates(self, train_sets):
         positives, negatives = train_sets
-        clf = TriggerEventClassifier("mergers_acquisitions")
+        clf = classifier("mergers_acquisitions")
         clf.fit(positives, negatives)
         pos_scores = clf.score(positives[:3])
         neg_scores = clf.score(negatives[:3])
@@ -67,7 +70,7 @@ class TestFit:
 
     def test_summary_populated(self, train_sets):
         positives, negatives = train_sets
-        clf = TriggerEventClassifier("mergers_acquisitions")
+        clf = classifier("mergers_acquisitions")
         clf.fit(positives, negatives, pure_positive=positives[:2])
         summary = clf.summary
         assert summary.n_noisy_positive == len(positives)
@@ -78,7 +81,7 @@ class TestFit:
 
     def test_empty_sets_rejected(self, train_sets):
         positives, negatives = train_sets
-        clf = TriggerEventClassifier("x")
+        clf = classifier("x")
         with pytest.raises(ValueError):
             clf.fit([], negatives)
         with pytest.raises(ValueError):
@@ -87,25 +90,25 @@ class TestFit:
     def test_score_before_fit_raises(self, train_sets):
         positives, _ = train_sets
         with pytest.raises(RuntimeError):
-            TriggerEventClassifier("x").score(positives)
+            classifier("x").score(positives)
 
     def test_score_empty_input(self, train_sets):
         positives, negatives = train_sets
-        clf = TriggerEventClassifier("x").fit(positives, negatives)
+        clf = classifier("x").fit(positives, negatives)
         assert clf.score([]).shape == (0,)
 
 
 class TestPredict:
     def test_threshold_semantics(self, train_sets):
         positives, negatives = train_sets
-        clf = TriggerEventClassifier("x").fit(positives, negatives)
+        clf = classifier("x").fit(positives, negatives)
         strict = clf.predict(positives + negatives, threshold=0.99)
         loose = clf.predict(positives + negatives, threshold=0.01)
         assert strict.sum() <= loose.sum()
 
     def test_predictions_are_binary(self, train_sets):
         positives, negatives = train_sets
-        clf = TriggerEventClassifier("x").fit(positives, negatives)
+        clf = classifier("x").fit(positives, negatives)
         predictions = clf.predict(positives)
         assert set(np.unique(predictions)) <= {0, 1}
 
@@ -113,6 +116,9 @@ class TestPredict:
 class TestConfigurations:
     def test_defaults_match_paper(self):
         clf = TriggerEventClassifier("x")
+        # Features are always read through an engine: a private one
+        # when none is passed.
+        assert isinstance(clf.text_engine, AnnotationEngine)
         assert clf._reducer.max_iter == 2  # "after two iterations"
         assert clf._reducer.oversample_pure == 3  # "... factor of 3"
         assert clf.policy == AbstractionPolicy.paper_default()
@@ -122,7 +128,7 @@ class TestConfigurations:
 
     def test_custom_classifier_factory(self, train_sets):
         positives, negatives = train_sets
-        clf = TriggerEventClassifier(
+        clf = classifier(
             "x", classifier_factory=lambda: LinearSvm(epochs=3)
         )
         clf.fit(positives, negatives)
@@ -130,7 +136,7 @@ class TestConfigurations:
 
     def test_no_abstraction_policy_also_works(self, train_sets):
         positives, negatives = train_sets
-        clf = TriggerEventClassifier(
+        clf = classifier(
             "x", policy=AbstractionPolicy.none()
         )
         clf.fit(positives, negatives)
@@ -138,7 +144,7 @@ class TestConfigurations:
 
     def test_features_of_abstraction(self, train_sets):
         positives, _ = train_sets
-        clf = TriggerEventClassifier("x")
+        clf = classifier("x")
         tokens = clf.features_of(positives[0])
         assert "__ORG__" in tokens
         assert "__CURRENCY__" in tokens

@@ -21,7 +21,7 @@ from repro.gather.store import DocumentStore, StoredDocument, content_hash
 from repro.obs.events import EventLog
 from repro.obs.tracer import Tracer
 from repro.search.index import InvertedIndex
-from repro.text.engine import AnnotationEngine
+from repro.text.engine import AnnotationEngine, split_document
 from tests.search.helpers import postings_snapshot
 
 TEXTS = [
@@ -166,6 +166,42 @@ class TestMergeDeterminism:
             assert np.array_equal(
                 getattr(forked.index, name), getattr(spawned.index, name)
             )
+        assert len(forked.splits) == len(spawned.splits) == 2
+        for a, b in zip(forked.splits, spawned.splits):
+            assert a.keys == b.keys
+            for name in ("bounds", "ptr", "composes"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+class TestShippedSplits:
+    def test_worker_splits_equal_the_engine_split(self):
+        store, accepted = build_store(TEXTS + ["Acme rose.Beta fell. Done."])
+        ordinals = [store.ordinal_of(doc.doc_id) for doc in accepted]
+        buffer, offsets = store.flat_texts(ordinals)
+        shipped = tokenize_shard(0, buffer, offsets).splits
+        assert tokenize_shard(
+            0, buffer, offsets, engine=AnnotationEngine()
+        ).splits is None
+        for j, ordinal in enumerate(ordinals):
+            text = store.text_at(ordinal)
+            assert shipped.split(j, text) == split_document(text)
+        assert not shipped.composes.all()
+
+    def test_seeded_splits_are_read_as_hits(self):
+        store, accepted = build_store()
+        engines = {}
+        for workers in (1, 2):
+            engine = AnnotationEngine()
+            ShardedIngester(workers, text_engine=engine).ingest(
+                store, accepted
+            )
+            for document in store:
+                assert engine.split(document.text) == split_document(
+                    document.text
+                )
+            engines[workers] = engine.stats_by_product()["sentences"]
+        assert engines[1].hits == engines[2].hits == len(accepted)
+        assert engines[2].misses == 0
 
 
 class TestObservability:

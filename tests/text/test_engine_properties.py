@@ -8,6 +8,8 @@ property is checked against a straightforward reference model.
 
 from __future__ import annotations
 
+import sys
+import threading
 from collections import OrderedDict
 
 from hypothesis import given, strategies as st
@@ -120,3 +122,41 @@ def test_engine_annotation_is_computed_once():
     second = engine.annotate("Acme Inc. named a new CEO.")
     assert second is first
     assert engine.stats().hits == 1
+
+
+def test_concurrent_batched_reads_keep_one_value_per_key():
+    """Threads racing ``get_or_compute_many`` over overlapping keys all
+    observe one canonical value per key, and every lookup is counted."""
+    cache = AnnotationCache(capacity=1_000)
+    keys = [f"sentence {i}" for i in range(60)]
+    n_threads, rounds = 6, 20
+    seen: list[list[list[object]]] = [[] for _ in range(n_threads)]
+    barrier = threading.Barrier(n_threads, timeout=30)
+
+    def worker(k: int) -> None:
+        barrier.wait()
+        for r in range(rounds):
+            batch = keys[::-1] if (k + r) % 2 else keys
+            values = cache.get_or_compute_many(batch, lambda key: [key])
+            seen[k].append(values if batch is keys else values[::-1])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(k,))
+            for k in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    canonical = cache.get_or_compute_many(keys, lambda key: None)
+    for per_thread in seen:
+        assert len(per_thread) == rounds
+        for values in per_thread:
+            assert all(a is b for a, b in zip(values, canonical))
+    assert cache.stats.lookups == (n_threads * rounds + 1) * len(keys)

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.text.ner as ner_module
+from repro.corpus import vocab
 from repro.text.ner import (
     ENTITY_CATEGORIES,
     NamedEntityRecognizer,
     NerConfig,
 )
+from tests.text.ner_reference import reference_recognize_words
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +182,66 @@ class TestSpans:
             assert entity.text == " ".join(
                 tokens[entity.start : entity.end]
             )
+
+
+#: Words that open, continue or sit next to entities: gazetteer entries'
+#: words, shape-rule words, back-off pattern words, TitleCase words and
+#: plain words, with and without trailing periods.
+_ENTRY_WORDS = sorted({
+    word
+    for entry in (
+        vocab.ORGANIZATIONS[:60] + vocab.PEOPLE[:40] + vocab.PLACES
+        + vocab.DESIGNATIONS + vocab.PRODUCTS + vocab.MONTHS
+        + vocab.QUARTERS + vocab.MEASUREMENT_UNITS
+    )
+    for word in entry.split()
+})
+_SHAPE_WORDS = [
+    "$5", "$", "5", "12", "12%", "%", "4.5", "1,200", "2004", "usd", "EUR",
+    "Rs.", "percent", "million", "billion", "dollars", "euros", ":", "10",
+    "am", "p.m.", "last", "year", "this", "quarter", "fiscal", "the",
+    "fourth", "later", "earlier", "km", "Monday",
+]
+_PATTERN_WORDS = (
+    [name.lower() for name in vocab.FIRST_NAMES]
+    + vocab.FIRST_NAMES[:10] + vocab.LAST_NAMES[:10] + vocab.HONORIFICS
+    + vocab.ORG_SUFFIXES + ["Inc.", "Corp.", "Foobar", "Zorblat", "Widgets"]
+)
+_PLAIN_WORDS = ["acquired", "shares", "rose", ".", ",", "!", "?", "-", "a"]
+_WORDS = st.sampled_from(
+    _ENTRY_WORDS + _SHAPE_WORDS + _PATTERN_WORDS + _PLAIN_WORDS
+)
+
+_RECOGNIZERS = {
+    (backoff, coverage): NamedEntityRecognizer(
+        NerConfig(gazetteer_coverage=coverage, pattern_backoff=backoff)
+    )
+    for backoff in (True, False)
+    for coverage in (1.0, 0.9, 0.4)
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_WORDS, max_size=30),
+    st.booleans(),
+    st.sampled_from([1.0, 0.9, 0.4]),
+)
+def test_skipping_inert_words_never_changes_entities(
+    words, pattern_backoff, coverage
+):
+    ner = _RECOGNIZERS[(pattern_backoff, coverage)]
+    assert ner.recognize_words(words) == reference_recognize_words(
+        ner, words
+    )
+
+
+def test_inert_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(ner_module, "INERT_MEMO_BOUND", 8)
+    ner = NamedEntityRecognizer()
+    for index in range(50):
+        words = [f"word{index}", "acquired", f"Zorblat{index}", "Inc"]
+        assert ner.recognize_words(words) == reference_recognize_words(
+            ner, words
+        )
+        assert len(ner._inert_memo) <= 8
