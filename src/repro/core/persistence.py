@@ -87,6 +87,7 @@ def classifier_to_dict(classifier: TriggerEventClassifier) -> dict:
             "min_df": classifier.vectorizer.config.min_df,
             "binary": classifier.vectorizer.config.binary,
             "max_features": classifier.vectorizer.config.max_features,
+            "ngram_range": list(classifier.vectorizer.config.ngram_range),
             "vocabulary": classifier.vectorizer.vocabulary,
         },
         "model": _dump_model(classifier._model),
@@ -116,6 +117,8 @@ def classifier_from_dict(
             min_df=vec_record["min_df"],
             binary=vec_record["binary"],
             max_features=vec_record["max_features"],
+            # Records written before n-grams were saved are unigram.
+            ngram_range=tuple(vec_record.get("ngram_range", (1, 1))),
         ),
         text_engine=text_engine,
     )

@@ -10,6 +10,7 @@ was assigned a part-of-speech category", section 3.2.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from repro.text.ner import Entity, NamedEntityRecognizer, NerConfig
 from repro.text.pos import tag_words
@@ -71,25 +72,31 @@ class Annotator:
         words = tokenize_words(text)
         tags = tag_words(words)
         entities = self._ner.recognize_words(words)
-        labels: list[str | None] = [None] * len(words)
-        for entity in entities:
-            labels[entity.start : entity.end] = [entity.label] * (
-                entity.end - entity.start
-            )
+        if entities:
+            labels: list[str | None] = [None] * len(words)
+            for entity in entities:
+                labels[entity.start : entity.end] = [entity.label] * (
+                    entity.end - entity.start
+                )
+            keys = list(zip(words, tags, labels))
+        else:
+            keys = list(zip(words, tags, repeat(None)))
+        # Almost every key is already interned: one C-level lookup pass,
+        # and :meth:`_token` only at the misses.
+        tokens = list(map(self._interned.get, keys))
+        if not all(tokens):
+            for index, token in enumerate(tokens):
+                if token is None:
+                    tokens[index] = self._token(keys[index])
         return AnnotatedText(
-            text=text,
-            tokens=tuple(map(self._token, words, tags, labels)),
-            entities=tuple(entities),
+            text=text, tokens=tuple(tokens), entities=tuple(entities)
         )
 
-    def _token(
-        self, text: str, pos: str, entity: str | None
-    ) -> AnnotatedToken:
+    def _token(self, key: tuple[str, str, str | None]) -> AnnotatedToken:
         interned = self._interned
-        key = (text, pos, entity)
         token = interned.get(key)
         if token is None:
             if len(interned) >= TOKEN_INTERN_BOUND:
                 interned.clear()
-            token = interned[key] = AnnotatedToken(text, pos, entity)
+            token = interned[key] = AnnotatedToken(*key)
         return token

@@ -20,6 +20,7 @@ pattern rules pick up *some* but not all of the OOV entities.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.corpus import vocab
@@ -31,6 +32,14 @@ ENTITY_CATEGORIES = (
     "PROD", "PLC", "PRSN", "LNGTH", "CNT",
 )
 
+
+#: Bits of :meth:`NamedEntityRecognizer._openers`: the matchers that
+#: can start an entity at a word.
+_GAZETTEER, _SHAPE, _PATTERN = 1, 2, 4
+
+#: A word's memo entry: its openers, lower-cased form, and lower-cased
+#: form with trailing periods stripped.
+_Entry = tuple[int, str, str]
 
 #: Upper bound on a recognizer's inert-word memo.  The memo is cleared
 #: when it fills, so an unbounded vocabulary cannot grow it further.
@@ -105,7 +114,7 @@ class _Gazetteer:
                 self._first_max[first] = len(key)
 
     def lookup(
-        self, stripped: list[str], index: int
+        self, stripped: Sequence[str], index: int
     ) -> tuple[str, int] | None:
         """Longest entry starting at ``index``; returns (label, length).
 
@@ -205,13 +214,13 @@ class NamedEntityRecognizer:
             for name in vocab.FIRST_NAMES
             if _keep_entry(name, self.config.gazetteer_coverage)
         }
-        #: word -> whether :meth:`_inert`; bounded by INERT_MEMO_BOUND.
-        self._inert_memo: dict[str, bool] = {}
+        #: word -> its :data:`_Entry`; bounded by INERT_MEMO_BOUND.
+        self._inert_memo: dict[str, _Entry] = {}
 
     # -- numeric / temporal shape rules ------------------------------------
 
     def _match_shape(
-        self, words: list[str], lowers: list[str], index: int
+        self, words: list[str], lowers: Sequence[str], index: int
     ) -> tuple[str, int] | None:
         text = words[index]
         lower = lowers[index]
@@ -282,8 +291,8 @@ class NamedEntityRecognizer:
     def _match_patterns(
         self,
         words: list[str],
-        lowers: list[str],
-        stripped: list[str],
+        lowers: Sequence[str],
+        stripped: Sequence[str],
         index: int,
     ) -> tuple[str, int] | None:
         text = words[index]
@@ -319,18 +328,21 @@ class NamedEntityRecognizer:
                 length += 1
         return None
 
-    def _inert(self, word: str) -> bool:
-        """True when no entity can start at ``word``, whatever follows.
+    def _openers(self, word: str) -> int:
+        """Which matchers can start an entity at ``word``, whatever follows.
 
-        That is, ``word`` opens no gazetteer entry, no shape rule (see
-        :meth:`_match_shape`) and, with ``pattern_backoff``, no back-off
-        pattern (see :meth:`_match_patterns`).  A pure function of the
-        word and the recognizer's configuration.
+        A bit set: ``_GAZETTEER`` when ``word`` opens a gazetteer entry,
+        ``_SHAPE`` when it can open a shape rule (see
+        :meth:`_match_shape`) and, with ``pattern_backoff``,
+        ``_PATTERN`` when it can open a back-off pattern (see
+        :meth:`_match_patterns`).  0 means the word is inert.  A pure
+        function of the word and the recognizer's configuration.
         """
         lower = word.lower()
-        if lower.rstrip(".") in self._gazetteer._first_max:
-            return False
         first = word[0]
+        openers = 0
+        if lower.rstrip(".") in self._gazetteer._first_max:
+            openers |= _GAZETTEER
         if (
             (first == "$" and len(word) > 1)
             or lower in _CURRENCY_CODES
@@ -338,14 +350,14 @@ class NamedEntityRecognizer:
             or lower in _PERIOD_BY_FIRST
             or _is_number(word)
         ):
-            return False
+            openers |= _SHAPE
         if self.config.pattern_backoff and (
             lower in self._honorifics
             or lower in self._first_names
             or (first.isupper() and word.isalpha())
         ):
-            return False
-        return True
+            openers |= _PATTERN
+        return openers
 
     # -- public API ---------------------------------------------------------
 
@@ -355,42 +367,58 @@ class NamedEntityRecognizer:
         ``words`` is :func:`~repro.text.tokenizer.tokenize_words` output;
         entity ``start``/``end`` index into it.
         """
-        # One lower-case/strip pass up front; every matcher reads these
-        # instead of re-lowering the same token once per candidate span.
-        lowers = [word.lower() for word in words]
-        stripped = [lower.rstrip(".") for lower in lowers]
+        if not words:
+            return []
+        # Most words start no entity in any context: the memo marks them
+        # inert (0), and at every other word it names the matchers that
+        # can start there, so only those run.  It also holds each word's
+        # lower-cased and period-stripped forms, which every matcher
+        # reads instead of re-lowering the same token per candidate span.
+        entries = list(map(self._inert_memo.get, words))
+        if None in entries:
+            self._fill_entries(words, entries)
+        openers, lowers, stripped = zip(*entries)
+        if not any(openers):
+            return []
         entities: list[Entity] = []
-        pattern_backoff = self.config.pattern_backoff
         lookup = self._gazetteer.lookup
-        inert_memo = self._inert_memo
-        index = 0
-        n_words = len(words)
-        while index < n_words:
-            # Most words start no entity in any context; the memo skips
-            # them without running the matchers.
-            word = words[index]
-            inert = inert_memo.get(word)
-            if inert is None:
-                inert = self._inert(word)
-                if len(inert_memo) >= INERT_MEMO_BOUND:
-                    inert_memo.clear()
-                inert_memo[word] = inert
-            if inert:
-                index += 1
+        covered = 0
+        for index, kinds in enumerate(openers):
+            if not kinds or index < covered:
                 continue
-            match = lookup(stripped, index)
-            if match is None:
+            match = None
+            if kinds & _GAZETTEER:
+                match = lookup(stripped, index)
+            if match is None and kinds & _SHAPE:
                 match = self._match_shape(words, lowers, index)
-            if match is None and pattern_backoff:
+            if match is None and kinds & _PATTERN:
                 match = self._match_patterns(words, lowers, stripped, index)
             if match is None:
-                index += 1
                 continue
             label, length = match
-            surface = " ".join(words[index : index + length])
-            entities.append(Entity(label, index, index + length, surface))
-            index += length
+            covered = index + length
+            surface = " ".join(words[index:covered])
+            entities.append(Entity(label, index, covered, surface))
         return entities
+
+    def _fill_entries(
+        self, words: list[str], entries: list[_Entry | None]
+    ) -> None:
+        """Replace each memo miss (``None``) in ``entries``."""
+        memo = self._inert_memo
+        for index, entry in enumerate(entries):
+            if entry is None:
+                word = words[index]
+                entry = memo.get(word)
+                if entry is None:
+                    lower = word.lower()
+                    if lower == word:
+                        lower = word  # hold no second copy of the word
+                    entry = (self._openers(word), lower, lower.rstrip("."))
+                    if len(memo) >= INERT_MEMO_BOUND:
+                        memo.clear()
+                    memo[word] = entry
+                entries[index] = entry
 
     def recognize(self, text: str) -> list[Entity]:
         """Tokenize ``text`` and recognize entities."""

@@ -90,10 +90,12 @@ _ADJ_SUFFIXES = ("ous", "ful", "ive", "able", "ible", "al", "ic", "ish")
 #: when it fills, so an unbounded vocabulary cannot grow it further.
 LEXICAL_MEMO_BOUND = 50_000
 
-#: ``(word, sentence_initial) -> lexical tag``.  The rules in
-#: :func:`_lexical_tag` are a pure function of that key, and business
-#: news reuses a small vocabulary, so almost every lookup hits.
-_LEXICAL_MEMO: dict[tuple[str, bool], str] = {}
+#: ``word -> (mid-sentence tag, sentence-initial tag)``, so a
+#: ``sentence_initial`` flag indexes the pair.  The rules in
+#: :func:`_lexical_tag` are a pure function of the word and that flag,
+#: and business news reuses a small vocabulary, so almost every lookup
+#: hits.
+_LEXICAL_MEMO: dict[str, tuple[str, str]] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,13 +177,13 @@ def tag_words(words: list[str]) -> list[str]:
     append = tags.append
     sentence_initial = True
     for word in words:
-        key = (word, sentence_initial)
-        found = memo.get(key)
-        if found is None:
-            found = _lexical_tag(word, sentence_initial)
+        pair = memo.get(word)
+        if pair is None:
+            pair = (_lexical_tag(word, False), _lexical_tag(word, True))
             if len(memo) >= LEXICAL_MEMO_BOUND:
                 memo.clear()
-            memo[key] = found
+            memo[word] = pair
+        found = pair[sentence_initial]
         append(found)
         if found != "punct":
             sentence_initial = False

@@ -29,6 +29,9 @@ class Sentence:
 
 
 _BOUNDARY_RE = re.compile(r"[.!?]+")
+#: Finds the next non-space character in place: copying the rest of
+#: the document at every boundary candidate made splitting quadratic.
+_NON_SPACE_RE = re.compile(r"\S")
 
 
 def _word_before(text: str, index: int) -> str:
@@ -66,8 +69,8 @@ def split_sentences(text: str) -> list[Sentence]:
                 # (next char is a digit) or an end of sentence.
                 if end < len(text) and text[end].isdigit():
                     continue
-        tail = text[end:].lstrip()
-        if tail and tail[0].islower():
+        following = _NON_SPACE_RE.search(text, end)
+        if following is not None and following.group().islower():
             continue
         raw = text[start:end]
         stripped = raw.strip()

@@ -10,6 +10,7 @@ from repro.core.classifier import TriggerEventClassifier
 from repro.core.persistence import (
     CheckpointStore,
     UnsupportedModelError,
+    classifier_from_dict,
     classifier_to_dict,
     encode,
     load_classifier,
@@ -19,6 +20,7 @@ from repro.core.persistence import (
 )
 from repro.core.snippets import Snippet
 from repro.core.training import AnnotatedSnippet
+from repro.features.vectorizer import VectorizerConfig
 from repro.text.annotator import Annotator
 
 _annotator = Annotator()
@@ -66,6 +68,39 @@ def test_roundtrip_preserves_scores(train_sets, tmp_path):
     assert np.allclose(clf.score(sample), loaded.score(sample))
     assert loaded.driver_id == "mergers_acquisitions"
     assert loaded.policy == clf.policy
+
+
+def test_roundtrip_keeps_the_ngram_range(train_sets, tmp_path):
+    positives, negatives = train_sets
+    clf = TriggerEventClassifier(
+        "mergers_acquisitions",
+        vectorizer_config=VectorizerConfig(min_df=2, ngram_range=(1, 2)),
+    )
+    clf.fit(positives, negatives)
+    unigram = TriggerEventClassifier("mergers_acquisitions")
+    unigram.fit(positives, negatives)
+    assert set(unigram.vectorizer.vocabulary) < set(clf.vectorizer.vocabulary)
+
+    path = tmp_path / "bigram.json"
+    save_classifier(clf, path)
+    loaded = load_classifier(path)
+
+    assert loaded.vectorizer.config.ngram_range == (1, 2)
+    assert loaded.vectorizer.vocabulary == clf.vectorizer.vocabulary
+    sample = positives[:3] + negatives[:3]
+    assert np.array_equal(clf.score(sample), loaded.score(sample))
+
+
+def test_record_without_ngram_range_loads_as_unigram(train_sets):
+    positives, negatives = train_sets
+    clf = TriggerEventClassifier("mergers_acquisitions")
+    clf.fit(positives, negatives)
+    record = classifier_to_dict(clf)
+    del record["vectorizer"]["ngram_range"]
+    loaded = classifier_from_dict(record)
+    assert loaded.vectorizer.config.ngram_range == (1, 1)
+    sample = positives[:3] + negatives[:3]
+    assert np.array_equal(clf.score(sample), loaded.score(sample))
 
 
 def test_unfitted_classifier_rejected(tmp_path):

@@ -46,3 +46,12 @@ class TestMerge:
         text = "Acme Inc named Mary Jones CEO on Monday."
         annotated = annotator.annotate(text)
         assert len(annotated.tokens) == len(tokenize(text))
+
+
+def test_a_sentence_of_inert_words_has_no_entities():
+    annotated = Annotator().annotate("shares rose sharply on news.")
+    assert annotated.entities == ()
+    assert [token.text for token in annotated.tokens] == [
+        "shares", "rose", "sharply", "on", "news", ".",
+    ]
+    assert [token.entity for token in annotated.tokens] == [None] * 6

@@ -245,3 +245,12 @@ def test_inert_memo_stays_within_its_bound(monkeypatch):
             ner, words
         )
         assert len(ner._inert_memo) <= 8
+
+
+def test_a_text_of_inert_words_has_no_entities():
+    ner = NamedEntityRecognizer()
+    words = ["shares", "rose", "sharply", "on", "news", "."]
+    assert ner.recognize_words(words) == []
+    # Every word is now memoized as inert (no matcher can open there).
+    assert all(ner._inert_memo[word][0] == 0 for word in words)
+    assert ner.recognize_words([]) == []

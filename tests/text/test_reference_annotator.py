@@ -1,14 +1,16 @@
 """The one-pass annotator against a token-object reference (hypothesis).
 
 The reference below is the specification: offset-carrying
-:class:`~repro.text.tokenizer.Token` objects, one
-:class:`~repro.text.pos.TaggedToken` per token, the Brill patches over
-those objects, NER over the token texts, then a per-index merge of
+:class:`~repro.text.tokenizer.Token` objects from the frozen tokenizer
+(``tokenizer_reference.py``), one :class:`~repro.text.pos.TaggedToken`
+per token, the Brill patches over those objects, the frozen NER loop
+(``ner_reference.py``) over the token texts, then a per-index merge of
 entity labels.  It shares only the lexical rules (called unmemoized)
 and the recognizer's matchers with the code under test.
 :meth:`Annotator.annotate` must return an equal :class:`AnnotatedText`
 — exact ``==`` on every token and entity — on corpus template sentences
-mixed with tokenizer and chunker edge cases.
+mixed with tokenizer and chunker edge cases, and on every sentence of a
+generated corpus.
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import templates
+from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.text.annotator import AnnotatedText, AnnotatedToken, Annotator
 from repro.text.ner import NamedEntityRecognizer, NerConfig
 from repro.text.pos import VERBS, TaggedToken, _lexical_tag
-from repro.text.tokenizer import tokenize
+from repro.text.sentences import split_sentence_texts
+from tests.text.ner_reference import reference_recognize_words
+from tests.text.tokenizer_reference import reference_tokenize
 
 NER_CONFIG = NerConfig()
 
@@ -53,8 +58,8 @@ def reference_annotate(
     text: str, ner: NamedEntityRecognizer | None = None
 ) -> AnnotatedText:
     ner = ner or NamedEntityRecognizer(NER_CONFIG)
-    words = [token.text for token in tokenize(text)]
-    entities = ner.recognize_words(words)
+    words = [token.text for token in reference_tokenize(text)]
+    entities = reference_recognize_words(ner, words)
     label_by_index = {}
     for entity in entities:
         for index in range(entity.start, entity.end):
@@ -138,3 +143,18 @@ def test_equal_tokens_are_interned():
     second = annotator.annotate("Profits rose sharply.")
     assert first.tokens[1] is second.tokens[1]
     assert first.tokens[-1] is second.tokens[-1]
+
+
+def test_every_corpus_sentence_equals_reference():
+    documents = CorpusGenerator(CorpusConfig(seed=7)).generate(150)
+    sentences = {
+        sentence
+        for document in documents
+        for sentence in split_sentence_texts(document.text)
+    }
+    assert len(sentences) > 300
+    annotator = Annotator(NER_CONFIG)
+    for sentence in sorted(sentences):
+        assert annotator.annotate(sentence) == reference_annotate(
+            sentence, REFERENCE_NER
+        ), sentence

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.text.sentences import split_sentence_texts, split_sentences
+from repro.text.tokenizer import ABBREVIATIONS
+from tests.text.sentences_reference import reference_split_sentences
 
 
 class TestBoundaries:
@@ -88,3 +90,33 @@ def test_never_loses_non_whitespace_content(text):
     assert sorted(c for c in rebuilt if not c.isspace()) == sorted(
         c for c in text if not c.isspace()
     )
+
+
+#: Pieces that exercise every rule: abbreviations, initials, numbers,
+#: runs of marks, lower- and upper-case continuations, and whitespace
+#: that ``str.isspace`` accepts beyond ASCII.
+_PIECES = st.one_of(
+    st.sampled_from(sorted(ABBREVIATIONS)),
+    st.sampled_from(sorted(ABBREVIATIONS)).map(str.title),
+    st.text(alphabet="aZbYJ09.!?", min_size=1, max_size=4),
+    st.text(alphabet="aZbYJ09.!?", min_size=1, max_size=4),
+    st.sampled_from(["Acme", "rose", "J", "4.5", "12", "...", "?!"]),
+    st.sampled_from([" ", "  ", "\n", "\t", "\u2003", "\x85", "\xa0", "\x1c"]),
+    st.sampled_from([" ", "  ", "\n"]),
+    st.characters(),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_PIECES, max_size=40).map("".join))
+def test_split_equals_reference(text):
+    assert split_sentences(text) == reference_split_sentences(text)
+
+
+def test_long_document_equals_reference():
+    sentence = (
+        "Mr. J. Smith joined Acme Inc. in the U.S. at $4.5 million. "
+        "revenue rose 12.5% as sales grew... Did it? Yes! "
+    )
+    text = sentence * 2000
+    assert split_sentences(text) == reference_split_sentences(text)

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.text.tokenizer import Token, tokenize, tokenize_words
+from repro.text.tokenizer import (
+    ABBREVIATIONS,
+    Token,
+    tokenize,
+    tokenize_words,
+)
+from tests.text.tokenizer_reference import (
+    reference_tokenize,
+    reference_tokenize_words,
+)
 
 
 class TestBasicTokenization:
@@ -106,3 +115,38 @@ def test_alpha_text_roundtrips_without_loss(text):
 def test_every_input_word_is_recovered(words):
     text = " ".join(words)
     assert tokenize_words(text) == words
+
+
+#: Token-shaped pieces, weighted toward letters, digits, the characters
+#: the token grammar treats specially (``.,$%'-``), whitespace and the
+#: abbreviations whose period stays attached.
+_PIECES = st.one_of(
+    st.text(alphabet="abcXYZ", min_size=1, max_size=5),
+    st.text(alphabet="abcXYZ", min_size=1, max_size=5),
+    st.text(alphabet="0123456789", min_size=1, max_size=4),
+    st.text(alphabet=".,$%'-", min_size=1, max_size=2),
+    st.text(alphabet=".,$%'-", min_size=1, max_size=2),
+    st.sampled_from([" ", "  ", "\n", "\t", "\u2003"]),
+    st.sampled_from([" ", "  ", "\n", "\t", "\u2003"]),
+    st.sampled_from(sorted(ABBREVIATIONS)),
+    st.sampled_from(sorted(ABBREVIATIONS)).map(str.upper),
+    st.sampled_from(sorted(ABBREVIATIONS)).map(str.title),
+    st.characters(),
+)
+_TEXTS = st.lists(_PIECES, max_size=30).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_TEXTS)
+def test_tokenize_words_equals_reference(text):
+    assert tokenize_words(text) == reference_tokenize_words(text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_TEXTS)
+def test_tokenize_equals_reference(text):
+    tokens = tokenize(text)
+    assert tokens == reference_tokenize(text)
+    assert [token.text for token in tokens] == tokenize_words(text)
+    for token in tokens:
+        assert text[token.start : token.end] == token.text
