@@ -10,8 +10,6 @@ from annotated snippets via their ORG entities.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from repro.corpus import vocab
 from repro.text.annotator import AnnotatedText
 
@@ -79,11 +77,6 @@ class CompanyNormalizer:
                 self._aliases.setdefault(acronym.lower(), key)
         return key
 
-    def add_alias(self, alias: str, canonical_name: str) -> None:
-        """Declare that ``alias`` refers to ``canonical_name``."""
-        self._aliases[canonical_key(alias)] = canonical_key(canonical_name)
-        self.register(canonical_name)
-
     def normalize(self, mention: str) -> str:
         """Canonical key for a mention, following alias links."""
         key = canonical_key(mention)
@@ -92,9 +85,6 @@ class CompanyNormalizer:
     def display_name(self, key: str) -> str:
         """A human-readable name for a canonical key."""
         return self._display.get(key, key.title())
-
-    def same_company(self, a: str, b: str) -> bool:
-        return self.normalize(a) == self.normalize(b)
 
     def companies_in(self, annotated: AnnotatedText) -> list[str]:
         """Canonical keys of the distinct ORG mentions in a snippet."""
@@ -107,10 +97,3 @@ class CompanyNormalizer:
                 seen.append(key)
                 self.register(entity.text)
         return seen
-
-    def group_mentions(self, mentions: list[str]) -> dict[str, list[str]]:
-        """Group raw mentions by canonical identity."""
-        groups: dict[str, list[str]] = defaultdict(list)
-        for mention in mentions:
-            groups[self.normalize(mention)].append(mention)
-        return dict(groups)

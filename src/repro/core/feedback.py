@@ -16,7 +16,6 @@ failure mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.core.etap import Etap
 from repro.core.ranking import TriggerEvent
@@ -67,28 +66,12 @@ class FeedbackLoop:
             item=event.item,
         )
 
-    def record_many(
-        self, events: Iterable[TriggerEvent], valid: bool
-    ) -> None:
-        for event in events:
-            self.record(event, valid)
-
     def verdicts_for(self, driver_id: str) -> list[Verdict]:
         return [
             verdict
             for (d, _), verdict in self._verdicts.items()
             if d == driver_id
         ]
-
-    def all_verdicts(self) -> list[Verdict]:
-        """Every recorded verdict, across drivers — the query planner
-        re-weights candidate portfolios from this
-        (:meth:`repro.queries.planner.FeedbackWeights.from_feedback`)."""
-        return list(self._verdicts.values())
-
-    @property
-    def n_verdicts(self) -> int:
-        return len(self._verdicts)
 
     # -- retraining --------------------------------------------------------------
 

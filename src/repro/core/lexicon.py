@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.search.engine import SearchEngine
 
@@ -55,10 +55,6 @@ class OrientationLexicon:
                     for position in range(start, start + length):
                         consumed[position] = True
         return total
-
-    def merge(self, other: Mapping[str, float]) -> None:
-        for phrase, weight in other.items():
-            self.add(phrase, weight)
 
     def __len__(self) -> int:
         return len(self.weights)

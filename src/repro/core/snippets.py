@@ -116,9 +116,3 @@ class SnippetGenerator:
         sentences = [item.text for item in document.sentences]
         labels = [item.label for item in document.sentences]
         return self.from_sentences(document.doc_id, sentences, labels)
-
-    def from_documents(self, documents: list[Document]) -> list[Snippet]:
-        snippets: list[Snippet] = []
-        for document in documents:
-            snippets.extend(self.from_document(document))
-        return snippets

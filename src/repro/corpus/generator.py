@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from repro.corpus import templates, vocab
 from repro.corpus.templates import (
-    ALL_DRIVERS,
     CHANGE_IN_MANAGEMENT,
     FUNDING_ROUNDS,
     LAYOFFS,
@@ -89,10 +88,6 @@ class Document:
     def text(self) -> str:
         return " ".join(sentence.text for sentence in self.sentences)
 
-    def driver_labels(self) -> set[str]:
-        """All drivers for which this document carries a trigger event."""
-        return {s.label for s in self.sentences if s.label is not None}
-
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -100,13 +95,9 @@ class CorpusConfig:
 
     ``mix`` maps doc type -> relative weight; the default mix makes
     trigger documents a small minority of the web, as in reality.
-    ``mirror_rate`` is the probability that a generated news article is
-    followed by a lightly edited syndicated copy on another site — the
-    near-duplicate pressure real wire stories create.
     """
 
     seed: int = 7
-    mirror_rate: float = 0.0
     #: Length of the simulated publication calendar, in days; each
     #: generated document gets a ``published_day`` in [0, timeline_days).
     timeline_days: int = 90
@@ -299,12 +290,7 @@ class CorpusGenerator:
         )
 
     def generate(self, n_docs: int) -> list[Document]:
-        """Generate ``n_docs`` documents following the configured mix.
-
-        With ``mirror_rate`` > 0, news articles may be followed by a
-        syndicated near-copy (same sentences, one lead-in swapped,
-        hosted on a mirror site).
-        """
+        """Generate ``n_docs`` documents following the configured mix."""
         types = list(self.config.mix)
         weights = [self.config.mix[name] for name in types]
         documents: list[Document] = []
@@ -312,36 +298,11 @@ class CorpusGenerator:
             doc_type = self._rng.choices(types, weights)[0]
             document = self.generate_document(doc_type)
             documents.append(document)
-            if (
-                len(documents) < n_docs
-                and doc_type in TRIGGER_DOC_TYPES
-                and self._rng.random() < self.config.mirror_rate
-            ):
-                documents.append(self._mirror_of(document))
+            if len(documents) < n_docs and doc_type in TRIGGER_DOC_TYPES:
+                # A spent draw: every seed's web, goldens and digests
+                # depend on the random stream it advances.
+                self._rng.random()
         return documents
-
-    def _mirror_of(self, original: Document) -> Document:
-        """A syndicated near-copy: one boilerplate line swapped in."""
-        self._counter += 1
-        doc_id = f"doc-{self._counter:06d}"
-        sentences = list(original.sentences)
-        # Swap the final sentence for a syndication credit so the copy
-        # is near- but not byte-identical.
-        sentences[-1] = LabeledSentence(
-            "This story was syndicated from a newswire report.", None
-        )
-        return Document(
-            doc_id=doc_id,
-            url=f"http://mirror.example.com/{original.doc_type}/"
-                f"{doc_id}.html",
-            title=original.title,
-            doc_type=original.doc_type,
-            sentences=tuple(sentences),
-            companies=original.companies,
-            # Syndication lags the original by up to two days.
-            published_day=original.published_day
-            + self._rng.randint(0, 2),
-        )
 
     def _title_for(self, doc_type: str, pool: EntityPool) -> str:
         titles = {

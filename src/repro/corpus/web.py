@@ -33,10 +33,6 @@ class Page:
     links: tuple[str, ...]
     document: Document | None = None
 
-    @property
-    def is_hub(self) -> bool:
-        return self.document is None
-
 
 class SyntheticWeb:
     """An in-memory web of pages plus its hyperlink graph."""

@@ -62,12 +62,6 @@ class ErrorReport:
     fp_buckets: Counter = field(default_factory=Counter)
     fp_examples: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def dominant_fp_bucket(self) -> str | None:
-        if not self.fp_buckets:
-            return None
-        return self.fp_buckets.most_common(1)[0][0]
-
     def render(self) -> str:
         lines = [
             f"driver: {self.driver_id}",

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.drivers import get_driver
 from repro.core.ranking import TriggerEvent
 from repro.evaluation.datasets import (
@@ -68,12 +66,6 @@ class Table1Result:
             ["Sales driver", "Precision", "Recall", "F1", "Paper F1"],
             rows,
         )
-
-    def f1_of(self, driver_id: str) -> float:
-        for row in self.rows:
-            if row.driver_id == driver_id:
-                return row.f1
-        raise KeyError(driver_id)
 
 
 def run_table1(

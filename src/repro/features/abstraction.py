@@ -130,21 +130,6 @@ class AbstractionAnalyzer:
             self.compare(texts, labels, category) for category in categories
         ]
 
-    def derive_policy(
-        self,
-        texts: Sequence[AnnotatedText],
-        labels: Sequence[int],
-    ) -> "AbstractionPolicy":
-        """Choose, per category, the representation with higher RIG."""
-        abstract = set()
-        for comparison in self.compare_all(texts, labels):
-            if (
-                comparison.category in ENTITY_CATEGORIES
-                and comparison.prefer_abstraction
-            ):
-                abstract.add(comparison.category)
-        return AbstractionPolicy(abstract_categories=frozenset(abstract))
-
 
 @dataclass(frozen=True)
 class AbstractionPolicy:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.corpus.web import SyntheticWeb
-from repro.gather.dedup import NearDuplicateIndex
 from repro.gather.ingest import AcceptedDoc, ShardedIngester
 from repro.gather.store import DocumentStore, StoredDocument
 from repro.obs.tracer import NULL_TRACER, AnyTracer
@@ -26,9 +25,6 @@ from repro.text.engine import AnnotationEngine
 #: Default page budget for a gathering crawl, which the direct
 #: ``DataGatherer(web)`` path and the ``Etap.from_web`` path share.
 DEFAULT_MAX_CRAWL_PAGES = 100_000
-
-#: MinHash similarity at which ``near_dedup`` drops a syndicated copy.
-NEAR_DEDUP_THRESHOLD = 0.7
 
 
 @dataclass
@@ -43,7 +39,6 @@ class GatherReport:
     pages_fetched: int
     documents_stored: int
     duplicates_skipped: int
-    near_duplicates_skipped: int = 0
     crawl_seconds: float = 0.0
     index_seconds: float = 0.0
     total_seconds: float = 0.0
@@ -74,7 +69,6 @@ class DataGatherer:
         web: SyntheticWeb,
         max_pages: int | None = None,
         scorer: PageScorer = business_relevance,
-        near_dedup: bool = False,
         tracer: AnyTracer | None = None,
         fetcher: ResilientFetcher | None = None,
         text_engine: AnnotationEngine | None = None,
@@ -111,13 +105,6 @@ class DataGatherer:
             tracer=self.tracer,
             fetcher=fetcher,
         )
-        self._near_index = (
-            NearDuplicateIndex(
-                threshold=NEAR_DEDUP_THRESHOLD, tracer=self.tracer
-            )
-            if near_dedup
-            else None
-        )
 
     @property
     def max_pages(self) -> int:
@@ -136,12 +123,7 @@ class DataGatherer:
         return after.hits - before.hits, after.misses - before.misses
 
     def gather(self) -> GatherReport:
-        """Run the crawl and populate store and index.
-
-        With ``near_dedup`` enabled, syndicated near-copies (wire
-        stories republished with minor edits) are dropped in addition
-        to the store's exact-content dedup.
-        """
+        """Run the crawl and populate store and index."""
         with self.tracer.span("gather") as gather_span:
             crawl = self._crawler.crawl()
             # The initial gather of a fresh store takes the sharded
@@ -151,7 +133,6 @@ class DataGatherer:
             sharded = len(self.store) == 0
             stored = 0
             skipped = 0
-            near_skipped = 0
             degraded_skipped = 0
             accepted: list[AcceptedDoc] = []
             delta: list[tuple[str, str, str]] = []
@@ -165,20 +146,6 @@ class DataGatherer:
                         # never mint a trigger event a healthy fetch
                         # would not.
                         degraded_skipped += 1
-                        continue
-                    if (
-                        self._near_index is not None
-                        and page.document.doc_id not in self.store
-                        and self._near_index.is_near_duplicate(page.text)
-                    ):
-                        near_skipped += 1
-                        self.tracer.emit(
-                            "doc_deduped",
-                            lineage_id=page.document.doc_id,
-                            doc_id=page.document.doc_id,
-                            url=page.url,
-                            reason="near",
-                        )
                         continue
                     document = StoredDocument(
                         doc_id=page.document.doc_id,
@@ -213,10 +180,6 @@ class DataGatherer:
                             url=document.url,
                             title=document.title,
                         )
-                        if self._near_index is not None:
-                            self._near_index.add(
-                                document.doc_id, document.text
-                            )
                     else:
                         skipped += 1
                         self.tracer.emit(
@@ -253,9 +216,6 @@ class DataGatherer:
             self.tracer.count("gather.documents_stored", stored)
             self.tracer.count("gather.duplicates_skipped", skipped)
             self.tracer.count(
-                "gather.near_duplicates_skipped", near_skipped
-            )
-            self.tracer.count(
                 "gather.degraded_skipped", degraded_skipped
             )
             self.tracer.count("ingest.documents_indexed", stored)
@@ -271,9 +231,7 @@ class DataGatherer:
             if windows is not None:
                 windows.record("ingest.docs", n=stored)
                 windows.record("ingest.pages", n=len(crawl.pages))
-                windows.record(
-                    "ingest.dedup_skipped", n=skipped + near_skipped
-                )
+                windows.record("ingest.dedup_skipped", n=skipped)
         crawl_seconds = next(
             (
                 child.duration
@@ -286,7 +244,6 @@ class DataGatherer:
             pages_fetched=len(crawl.pages),
             documents_stored=stored,
             duplicates_skipped=skipped,
-            near_duplicates_skipped=near_skipped,
             crawl_seconds=crawl_seconds,
             index_seconds=index_span.duration,
             total_seconds=gather_span.duration,

@@ -169,10 +169,6 @@ class DocumentStore:
             self._days.append(None)
             self._meta_overflow[ordinal] = metadata
 
-    def add_many(self, documents: Iterable[StoredDocument]) -> int:
-        """Add documents; returns how many were actually stored."""
-        return sum(1 for document in documents if self.add(document))
-
     # -- reads ------------------------------------------------------------------
 
     def _metadata_at(self, ordinal: int) -> dict:
@@ -215,9 +211,6 @@ class DocumentStore:
 
     def get(self, doc_id: str) -> StoredDocument:
         return self._get_canonical(self._by_id[doc_id])
-
-    def get_by_url(self, url: str) -> StoredDocument:
-        return self._get_canonical(self._by_url[url])
 
     def ordinal_of(self, doc_id: str) -> int:
         """Insert-order position of a stored document."""

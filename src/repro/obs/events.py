@@ -40,7 +40,6 @@ EVENT_TYPES: dict[str, frozenset[str]] = {
     "page_crawled": frozenset({"url", "depth"}),
     "doc_indexed": frozenset({"doc_id", "url"}),
     "doc_deduped": frozenset({"doc_id", "reason"}),
-    "near_duplicate": frozenset({"key", "duplicate_of", "similarity"}),
     "search_executed": frozenset({"query", "n_results"}),
     "model_trained": frozenset(
         {

@@ -188,8 +188,8 @@ def derive_gauges(
 ) -> dict[str, float]:
     """Pipeline-level gauges computed from recorded counters.
 
-    * ``dedup_ratio`` — fraction of crawled article pages dropped by
-      exact or near dedup;
+    * ``dedup_ratio`` — fraction of crawled article pages the store's
+      exact content-hash dedup dropped;
     * ``ingest_memory_bytes_per_doc`` — resident store bytes per
       stored document, from the ``ingest.memory_bytes`` counter;
     * ``ingest_shard_docs{shard="..."}`` — documents owned by each
@@ -219,10 +219,9 @@ def derive_gauges(
 
     stored = counters.get("gather.documents_stored", 0)
     skipped = counters.get("gather.duplicates_skipped", 0)
-    near = counters.get("gather.near_duplicates_skipped", 0)
-    seen = stored + skipped + near
+    seen = stored + skipped
     if seen:
-        gauges["dedup_ratio"] = (skipped + near) / seen
+        gauges["dedup_ratio"] = skipped / seen
 
     memory = counters.get("ingest.memory_bytes", 0)
     if stored and memory:

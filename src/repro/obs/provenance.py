@@ -172,39 +172,6 @@ class ProvenanceGraph:
             key = ("classification", f"{driver_id}:{snippet_id}")
             yield key, ("alert", alert_id)
 
-    def is_acyclic(self) -> bool:
-        """True when no directed cycle exists (it never should)."""
-        adjacency: dict[NodeKey, list[NodeKey]] = {}
-        for cause, effect in self.edges():
-            adjacency.setdefault(cause, []).append(effect)
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: dict[NodeKey, int] = {}
-        for start in list(adjacency):
-            if color.get(start, WHITE) != WHITE:
-                continue
-            stack: list[tuple[NodeKey, Iterator[NodeKey]]] = [
-                (start, iter(adjacency.get(start, ())))
-            ]
-            color[start] = GRAY
-            while stack:
-                node, children = stack[-1]
-                advanced = False
-                for child in children:
-                    state = color.get(child, WHITE)
-                    if state == GRAY:
-                        return False
-                    if state == WHITE:
-                        color[child] = GRAY
-                        stack.append(
-                            (child, iter(adjacency.get(child, ())))
-                        )
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return True
-
     # -- queries --------------------------------------------------------------
 
     def crawl_path(self, url: str, max_hops: int = 64) -> list[str]:
@@ -219,16 +186,6 @@ class ProvenanceGraph:
             seen.add(current)
             path.append(current)
         return path
-
-    def unreachable_alerts(self) -> list[str]:
-        """Alert ids whose chain does not reach a crawled page."""
-        broken: list[str] = []
-        for alert_id, event in self.alerts.items():
-            doc_id = event.payload["doc_id"]
-            doc = self.docs.get(doc_id)
-            if doc is None or doc.payload["url"] not in self.pages:
-                broken.append(alert_id)
-        return sorted(broken)
 
     def explain(self, alert_id: str) -> ProvenanceChain:
         """Assemble the full chain for one alert (KeyError if unknown)."""

@@ -68,10 +68,6 @@ class P2Quantile:
         self._desired: list[float] = []
         self._increments = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
 
-    @property
-    def initialized(self) -> bool:
-        return self._initial is None
-
     def observe(self, value: float) -> None:
         value = float(value)
         if self._initial is not None:
@@ -353,11 +349,6 @@ class TimeSeries:
         self.interval = float(interval)
         self.clock = clock or MonotonicClock()
         self._buckets = [_Bucket() for _ in range(n_buckets)]
-
-    @property
-    def capacity_seconds(self) -> float:
-        """The longest window this series can answer."""
-        return self.interval * len(self._buckets)
 
     # -- recording ------------------------------------------------------------
 

@@ -8,11 +8,9 @@ modular (each query's result pages are fetched when it runs), so the
 greedy ratio sequence is non-increasing — the property suite pins this
 along with the budget bound and determinism.
 
-Analyst feedback closes the loop: :class:`FeedbackWeights` turns
-:class:`~repro.core.feedback.FeedbackLoop` verdicts into per-document
-weights, boosting documents whose snippets analysts confirmed and
-discounting rejected ones, so the next planning round steers the
-portfolio toward queries that found *validated* leads.
+:class:`FeedbackWeights` weighs each ``(driver, document)`` pair
+(default 1.0), so a heavier document pulls the portfolio toward the
+queries that cover it.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from repro.queries.evaluate import CandidateEvaluation, seed_evaluations
 
 
 class FeedbackWeights:
-    """Per-document relevance weights derived from analyst verdicts."""
+    """Per-document relevance weights, keyed by ``(driver_id, doc_id)``."""
 
     def __init__(
         self,
@@ -34,35 +32,6 @@ class FeedbackWeights:
     ) -> None:
         self._weights = dict(weights or {})
         self.default = default
-
-    @classmethod
-    def from_feedback(
-        cls,
-        feedback,
-        boost: float = 2.0,
-        penalty: float = 0.25,
-    ) -> "FeedbackWeights":
-        """Build weights from a FeedbackLoop or an iterable of verdicts.
-
-        A document with any confirmed snippet weighs ``boost``; one with
-        only rejected snippets weighs ``penalty``; unseen documents keep
-        the default weight 1.0.  Snippet ids are ``doc_id#index``, so
-        the document is recoverable from every verdict.
-        """
-        all_verdicts = getattr(feedback, "all_verdicts", None)
-        verdicts = all_verdicts() if callable(all_verdicts) else feedback
-        confirmed: set[tuple[str, str]] = set()
-        rejected: set[tuple[str, str]] = set()
-        for verdict in verdicts:
-            doc_id = verdict.snippet_id.rsplit("#", 1)[0]
-            key = (verdict.driver_id, doc_id)
-            if verdict.valid:
-                confirmed.add(key)
-            else:
-                rejected.add(key)
-        weights = {key: penalty for key in rejected - confirmed}
-        weights.update({key: boost for key in confirmed})
-        return cls(weights)
 
     def weight(self, driver_id: str, doc_id: str) -> float:
         return self._weights.get((driver_id, doc_id), self.default)

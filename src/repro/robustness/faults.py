@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 from urllib.parse import urlparse
 
@@ -147,29 +147,12 @@ class FaultProfile:
         if self.flap_period <= 0:
             raise ValueError("flap_period must be positive")
 
-    @property
-    def injection_rate(self) -> float:
-        """Aggregate probability mass of per-URL fault draws."""
-        return (
-            self.transient_rate + self.dead_rate + self.slow_rate
-            + self.truncate_rate + self.garble_rate
-            + self.flaky_host_rate
-        )
-
     def rate(self, name: str, host: str) -> float:
         """Rate of fault kind ``name`` for URLs on ``host``."""
         override = self.host_overrides.get(host)
         if override is not None and name in override:
             return override[name]
         return getattr(self, name)
-
-    def with_overrides(
-        self, host: str, **rates: float
-    ) -> "FaultProfile":
-        """A copy with ``rates`` overriding this profile on ``host``."""
-        merged = dict(self.host_overrides)
-        merged[host] = {**merged.get(host, {}), **rates}
-        return replace(self, host_overrides=merged)
 
 
 #: Named profiles shipped with the CLI's ``--fault-profile``.  Non-lossy
@@ -400,10 +383,6 @@ class FaultyWeb:
     @property
     def graph(self):
         return self.inner.graph
-
-    @property
-    def urls(self) -> list[str]:
-        return self.inner.urls
 
     @property
     def documents(self):

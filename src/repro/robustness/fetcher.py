@@ -22,7 +22,7 @@ metrics registry for the Prometheus export.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from urllib.parse import urlparse
 
 from repro.corpus.web import Page
@@ -186,10 +186,6 @@ class ResilientFetcher:
             host: breaker.state
             for host, breaker in sorted(self._breakers.items())
         }
-
-    @property
-    def dead_letter_urls(self) -> set[str]:
-        return {letter.url for letter in self.dead_letters}
 
     # -- fetching --------------------------------------------------------------
 

@@ -69,10 +69,6 @@ class CrawlResult:
     dead_urls: set[str] = field(default_factory=set)
 
     @property
-    def fetched(self) -> int:
-        return len(self.pages)
-
-    @property
     def documents(self):
         return [page.document for page in self.pages if page.document]
 

@@ -333,17 +333,6 @@ class InvertedIndex:
         return n_read
 
     @classmethod
-    def from_documents(
-        cls,
-        documents: Iterable[tuple[str, str, str]],
-        terms_of=None,
-    ) -> "InvertedIndex":
-        """Batched rebuild: a fresh index over the given documents."""
-        index = cls()
-        index.add_documents(documents, terms_of=terms_of)
-        return index
-
-    @classmethod
     def from_token_stream(
         cls,
         vocab: list[str],

@@ -168,15 +168,6 @@ class AdmissionController:
         with self._lock:
             return self._pending
 
-    def pending_of(self, client_id: str) -> int:
-        """One client's admitted-but-unreleased count."""
-        with self._lock:
-            return self._pending_by_client[client_id]
-
-    def reserved_of(self, client_id: str) -> int:
-        """Queue slots reserved for ``client_id`` (0 without a quota)."""
-        return self._reserved.get(client_id, 0)
-
     def bucket_of(self, client_id: str) -> TokenBucket:
         with self._lock:
             bucket = self._buckets.get(client_id)

@@ -424,12 +424,6 @@ class AlertPortal:
             raise RuntimeError("portal has no replicas (n_replicas=1)")
         return self.replicas.kill(shard, index)
 
-    def restore_replica(self, shard: int, index: int, catch_up: bool = True):
-        """Bring one replica back, catching it up by default."""
-        if self.replicas is None:
-            raise RuntimeError("portal has no replicas (n_replicas=1)")
-        return self.replicas.restore(shard, index, catch_up=catch_up)
-
     # -- alert delivery --------------------------------------------------------
 
     def subscribe(
@@ -450,10 +444,6 @@ class AlertPortal:
         self.tracer.count("serve.subscriptions")
         return subscription_id
 
-    def unsubscribe(self, subscription_id: str) -> None:
-        with self._lock:
-            self._subscriptions.pop(subscription_id, None)
-
     def publish(self, alerts) -> int:
         """Feed alerts into the portal's log; idempotent on alert id.
 
@@ -472,13 +462,6 @@ class AlertPortal:
         if added:
             self.tracer.count("serve.alerts_published", added)
         return added
-
-    def pump(self) -> int:
-        """Run one AlertService poll cycle and publish its alerts."""
-        if self.alert_service is None:
-            raise RuntimeError("no AlertService attached to this portal")
-        report = self.alert_service.poll()
-        return self.publish(report.alerts)
 
     def poll_alerts(self, subscription_id: str) -> list[Alert]:
         """New matching alerts for one subscription (each id once)."""

@@ -86,11 +86,6 @@ class Replica:
             return 0
         return next(reversed(self._views))
 
-    @property
-    def generations(self) -> tuple[int, ...]:
-        """Every generation this replica can serve, oldest first."""
-        return tuple(self._views)
-
     # -- data plane ------------------------------------------------------------
 
     def install(self, generation: int, view: ShardView) -> None:
@@ -153,10 +148,6 @@ class ReplicaGroup:
 
     def up_replicas(self) -> list[Replica]:
         return [replica for replica in self.replicas if replica.up]
-
-    @property
-    def all_down(self) -> bool:
-        return not any(replica.up for replica in self.replicas)
 
     def lag(self, index: int) -> int:
         """Generations the replica trails the latest ship."""

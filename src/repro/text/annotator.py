@@ -46,10 +46,6 @@ class AnnotatedText:
     tokens: tuple[AnnotatedToken, ...]
     entities: tuple[Entity, ...]
 
-    def entity_labels(self) -> set[str]:
-        """The set of entity categories present in this text."""
-        return {entity.label for entity in self.entities}
-
     def words(self) -> list[str]:
         return [token.text for token in self.tokens]
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.corpus import vocab
 from repro.text.tokenizer import tokenize_words
@@ -419,7 +419,3 @@ class NamedEntityRecognizer:
                         memo.clear()
                     memo[word] = entry
                 entries[index] = entry
-
-    def recognize(self, text: str) -> list[Entity]:
-        """Tokenize ``text`` and recognize entities."""
-        return self.recognize_words(tokenize_words(text))

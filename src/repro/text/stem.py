@@ -189,6 +189,3 @@ class PorterStemmer:
             cached = stem(key)
             self._cache[key] = cached
         return cached
-
-    def stem_all(self, words: list[str]) -> list[str]:
-        return [self.stem(word) for word in words]

@@ -30,20 +30,13 @@ class TestCanonicalKey:
 class TestNormalizer:
     def test_same_company_variants(self):
         normalizer = CompanyNormalizer()
-        assert normalizer.same_company("Acme Inc", "Acme Incorporated")
-        assert not normalizer.same_company("Acme Inc", "Globex Corp")
-
-    def test_alias_resolution(self):
-        normalizer = CompanyNormalizer()
-        normalizer.add_alias("Big Blue", "International Business Machines")
-        assert normalizer.normalize("Big Blue") == (
-            normalizer.normalize("International Business Machines")
-        )
+        acme = normalizer.normalize("Acme Inc")
+        assert normalizer.normalize("Acme Incorporated") == acme
+        assert normalizer.normalize("Globex Corp") != acme
 
     def test_display_name(self):
         normalizer = CompanyNormalizer()
-        normalizer.add_alias("Big Blue", "International Business Machines")
-        key = normalizer.normalize("Big Blue")
+        key = normalizer.register("International Business Machines")
         assert normalizer.display_name(key) == (
             "International Business Machines"
         )
@@ -60,14 +53,6 @@ class TestNormalizer:
         )
         companies = CompanyNormalizer().companies_in(annotated)
         assert companies == ["acme", "globex"]  # deduped, ordered
-
-    def test_group_mentions(self):
-        normalizer = CompanyNormalizer()
-        groups = normalizer.group_mentions(
-            ["Acme Inc", "Acme Incorporated", "Globex Corp"]
-        )
-        assert set(groups["acme"]) == {"Acme Inc", "Acme Incorporated"}
-        assert groups["globex"] == ["Globex Corp"]
 
 
 class TestAcronyms:

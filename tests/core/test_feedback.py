@@ -17,6 +17,11 @@ def _looks_like_biography(text: str) -> bool:
     )
 
 
+def record_all(loop, events, valid: bool) -> None:
+    for event in events:
+        loop.record(event, valid)
+
+
 @pytest.fixture(autouse=True)
 def _restore_classifiers(trained_etap):
     """Feedback retraining replaces classifiers on the shared
@@ -43,7 +48,7 @@ class TestRecording:
         ]
         loop.record(events[0], valid=True)
         loop.record(events[1], valid=False)
-        assert loop.n_verdicts == 2
+        assert len(loop.verdicts_for(CHANGE_IN_MANAGEMENT)) == 2
         verdicts = loop.verdicts_for(CHANGE_IN_MANAGEMENT)
         assert sum(v.valid for v in verdicts) == 1
 
@@ -54,16 +59,8 @@ class TestRecording:
         ]
         loop.record(events[0], valid=True)
         loop.record(events[0], valid=False)
-        assert loop.n_verdicts == 1
+        assert len(loop.verdicts_for(CHANGE_IN_MANAGEMENT)) == 1
         assert not loop.verdicts_for(CHANGE_IN_MANAGEMENT)[0].valid
-
-    def test_record_many(self, trained_etap):
-        loop = FeedbackLoop(trained_etap)
-        events = trained_etap.extract_trigger_events()[
-            CHANGE_IN_MANAGEMENT
-        ]
-        loop.record_many(events[:4], valid=True)
-        assert loop.n_verdicts == 4
 
 
 class TestRetrain:
@@ -85,8 +82,8 @@ class TestRetrain:
             pytest.skip("corpus sample surfaced too few biography FPs")
 
         loop = FeedbackLoop(trained_etap)
-        loop.record_many(biographies, valid=False)
-        loop.record_many(genuine[:10], valid=True)
+        record_all(loop, biographies, valid=False)
+        record_all(loop, genuine[:10], valid=True)
 
         items = [e.item for e in biographies]
         before = trained_etap.classifiers[CHANGE_IN_MANAGEMENT].score(
@@ -107,7 +104,7 @@ class TestRetrain:
             e for e in events if not _looks_like_biography(e.text)
         ][:10]
         loop = FeedbackLoop(trained_etap)
-        loop.record_many(genuine, valid=True)
+        record_all(loop, genuine, valid=True)
         loop.retrain(CHANGE_IN_MANAGEMENT)
         scores = trained_etap.classifiers[CHANGE_IN_MANAGEMENT].score(
             [e.item for e in genuine]
@@ -119,8 +116,8 @@ class TestRetrain:
             CHANGE_IN_MANAGEMENT
         ]
         loop = FeedbackLoop(trained_etap)
-        loop.record_many(events[:3], valid=True)
-        loop.record_many(events[3:5], valid=False)
+        record_all(loop, events[:3], valid=True)
+        record_all(loop, events[3:5], valid=False)
         report = loop.retrain(CHANGE_IN_MANAGEMENT)
         assert report.n_confirmed == 3
         assert report.n_rejected == 2

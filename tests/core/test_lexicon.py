@@ -48,11 +48,6 @@ class TestLexiconScoring:
         with pytest.raises(ValueError):
             OrientationLexicon().add("   ", 1.0)
 
-    def test_merge(self):
-        lexicon = OrientationLexicon({"profit": 1.0})
-        lexicon.merge({"loss": -1.0})
-        assert len(lexicon) == 2
-
     def test_empty_lexicon_scores_zero(self):
         assert OrientationLexicon().score("anything at all") == 0.0
 

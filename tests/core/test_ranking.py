@@ -156,7 +156,6 @@ class TestCompanyRanker:
 
     def test_custom_normalizer_merges_aliases(self):
         normalizer = CompanyNormalizer()
-        normalizer.add_alias("Acme Incorporated", "Acme Inc")
         events = make_trigger_events(
             "ma",
             [item("Acme Inc acquired Globex Corp."),

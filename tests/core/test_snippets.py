@@ -89,14 +89,6 @@ class TestFromDocument:
         )
         assert all(s.doc_id == document.doc_id for s in snippets)
 
-    def test_from_documents_flattens(self):
-        generator = CorpusGenerator(CorpusConfig(seed=2))
-        documents = [
-            generator.generate_document("background") for _ in range(3)
-        ]
-        snippets = SnippetGenerator().from_documents(documents)
-        assert len({s.doc_id for s in snippets}) == 3
-
 
 class TestFromText:
     def test_uses_sentence_chunker(self):

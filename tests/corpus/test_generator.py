@@ -54,7 +54,7 @@ class TestSingleDocuments:
             ("rg_news", REVENUE_GROWTH),
         ]:
             document = generator.generate_document(doc_type)
-            assert driver in document.driver_labels()
+            assert driver in {s.label for s in document.sentences}
 
     def test_lead_sentence_is_trigger(self, generator):
         # Inverted pyramid: the first sentence of a news article reports
@@ -73,7 +73,7 @@ class TestSingleDocuments:
 
     def test_biography_has_no_trigger_labels(self, generator):
         document = generator.generate_document("biography")
-        assert document.driver_labels() == set()
+        assert all(s.label is None for s in document.sentences)
 
     def test_background_has_no_companies(self, generator):
         document = generator.generate_document("background")

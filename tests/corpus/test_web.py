@@ -11,7 +11,7 @@ from repro.corpus.web import FRONT_PAGE_URL, build_web
 class TestStructure:
     def test_front_page_exists(self, small_web):
         page = small_web.fetch(FRONT_PAGE_URL)
-        assert page.is_hub
+        assert page.document is None
         assert page.links  # links to every site hub
 
     def test_every_document_has_a_page(self, small_web):
@@ -22,7 +22,7 @@ class TestStructure:
     def test_hub_pages_link_to_articles(self, small_web):
         front = small_web.fetch(FRONT_PAGE_URL)
         hub = small_web.fetch(front.links[0])
-        assert hub.is_hub
+        assert hub.document is None
         assert all(small_web.has(link) for link in hub.links)
 
     def test_page_count_exceeds_documents(self, small_web):

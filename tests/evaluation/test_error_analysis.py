@@ -125,12 +125,12 @@ class TestAnalyzeErrors:
             item("Shares of Initech Ltd closed at $4 on Friday."),
         ]
         report = analyze_errors("d", items, [0, 0, 0], [1, 1, 1])
-        assert report.dominant_fp_bucket == "historical"
+        assert report.fp_buckets.most_common(1)[0][0] == "historical"
 
     def test_no_errors(self):
         items = [item("Acme Inc named Mary Jones CEO today.")]
         report = analyze_errors("d", items, [1], [1])
-        assert report.dominant_fp_bucket is None
+        assert not report.fp_buckets
 
 
 class TestEndToEnd:

@@ -53,11 +53,6 @@ class TestTable1:
         assert "Paper F1" in rendered
         assert "0.773" in rendered
 
-    def test_f1_lookup(self, result):
-        assert 0 <= result.f1_of(MERGERS_ACQUISITIONS) <= 1
-        with pytest.raises(KeyError):
-            result.f1_of("nope")
-
     def test_reasonable_precision_and_recall(self, result):
         for row in result.rows:
             assert row.precision >= 0.4, row.driver_id

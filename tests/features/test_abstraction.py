@@ -101,11 +101,6 @@ class TestAnalyzer:
         assert set(ENTITY_CATEGORIES) <= categories
         assert {"vb", "nn", "jj"} <= categories
 
-    def test_derive_policy_only_abstracts_entities(self, labeled_corpus):
-        texts, labels = labeled_corpus
-        policy = AbstractionAnalyzer().derive_policy(texts, labels)
-        assert policy.abstract_categories <= set(ENTITY_CATEGORIES)
-
 
 class TestPolicy:
     def test_paper_default_abstracts_all_entities(self):

@@ -72,14 +72,6 @@ class TestAdd:
         with pytest.raises(DuplicateDocumentError):
             store.add(doc(), strict=True)
 
-    def test_add_many_counts_stored(self):
-        store = DocumentStore()
-        stored = store.add_many(
-            [doc(), doc(doc_id="d2", url="http://b", text="other"),
-             doc(doc_id="d3", url="http://c", text="other")]
-        )
-        assert stored == 2
-
     def test_empty_url_never_collides(self):
         store = DocumentStore()
         store.add(doc(doc_id="a", url="", text="first"))
@@ -87,11 +79,6 @@ class TestAdd:
 
 
 class TestAccess:
-    def test_get_by_url(self):
-        store = DocumentStore()
-        store.add(doc())
-        assert store.get_by_url("http://a/x").doc_id == "d1"
-
     def test_contains(self):
         store = DocumentStore()
         store.add(doc())
@@ -296,5 +283,4 @@ class TestFlatBuffer:
         ))
         store.get("a").metadata.pop("published_day")
         assert store.get("a").metadata == {}
-        assert store.get_by_url("http://a").metadata == {}
         assert [d.metadata for d in store] == [{}]

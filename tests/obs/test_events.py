@@ -27,11 +27,6 @@ EXAMPLE_PAYLOADS: dict[str, dict] = {
     "page_crawled": {"url": "http://x/a.html", "depth": 2, "via": "http://x/"},
     "doc_indexed": {"doc_id": "doc-1", "url": "http://x/a.html"},
     "doc_deduped": {"doc_id": "doc-1", "reason": "exact"},
-    "near_duplicate": {
-        "key": "doc-2",
-        "duplicate_of": "doc-1",
-        "similarity": 0.93,
-    },
     "search_executed": {"query": "merger acquisition", "n_results": 17},
     "model_trained": {
         "driver_id": "mergers",

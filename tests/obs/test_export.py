@@ -94,8 +94,7 @@ class TestDeriveGauges:
     def test_dedup_ratio_from_counters(self):
         registry = Registry()
         registry.count("gather.documents_stored", 80)
-        registry.count("gather.duplicates_skipped", 15)
-        registry.count("gather.near_duplicates_skipped", 5)
+        registry.count("gather.duplicates_skipped", 20)
         gauges = derive_gauges(registry)
         assert gauges["dedup_ratio"] == pytest.approx(0.2)
 

@@ -30,7 +30,6 @@ from repro.core.snippets import SnippetGenerator
 from repro.core.training import TrainingDataGenerator
 from repro.corpus.generator import CorpusConfig
 from repro.corpus.web import build_web
-from repro.gather.dedup import NearDuplicateIndex
 from repro.gather.ingest import ShardedIngester
 from repro.gather.pipeline import DataGatherer
 from repro.obs.events import EventLog
@@ -86,7 +85,6 @@ def recorder_keepers():
         driver_id="revenue_growth", tracer=t
     )
     yield "CompanyRanker", lambda t: CompanyRanker(tracer=t)
-    yield "NearDuplicateIndex", lambda t: NearDuplicateIndex(tracer=t)
     yield "TrainingDataGenerator", lambda t: TrainingDataGenerator(
         store=gatherer.store,
         engine=gatherer.engine,

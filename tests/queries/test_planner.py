@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.feedback import Verdict
 from repro.obs.events import EventLog
 from repro.obs.export import derive_gauges
 from repro.obs.tracer import Tracer
@@ -143,46 +142,18 @@ class TestBaseline:
 
 
 class TestFeedbackWeights:
-    def _verdict(self, snippet_id, valid, driver_id=DRIVER):
-        return Verdict(
-            driver_id=driver_id,
-            snippet_id=snippet_id,
-            valid=valid,
-            item=None,
-        )
-
-    def test_confirmed_boost_and_rejected_penalty(self):
-        weights = FeedbackWeights.from_feedback([
-            self._verdict("doc-1#0", True),
-            self._verdict("doc-2#3", False),
-        ])
-        assert weights.weight(DRIVER, "doc-1") == 2.0
-        assert weights.weight(DRIVER, "doc-2") == 0.25
-        assert weights.weight(DRIVER, "doc-3") == 1.0
-
-    def test_any_confirmed_snippet_wins_over_rejections(self):
-        weights = FeedbackWeights.from_feedback([
-            self._verdict("doc-1#0", False),
-            self._verdict("doc-1#1", True),
-        ])
-        assert weights.weight(DRIVER, "doc-1") == 2.0
-
     def test_weights_are_per_driver(self):
-        weights = FeedbackWeights.from_feedback([
-            self._verdict("doc-1#0", True, driver_id="funding_rounds"),
-        ])
-        assert weights.weight("funding_rounds", "doc-1") == 2.0
-        assert weights.weight(DRIVER, "doc-1") == 1.0
+        weights = FeedbackWeights({(DRIVER, "doc-1"): 2.0})
+        assert weights.weight(DRIVER, "doc-1") == 2.0
+        assert weights.weight(DRIVER, "doc-2") == 1.0
+        assert weights.weight("funding_rounds", "doc-1") == 1.0
 
     def test_feedback_steers_selection(self):
         pool = [
             ev("confirmed-path", ["a", "b"], ["a"]),
             ev("rejected-path", ["c", "d"], ["c"]),
         ]
-        weights = FeedbackWeights.from_feedback([
-            self._verdict("c#0", False),
-            self._verdict("a#0", True),
-        ])
+        weights = FeedbackWeights({(DRIVER, "c"): 0.25, (DRIVER, "a"): 2.0})
         planner = PortfolioPlanner(
             PlannerConfig(budget=2), weights=weights
         )

@@ -82,7 +82,7 @@ class TestFetchPaths:
         outcome = fetcher.fetch(url)
         assert not outcome.ok and outcome.status == "dead"
         assert outcome.attempts == 1
-        assert fetcher.dead_letter_urls == {url}
+        assert [letter.url for letter in fetcher.dead_letters] == [url]
         assert fetcher.dead_letters[0].reason == "dead_link"
         (letter_event,) = fetcher.tracer.recorder.events("fetch_dead_letter")
         assert letter_event.payload["reason"] == "dead_link"

@@ -72,7 +72,9 @@ def test_attempts_bounded_and_outcomes_consistent(
             assert outcome.status in (
                 "dead", "exhausted", "breaker_open"
             )
-            assert outcome.url in fetcher.dead_letter_urls
+            assert outcome.url in {
+                letter.url for letter in fetcher.dead_letters
+            }
     # Every dead letter names a fetched URL, with a reason.
     for letter in fetcher.dead_letters:
         assert letter.reason

@@ -19,6 +19,13 @@ def by_doc(index: InvertedIndex, term: str) -> dict[str, list[int]]:
     return postings
 
 
+def index_of(documents) -> InvertedIndex:
+    """A fresh index over ``(doc_key, text, title)`` triples."""
+    index = InvertedIndex()
+    index.add_documents(documents)
+    return index
+
+
 def postings_snapshot(index: InvertedIndex, terms) -> dict:
     """``{term: by_doc(index, term)}`` over ``terms``."""
     return {term: by_doc(index, term) for term in terms}

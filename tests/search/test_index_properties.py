@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 from repro.search.engine import SearchEngine
 from repro.search.index import InvertedIndex, doc_runs
 from repro.serve.shards import ShardedIndex
-from tests.search.helpers import postings_snapshot
+from tests.search.helpers import index_of, postings_snapshot
 from tests.search.test_flat_index import build_flat
 
 WORDS = ["acme", "acquired", "revenue", "ceo", "plant", "growth"]
@@ -54,7 +54,7 @@ def test_incremental_adds_equal_bulk_rebuild(docs):
     incremental = InvertedIndex()
     for doc_key, text in docs.items():
         incremental.add_document(doc_key, text, title=doc_key)
-    bulk = InvertedIndex.from_documents(
+    bulk = index_of(
         (doc_key, text, doc_key) for doc_key, text in docs.items()
     )
     assert canonical(incremental) == canonical(bulk)
@@ -71,7 +71,7 @@ def test_readd_replaces_and_equals_final_state(docs, new_text):
     index.add_document(target, new_text)
     final = dict(docs)
     final[target] = new_text
-    expected = InvertedIndex.from_documents(
+    expected = index_of(
         (doc_key, text, "") for doc_key, text in final.items()
     )
     assert canonical(index) == canonical(expected)
@@ -99,7 +99,7 @@ def test_any_batching_of_a_write_sequence_gives_one_index(writes, n_batches):
 
 @given(docs_strategy, docs_strategy)
 def test_clone_plus_delta_equals_bulk_rebuild(base, delta):
-    original = InvertedIndex.from_documents(
+    original = index_of(
         (doc_key, text, "") for doc_key, text in base.items()
     )
     before = canonical(original)
@@ -109,7 +109,7 @@ def test_clone_plus_delta_equals_bulk_rebuild(base, delta):
     )
     merged = dict(base)
     merged.update(delta)
-    expected = InvertedIndex.from_documents(
+    expected = index_of(
         (doc_key, text, "") for doc_key, text in merged.items()
     )
     assert canonical(extended) == canonical(expected)

@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import assume, given, strategies as st
 
 from repro.search.index import InvertedIndex
+from tests.search.helpers import index_of
 
 WORDS = ["deal", "acme", "ceo", "new", "growth"]
 #: A phrase term no document holds.
@@ -52,7 +53,7 @@ def sliding_window(docs: dict[str, list[str]], phrase) -> dict[str, int]:
 
 
 def build(docs: dict[str, list[str]]) -> InvertedIndex:
-    return InvertedIndex.from_documents(
+    return index_of(
         (key, " ".join(words), "") for key, words in docs.items()
     )
 

@@ -165,11 +165,15 @@ class TestQuotas:
         with pytest.raises(ValueError):
             self.make({"a": 1.0, "b": 1.0})
 
-    def test_reserved_of_rounds_down_to_slots(self):
+    def test_reservations_round_down_to_slots(self):
         controller = self.make({"a": 0.25, "b": 0.3})
-        assert controller.reserved_of("a") == 2
-        assert controller.reserved_of("b") == 2  # floor(0.3 * 8)
-        assert controller.reserved_of("nobody") == 0
+        # a and b reserve 2 slots each (floor(0.3 * 8) == 2), so a
+        # client without a quota gets the other 4 and no more.
+        admitted = {
+            client: sum(1 for _ in range(20) if controller.admit(client))
+            for client in ("nobody", "a", "b")
+        }
+        assert admitted == {"nobody": 4, "a": 2, "b": 2}
 
     def test_majority_cannot_take_the_reserved_floor(self):
         """One tenant fills shared + its own slots; the other tenant's
@@ -185,7 +189,6 @@ class TestQuotas:
         assert controller.admit("a")
         assert controller.admit("a")
         assert not controller.admit("a")
-        assert controller.pending_of("a") == 2
 
     def test_release_frees_the_right_tenant_slot(self):
         controller = self.make({"a": 0.25, "b": 0.25})
@@ -193,7 +196,7 @@ class TestQuotas:
             assert controller.admit("b")
         assert not controller.admit("b")
         controller.release("b")
-        assert controller.pending_of("b") == 5
+        assert controller.pending == 5
         assert controller.admit("b")
 
     def test_unquotaed_clients_share_the_unreserved_slots(self):

@@ -114,7 +114,7 @@ def test_kill_restore_under_load_keeps_every_invariant():
                 portal.store = build_store(30, marker)
                 portal.refresh()
                 for shard in range(2):
-                    portal.restore_replica(shard, victim)
+                    portal.replicas.restore(shard, victim)
         finally:
             stop.set()
             for thread in threads:

@@ -225,7 +225,7 @@ class TestSubscriptions:
                 "ma-desk", drivers=("mergers_acquisitions",)
             )
             WebEvolver(web, CorpusConfig(seed=24)).advance(40)
-            portal.pump()
+            portal.publish(service.poll().alerts)
             all_alerts = portal.poll_alerts(everything)
             ma_alerts = portal.poll_alerts(ma_only)
             assert all_alerts  # the evolved web produced alerts
@@ -283,20 +283,6 @@ class TestSubscriptions:
         with portal:
             with pytest.raises(KeyError):
                 portal.poll_alerts("sub-9999")
-
-    def test_unsubscribe(self):
-        portal = AlertPortal(build_store(2))
-        with portal:
-            sub = portal.subscribe("someone")
-            portal.unsubscribe(sub)
-            with pytest.raises(KeyError):
-                portal.poll_alerts(sub)
-
-    def test_pump_without_service_raises(self):
-        portal = AlertPortal(build_store(2))
-        with portal:
-            with pytest.raises(RuntimeError):
-                portal.pump()
 
 
 class TestStats:

@@ -137,7 +137,7 @@ def test_non_degraded_responses_are_exact(
     for shard, index in kills:
         replicas.kill(shard, index)
     whole_group_down = any(
-        group.all_down for group in replicas.groups
+        not group.up_replicas() for group in replicas.groups
     )
     result = router.route(query)
     if whole_group_down:

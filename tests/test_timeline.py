@@ -22,21 +22,6 @@ class TestGeneratorTimestamps:
         days = {d.published_day for d in generator.generate(100)}
         assert len(days) > 10
 
-    def test_mirror_lags_original(self):
-        generator = CorpusGenerator(
-            CorpusConfig(seed=2, mirror_rate=1.0)
-        )
-        documents = generator.generate(60)
-        for index, document in enumerate(documents):
-            if "mirror.example.com" not in document.url:
-                continue
-            original = documents[index - 1]
-            assert (
-                original.published_day
-                <= document.published_day
-                <= original.published_day + 2
-            )
-
 
 class TestEvolverTimestamps:
     def test_new_docs_dated_after_timeline(self):

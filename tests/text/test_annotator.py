@@ -29,11 +29,11 @@ class TestMerge:
         annotated = annotator.annotate("profits rose sharply")
         assert all(t.entity is None for t in annotated.tokens)
 
-    def test_entity_labels_helper(self, annotator):
+    def test_entities_carry_their_labels(self, annotator):
         annotated = annotator.annotate(
             "Acme Inc paid $5 billion in January."
         )
-        labels = annotated.entity_labels()
+        labels = {entity.label for entity in annotated.entities}
         assert {"ORG", "CURRENCY", "PERIOD"} <= labels
 
     def test_words_helper_matches_tokens(self, annotator):

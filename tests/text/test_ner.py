@@ -12,6 +12,7 @@ from repro.text.ner import (
     NamedEntityRecognizer,
     NerConfig,
 )
+from repro.text.tokenizer import tokenize_words
 from tests.text.ner_reference import reference_recognize_words
 
 
@@ -20,8 +21,12 @@ def ner():
     return NamedEntityRecognizer(NerConfig(gazetteer_coverage=1.0))
 
 
+def recognize(ner, text):
+    return ner.recognize_words(tokenize_words(text))
+
+
 def labels_of(ner, text):
-    return [(e.label, e.text) for e in ner.recognize(text)]
+    return [(e.label, e.text) for e in recognize(ner, text)]
 
 
 class TestCategories:
@@ -156,8 +161,8 @@ class TestCoverage:
                 "Boston", "Chicago", "Austin", "Toronto", "Sydney",
             ]
         )
-        n_full = len(full.recognize(text))
-        n_thin = len(thin.recognize(text))
+        n_full = len(recognize(full, text))
+        n_thin = len(recognize(thin, text))
         assert n_thin < n_full
 
 
@@ -168,7 +173,7 @@ class TestSpans:
             "paying $4.5 billion for 40 terabytes and 12% of Globex Corp."
         )
         spans = sorted(
-            (e.start, e.end) for e in ner.recognize(text)
+            (e.start, e.end) for e in recognize(ner, text)
         )
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             assert e1 <= s2
@@ -178,7 +183,7 @@ class TestSpans:
 
         text = "Globex Corp opened offices in Hong Kong."
         tokens = [t.text for t in tokenize(text)]
-        for entity in ner.recognize(text):
+        for entity in recognize(ner, text):
             assert entity.text == " ".join(
                 tokens[entity.start : entity.end]
             )

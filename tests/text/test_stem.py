@@ -116,11 +116,6 @@ class TestCachingWrapper:
         for word in ("acquisitions", "reported", "executives"):
             assert stemmer.stem(word) == stem(word)
 
-    def test_stem_all_preserves_order(self):
-        stemmer = PorterStemmer()
-        words = ["acquired", "companies", "profits"]
-        assert stemmer.stem_all(words) == [stem(w) for w in words]
-
     def test_cache_is_populated(self):
         stemmer = PorterStemmer()
         stemmer.stem("Growing")
