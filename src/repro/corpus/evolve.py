@@ -67,9 +67,12 @@ class WebEvolver:
         return documents
 
     def _refresh_latest_hub(self, documents: list[Document]) -> None:
+        # The publisher reads its own pages with ``peek``: on a
+        # fault-injecting web a ``fetch`` would fail like a crawler's
+        # and spend the crawler's fetch attempts.
         existing: tuple[str, ...] = ()
         if self.web.has(LATEST_HUB_URL):
-            existing = self.web.fetch(LATEST_HUB_URL).links
+            existing = self.web.peek(LATEST_HUB_URL).links
         links = tuple(doc.url for doc in documents) + existing
         self.web.add_page(
             Page(
@@ -79,7 +82,7 @@ class WebEvolver:
                 links=links[:500],  # a real hub paginates; we cap
             )
         )
-        front = self.web.fetch(FRONT_PAGE_URL)
+        front = self.web.peek(FRONT_PAGE_URL)
         if LATEST_HUB_URL not in front.links:
             self.web.add_page(
                 Page(

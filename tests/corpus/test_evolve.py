@@ -80,3 +80,20 @@ class TestAdvance:
         web = build_web(40, CorpusConfig(seed=41))
         first = WebEvolver(web, CorpusConfig(seed=42)).advance(1)[0]
         assert first.doc_id == f"doc-{EVOLVED_START_ID + 1}"
+
+    def test_publishing_on_a_faulty_web_spends_no_fetch(self):
+        """The publisher reads its own hubs without the fault plan."""
+        from repro.robustness.faults import FaultProfile, FaultyWeb
+
+        every_fetch_fails = FaultProfile(name="down", dead_rate=1.0)
+        web = FaultyWeb(
+            build_web(40, CorpusConfig(seed=41)), every_fetch_fails,
+            immune=frozenset(),
+        )
+        evolver = WebEvolver(web, CorpusConfig(seed=42))
+        first = evolver.advance(3)
+        second = evolver.advance(3)
+        assert web.fetch_attempts == 0
+        hub = web.peek(LATEST_HUB_URL)
+        assert hub.links == tuple(d.url for d in second + first)
+        assert web.peek(FRONT_PAGE_URL).links.count(LATEST_HUB_URL) == 1
