@@ -77,7 +77,9 @@ class AlertService:
         # The Etap's handle, so the whole alert loop lands in one
         # event stream.
         self.tracer = etap.tracer
-        self._processed_docs: set[str] = set(etap.store.doc_ids())
+        # The store only appends, so the documents no poll has scored
+        # yet are exactly those stored at or past this ordinal.
+        self._scored_upto = len(etap.store)
         self._cycle = 0
         # Idempotency: (driver, snippet, companies) identities already
         # alerted, across every poll so far.
@@ -92,12 +94,8 @@ class AlertService:
         """
         self._cycle += 1
         self.etap.gather()  # only new pages are fetched and stored
-        new_doc_ids = [
-            doc_id
-            for doc_id in self.etap.store.doc_ids()
-            if doc_id not in self._processed_docs
-        ]
-        self._processed_docs.update(new_doc_ids)
+        new_doc_ids = self.etap.store.doc_ids(start=self._scored_upto)
+        self._scored_upto += len(new_doc_ids)
 
         items = self.etap.snippet_items(new_doc_ids)
         report = PollReport(

@@ -230,8 +230,9 @@ class DocumentStore:
         count = len(self._ids)
         return (self._materialize(ordinal) for ordinal in range(count))
 
-    def doc_ids(self) -> list[str]:
-        return list(self._ids)
+    def doc_ids(self, start: int = 0) -> list[str]:
+        """Ids in insert order, from the ``start``-th stored document."""
+        return self._ids[start:]
 
     # -- flat transport --------------------------------------------------------
 

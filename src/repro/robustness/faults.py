@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 from urllib.parse import urlparse
 
 from repro.corpus.web import FRONT_PAGE_URL, Page, SyntheticWeb
@@ -100,8 +99,7 @@ class FaultProfile:
 
     Rates are probabilities in ``[0, 1]`` that a given URL (or host,
     for ``flaky_host_rate``) is afflicted by that fault kind.  A URL
-    selected as *dead* is dead regardless of other draws.  Per-host
-    overrides replace individual rates for URLs on that host.
+    selected as *dead* is dead regardless of other draws.
 
     ``lossy`` declares the profile's contract: ``False`` means every
     injected fault is recoverable within a small retry budget, so a
@@ -127,10 +125,6 @@ class FaultProfile:
     flap_period: float = 4.0
     #: Whether this profile can permanently lose or corrupt pages.
     lossy: bool = False
-    #: host -> {rate field: value} replacing the profile's rates there.
-    host_overrides: Mapping[str, Mapping[str, float]] = field(
-        default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         for name in (
@@ -146,13 +140,6 @@ class FaultProfile:
             raise ValueError("max_slow_timeouts must be >= 1")
         if self.flap_period <= 0:
             raise ValueError("flap_period must be positive")
-
-    def rate(self, name: str, host: str) -> float:
-        """Rate of fault kind ``name`` for URLs on ``host``."""
-        override = self.host_overrides.get(host)
-        if override is not None and name in override:
-            return override[name]
-        return getattr(self, name)
 
 
 #: Named profiles shipped with the CLI's ``--fault-profile``.  Non-lossy
@@ -269,11 +256,10 @@ class FaultyWeb:
     def _draw_plan(self, url: str) -> _FaultPlan:
         if url in self.immune:
             return _FaultPlan()
-        host = urlparse(url).netloc
         profile = self.profile
 
         def hit(kind: str) -> bool:
-            return _unit(self.seed, kind, url) < profile.rate(kind, host)
+            return _unit(self.seed, kind, url) < getattr(profile, kind)
 
         if hit("dead_rate"):
             return _FaultPlan(dead=True)
@@ -301,7 +287,7 @@ class FaultyWeb:
     def host_is_flaky(self, host: str) -> bool:
         return (
             _unit(self.seed, "flaky_host", host)
-            < self.profile.rate("flaky_host_rate", host)
+            < self.profile.flaky_host_rate
         )
 
     def host_is_down(self, host: str) -> bool:

@@ -15,8 +15,7 @@ Supports the query shapes ETAP's training-data generation uses
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -27,19 +26,20 @@ from repro.text.engine import AnnotationEngine
 from repro.text.tokenizer import tokenize_words
 
 _PHRASE_RE = re.compile(r'"([^"]+)"')
+#: Ranked hits are made as ``_new_tuple(SearchResult, fields)``: the
+#: named tuple's own ``__new__`` would add a Python call per result.
+_new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class SearchResult:
-    """One ranked hit."""
+class SearchResult(NamedTuple):
+    """One ranked hit (immutable; equal when its fields are)."""
 
     doc_key: str
     score: float
     title: str
 
 
-@dataclass(frozen=True)
-class ParsedQuery:
+class ParsedQuery(NamedTuple):
     """A query split into exact phrases and loose terms."""
 
     phrases: tuple[tuple[str, ...], ...]
@@ -52,22 +52,46 @@ class ParsedQuery:
 
 
 def parse_query(query: str) -> ParsedQuery:
-    """Split a query string into quoted phrases and remaining keywords."""
-    phrases: list[tuple[str, ...]] = []
-    remainder = query
-    for match in _PHRASE_RE.finditer(query):
-        words = tuple(
-            normalize_term(word) for word in tokenize_words(match.group(1))
-        )
-        if words:
-            phrases.append(words)
-    remainder = _PHRASE_RE.sub(" ", remainder)
-    terms = tuple(
-        normalize_term(word)
-        for word in tokenize_words(remainder)
-        if word.isalnum() or any(char.isalnum() for char in word)
+    """Split a query string into quoted phrases and remaining keywords.
+
+    Each quoted phrase's words are a phrase (a phrase of no words is
+    dropped); the words left once every phrase is cut out are the loose
+    terms, keeping only words with a letter or digit in them.
+
+    The text is tokenized once.  The phrases are joined, each followed
+    by ``' " '``, ahead of the remainder: a phrase holds no ``"``, so
+    the first ``"`` tokens are exactly the phrase ends, and a token
+    never spans the spaces, so every phrase and the remainder tokenize
+    as they would alone.
+    """
+    parts = _PHRASE_RE.split(query)
+    if len(parts) == 1:
+        return ParsedQuery((), _loose_terms(tokenize_words(query)))
+    quoted = parts[1::2]
+    words = tokenize_words(
+        ' " '.join(quoted) + ' " ' + " ".join(parts[::2])
     )
-    return ParsedQuery(tuple(phrases), terms)
+    phrases = []
+    start = 0
+    for _ in quoted:
+        end = words.index('"', start)
+        if end > start:
+            phrases.append(tuple(map(normalize_term, words[start:end])))
+        start = end + 1
+    return ParsedQuery(tuple(phrases), _loose_terms(words[start:]))
+
+
+def _loose_terms(words: list[str]) -> tuple[str, ...]:
+    """The normalized words that hold a letter or digit.
+
+    Every token longer than one character starts with a letter, a digit
+    or ``$`` and a digit, so only a one-character token can lack one.
+    """
+    return tuple(
+        normalize_term(word)
+        for word in words
+        if len(word) > 1 or word.isalnum()
+    )
 
 
 class SearchEngine:
@@ -174,7 +198,7 @@ class SearchEngine:
         depend on the path, on the memo or on how the index was built.
         """
         parsed = parse_query(query)
-        if not parsed.all_terms:
+        if not (parsed.phrases or parsed.terms):
             return []
         index = self.index
         keys, titles = index.keys, index.titles
@@ -204,7 +228,7 @@ class SearchEngine:
                 for score, extra, doc in zip(scores, bonus, hits)
             )
             return [
-                SearchResult(key, -negated, titles[doc])
+                _new_tuple(SearchResult, (key, -negated, titles[doc]))
                 for negated, key, doc in ranked[:top_k]
             ]
         n_docs = index.n_docs
@@ -233,7 +257,7 @@ class SearchEngine:
             key=lambda item: (item[0], keys[item[1]]),
         )
         return [
-            SearchResult(keys[doc], -negated, titles[doc])
+            _new_tuple(SearchResult, (keys[doc], -negated, titles[doc]))
             for negated, doc in ranked[:top_k]
         ]
 

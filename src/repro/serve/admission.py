@@ -39,6 +39,11 @@ class TokenBucket:
     available — so over any window the bucket admits at most
     ``burst + rate * window`` requests, the bound the property suite
     pins down.
+
+    A bucket has no lock of its own: the :class:`AdmissionController`
+    that owns it reads and changes it only under the controller's lock,
+    so one admission takes its token and its queue slot in one critical
+    section.
     """
 
     def __init__(self, rate: float, burst: float, clock: Clock) -> None:
@@ -51,31 +56,29 @@ class TokenBucket:
         self.clock = clock
         self._tokens = self.burst
         self._last_refill = clock.now()
-        self._lock = threading.Lock()
 
     @property
     def tokens(self) -> float:
         """Current balance (refilled to now); for tests/reports."""
-        with self._lock:
-            self._refill(self.clock.now())
-            return self._tokens
+        self._refill(self.clock.now())
+        return self._tokens
 
-    def try_acquire(self, n: float = 1.0) -> bool:
-        """Take ``n`` tokens if available; never blocks."""
-        now = self.clock.now()
-        with self._lock:
-            self._refill(now)
-            if self._tokens >= n:
-                self._tokens -= n
-                return True
-            return False
+    def try_acquire(self, n: float = 1.0, now: float | None = None) -> bool:
+        """Take ``n`` tokens if available; never blocks.
+
+        ``now`` is a reading of :attr:`clock` the caller already took.
+        """
+        self._refill(self.clock.now() if now is None else now)
+        if self._tokens >= n:
+            self._tokens -= n
+            return True
+        return False
 
     def rebase(self, clock: Clock) -> None:
         """Move to ``clock``, keeping the balance refilled so far."""
-        with self._lock:
-            self._refill(self.clock.now())
-            self.clock = clock
-            self._last_refill = clock.now()
+        self._refill(self.clock.now())
+        self.clock = clock
+        self._last_refill = clock.now()
 
     def _refill(self, now: float) -> None:
         elapsed = now - self._last_refill
@@ -169,33 +172,47 @@ class AdmissionController:
             return self._pending
 
     def bucket_of(self, client_id: str) -> TokenBucket:
-        with self._lock:
-            bucket = self._buckets.get(client_id)
-            if bucket is None:
-                bucket = TokenBucket(
-                    self.rate, self.burst, self.tracer.clock
-                )
-                self._buckets[client_id] = bucket
-            return bucket
+        """``client_id``'s bucket, made on its first request.
+
+        A known client's bucket is found without the lock (one dict
+        read); only making a bucket takes it.
+        """
+        bucket = self._buckets.get(client_id)
+        if bucket is None:
+            with self._lock:
+                bucket = self._buckets.get(client_id)
+                if bucket is None:
+                    bucket = TokenBucket(
+                        self.rate, self.burst, self.tracer.clock
+                    )
+                    self._buckets[client_id] = bucket
+        return bucket
 
     # -- the gate --------------------------------------------------------------
 
-    def admit(self, client_id: str) -> AdmissionDecision:
+    def admit(
+        self, client_id: str, now: float | None = None
+    ) -> AdmissionDecision:
         """Try to admit one request for ``client_id``.
 
-        The caller must :meth:`release` every admitted request exactly
+        The token and the queue slot are taken under one lock; a
+        request refused a slot has still spent its token.  ``now`` is
+        a reading of the tracer's clock the caller already took.  The
+        caller must :meth:`release` every admitted request exactly
         once (the portal does this in a ``finally``).
         """
-        if not self.bucket_of(client_id).try_acquire():
-            self.tracer.count("serve.rejected")
-            self.tracer.count(f"serve.rejected[{RATE_LIMITED}]")
-            return AdmissionDecision(False, RATE_LIMITED)
+        bucket = self.bucket_of(client_id)
         with self._lock:
-            rejected = not self._try_take_slot(client_id)
-        if rejected:
+            if not bucket.try_acquire(now=now):
+                reason = RATE_LIMITED
+            elif not self._try_take_slot(client_id):
+                reason = QUEUE_FULL
+            else:
+                reason = ""
+        if reason:
             self.tracer.count("serve.rejected")
-            self.tracer.count(f"serve.rejected[{QUEUE_FULL}]")
-            return AdmissionDecision(False, QUEUE_FULL)
+            self.tracer.count(f"serve.rejected[{reason}]")
+            return AdmissionDecision(False, reason)
         self.tracer.count("serve.admitted")
         return ADMITTED
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 
@@ -51,7 +52,7 @@ class CacheStats:
         return self.hits / lookups if lookups else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     value: object
     expires_at: float
@@ -115,13 +116,15 @@ class QueryCache:
 
     # -- core ------------------------------------------------------------------
 
-    def get(self, key: object, generation: int):
+    def get(self, key: object, generation: int, now: float | None = None):
         """Fresh lookup: right generation and unexpired, else ``MISS``.
 
         Expired and wrong-generation entries are dropped on the way —
-        lazy invalidation keeps a hot cache self-cleaning.
+        lazy invalidation keeps a hot cache self-cleaning.  ``now`` is
+        a reading of the tracer's clock the caller already took.
         """
-        now = self.tracer.clock.now()
+        if now is None:
+            now = self.tracer.clock.now()
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -165,10 +168,16 @@ class QueryCache:
         value: object,
         generation: int,
         cost: float = 1.0,
+        now: float | None = None,
     ) -> None:
-        """Insert/replace; evicts LRU entries to stay within bounds."""
+        """Insert/replace; evicts LRU entries to stay within bounds.
+
+        The entry expires ``ttl`` after ``now`` (a reading of the
+        tracer's clock the caller already took), else after this call.
+        """
         cost = max(1.0, float(cost))
-        now = self.tracer.clock.now()
+        if now is None:
+            now = self.tracer.clock.now()
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
@@ -177,19 +186,14 @@ class QueryCache:
                 # Larger than the whole budget: admitting it would
                 # evict everything and still overflow; skip it.
                 return
-            self._entries[key] = _Entry(
-                value=value,
-                expires_at=now + self.ttl,
-                generation=generation,
-                cost=cost,
-            )
+            self._entries[key] = _Entry(value, now + self.ttl, generation, cost)
             self._total_cost += cost
             while (
                 len(self._entries) > self.max_entries
                 or self._total_cost > self.max_cost
             ):
-                victim_key, victim = next(iter(self._entries.items()))
-                self._drop(victim_key, victim)
+                _, victim = self._entries.popitem(last=False)
+                self._total_cost -= victim.cost
                 self._stats.evictions += 1
 
     def invalidate_other_generations(self, generation: int) -> int:
@@ -218,9 +222,8 @@ class QueryCache:
         self._total_cost -= entry.cost
 
 
-@dataclass(frozen=True)
-class CacheKey:
-    """Canonical cache key for a portal query (hash- and eq-able)."""
+class CacheKey(NamedTuple):
+    """Canonical cache key for a portal query (hashed and compared in C)."""
 
     query: str
     top_k: int

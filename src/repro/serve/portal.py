@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.alerts import Alert
 from repro.obs.tracer import NULL_TRACER, AnyTracer
@@ -58,8 +59,7 @@ STATUS_ERROR = "error"
 _LOCAL_COST = 0.0005
 
 
-@dataclass(frozen=True)
-class QueryResponse:
+class QueryResponse(NamedTuple):
     """One portal answer; every field a value, never an exception.
 
     ``degraded`` tags every answer built from anything but a fresh,
@@ -247,18 +247,20 @@ class AlertPortal:
         tracer's clock; a cache miss that reaches the worker past its
         deadline returns ``deadline_exceeded`` instead of a late answer.
         """
+        # One clock reading serves admission, the cache lookup, the
+        # deadline and the latency's start.
         started = self.tracer.clock.now()
         self.tracer.count("serve.queries")
         key = cache_key(query, top_k)
 
-        decision = self.admission.admit(client_id)
+        decision = self.admission.admit(client_id, now=started)
         if not decision:
             return self._overload_response(
                 client_id, key, decision.reason, started
             )
         try:
             snapshot_generation = self.shards.generation
-            cached = self.cache.get(key, snapshot_generation)
+            cached = self.cache.get(key, snapshot_generation, now=started)
             if cached is not MISS:
                 self.tracer.count("serve.cache_hits")
                 return self._respond(
@@ -286,6 +288,8 @@ class AlertPortal:
                     latency_override=self._local_latency(),
                 )
             routed = outcome.value
+            # Starts the entry's TTL and ends a local read's latency.
+            finished = self.tracer.clock.now()
             if not routed.degraded:
                 # A degraded answer is correct for its pinned
                 # generation but must never become a fresh hit.
@@ -294,6 +298,7 @@ class AlertPortal:
                     routed.results,
                     routed.generation,
                     cost=1.0 + len(routed.results),
+                    now=finished,
                 )
             return self._respond(
                 client_id,
@@ -304,7 +309,11 @@ class AlertPortal:
                 started=started,
                 degraded=routed.degraded,
                 hedged=routed.hedges,
-                latency_override=routed.latency,
+                latency_override=(
+                    max(0.0, finished - started)
+                    if routed.latency is None
+                    else routed.latency
+                ),
             )
         finally:
             self.admission.release(client_id)
@@ -406,14 +415,8 @@ class AlertPortal:
             n_results=len(results),
         )
         return QueryResponse(
-            status=status,
-            results=tuple(results),
-            generation=generation,
-            cached=cached,
-            reason=reason,
-            latency=latency,
-            degraded=degraded,
-            hedged=hedged,
+            status, tuple(results), generation, cached, reason, latency,
+            degraded, hedged,
         )
 
     # -- replica lifecycle -----------------------------------------------------

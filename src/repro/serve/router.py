@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.obs.clock import FakeClock
 from repro.obs.tracer import NULL_TRACER, AnyTracer
@@ -68,8 +69,7 @@ _ERROR_COST = 0.004
 _NACK_COST = 0.002
 
 
-@dataclass(frozen=True)
-class RouteResult:
+class RouteResult(NamedTuple):
     """One routed answer plus how the cluster produced it."""
 
     results: tuple[SearchResult, ...]

@@ -26,7 +26,7 @@ thread, and a leader always publishes an outcome to its joiners.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from repro.obs.tracer import NULL_TRACER, AnyTracer
 
@@ -35,8 +35,7 @@ DEADLINE_EXCEEDED = "deadline_exceeded"
 ERROR = "error"
 
 
-@dataclass(frozen=True)
-class WorkOutcome:
+class WorkOutcome(NamedTuple):
     """What one execution produced (never an exception)."""
 
     status: str  # OK | DEADLINE_EXCEEDED | ERROR
@@ -50,14 +49,23 @@ class WorkOutcome:
         return self.status == OK
 
 
+#: What a leader returns if its worker escaped before producing one.
+_INTERRUPTED = WorkOutcome(ERROR, error="worker interrupted")
+
+
 class _Flight:
-    """One key's execution in progress: its callers wait on ``done``."""
+    """The callers waiting for one key's execution.
+
+    Made by the first caller that joins a key's leader, so a flight
+    nobody joins (every cold query) builds no :class:`threading.Event`:
+    it is only its key in the pool's table.
+    """
 
     __slots__ = ("done", "joiners", "outcome")
 
     def __init__(self) -> None:
         self.done = threading.Event()
-        self.joiners = 1
+        self.joiners = 1  # the leader
         self.outcome: WorkOutcome | None = None
 
 
@@ -69,7 +77,8 @@ class WorkerPool:
     ) -> None:
         self.worker_fn = worker_fn
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self._flights: dict[object, _Flight] = {}
+        #: Keys in flight -> their joiners (``None`` until one joins).
+        self._flights: dict[object, _Flight | None] = {}
         self._lock = threading.Lock()
         self._closed = False
 
@@ -85,28 +94,31 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("worker pool is shut down")
         with self._lock:
-            flight = self._flights.get(key)
-            joined = flight is not None
+            joined = key in self._flights
             if joined:
+                flight = self._flights[key]
+                if flight is None:
+                    flight = self._flights[key] = _Flight()
                 flight.joiners += 1
                 self.tracer.count("serve.coalesced")
             else:
-                flight = self._flights[key] = _Flight()
+                self._flights[key] = None
         if joined:
             flight.done.wait()
             return flight.outcome
-        outcome = WorkOutcome(status=ERROR, error="worker interrupted")
+        outcome = _INTERRUPTED
         try:
             outcome = self._run(key, deadline)
         finally:
             # Published even if the worker escaped, so no joiner hangs;
             # once the key is gone no caller can join this flight.
             with self._lock:
-                del self._flights[key]
-                if flight.joiners > 1:
-                    outcome = replace(outcome, joiners=flight.joiners)
-                flight.outcome = outcome
-            flight.done.set()
+                flight = self._flights.pop(key)
+                if flight is not None:
+                    outcome = outcome._replace(joiners=flight.joiners)
+                    flight.outcome = outcome
+            if flight is not None:
+                flight.done.set()
         return outcome
 
     def shutdown(self) -> None:
@@ -122,13 +134,10 @@ class WorkerPool:
         if deadline is not None and self.tracer.clock.now() > deadline:
             self.tracer.count("serve.deadline_exceeded")
             return WorkOutcome(
-                status=DEADLINE_EXCEEDED,
-                error="deadline passed before execution",
+                DEADLINE_EXCEEDED, error="deadline passed before execution"
             )
         try:
-            return WorkOutcome(status=OK, value=self.worker_fn(key))
+            return WorkOutcome(OK, self.worker_fn(key))
         except Exception as exc:  # worker bugs become outcomes
             self.tracer.count("serve.worker_errors")
-            return WorkOutcome(
-                status=ERROR, error=f"{type(exc).__name__}: {exc}"
-            )
+            return WorkOutcome(ERROR, error=f"{type(exc).__name__}: {exc}")

@@ -154,9 +154,10 @@ class TestIdempotency:
         first = service.poll()
         assert first.alerts
         # Force the service to rescore the same documents, simulating
-        # a poll that re-surfaces already-alerted stories.
+        # a poll that re-surfaces already-alerted stories: the first
+        # poll's documents, the alerted ones among them, count as new.
         rescored = {a.event.doc_id for a in first.alerts}
-        service._processed_docs -= rescored
+        service._scored_upto -= first.new_documents
         second = service.poll()
         assert second.new_documents >= len(rescored)
         first_keys = {a.alert_id for a in first.alerts}

@@ -61,18 +61,6 @@ class TestProfiles:
         with pytest.raises(ValueError):
             FaultProfile(max_transient_failures=0)
 
-    def test_host_overrides_apply_per_host(self):
-        profile = FaultProfile(
-            transient_rate=0.5,
-            host_overrides={
-                "bad.example.com": {"transient_rate": 1.0, "dead_rate": 1.0}
-            },
-        )
-        assert profile.rate("transient_rate", "bad.example.com") == 1.0
-        assert profile.rate("dead_rate", "bad.example.com") == 1.0
-        assert profile.rate("transient_rate", "other.com") == 0.5
-        assert profile.rate("dead_rate", "other.com") == 0.0
-
 
 class TestNoneProfileIsTransparent:
     def test_every_fetch_succeeds_with_original_content(self):

@@ -241,3 +241,52 @@ def test_every_call_is_led_or_joined_once_under_contention():
         tracer.registry.counters.get("serve.coalesced", 0)
         == len(outcomes) - executions["n"]
     )
+
+
+def test_only_a_joined_flight_makes_an_event(monkeypatch):
+    """An uncontended call builds no ``threading.Event``; the first
+    joiner of an in-flight key makes the one its flight's callers wait
+    on, and every joiner wakes with the leader's outcome."""
+    started = threading.Event()
+    release = threading.Event()
+
+    def worker(key):
+        if key == "hot":
+            started.set()
+            release.wait(timeout=5.0)
+        return key
+
+    made = []
+
+    class CountingEvent(threading.Event):
+        def __init__(self) -> None:
+            super().__init__()
+            made.append(self)
+
+    tracer = Tracer()
+    outcomes = []
+    with WorkerPool(worker, tracer=tracer) as pool:
+
+        def call():
+            outcomes.append(pool.execute("hot"))
+
+        # Threads are built before the patch: a Thread makes Events too.
+        leader = threading.Thread(target=call)
+        joiners = [threading.Thread(target=call) for _ in range(2)]
+        monkeypatch.setattr(threading, "Event", CountingEvent)
+        for key in range(50):
+            assert pool.execute(key).value == key
+        assert made == []
+        leader.start()
+        assert started.wait(timeout=5.0)
+        for thread in joiners:
+            thread.start()
+        wait_for_coalesced(tracer, 2)
+        release.set()
+        for thread in [leader, *joiners]:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+    assert len(made) == 1
+    assert len(outcomes) == 3
+    assert all(outcome is outcomes[0] for outcome in outcomes)
+    assert outcomes[0].value == "hot" and outcomes[0].joiners == 3

@@ -5,16 +5,32 @@ every boundary candidate to find the next non-space character, which
 made splitting quadratic in document length.  The property test in
 ``test_sentences.py`` checks that the chunker, which now finds that
 character in place, returns the same sentences.
+
+The two word helpers are copied here too, so a change to the chunker's
+own helpers cannot change the reference along with it.
 """
 
 from __future__ import annotations
 
 import re
 
-from repro.text.sentences import Sentence, _is_initial, _word_before
+from repro.text.sentences import Sentence
 from repro.text.tokenizer import ABBREVIATIONS
 
 _BOUNDARY_RE = re.compile(r"[.!?]+")
+
+
+def _word_before(text: str, index: int) -> str:
+    """The whitespace-delimited word ending at ``index`` (exclusive)."""
+    start = index
+    while start > 0 and not text[start - 1].isspace():
+        start -= 1
+    return text[start:index]
+
+
+def _is_initial(word: str) -> bool:
+    """True for single-letter initials like the ``J`` in ``J. Smith``."""
+    return len(word) == 1 and word.isalpha() and word.isupper()
 
 
 def reference_split_sentences(text: str) -> list[Sentence]:
